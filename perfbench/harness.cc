@@ -144,6 +144,52 @@ std::string Range(const std::vector<double>& v) {
   return text;
 }
 
+double g_sink = 0.0;  // keeps probe and microbenchmark results observable
+
+double Mean(const std::vector<double>& v) {
+  double sum = 0.0;
+  for (double x : v) {
+    sum += x;
+  }
+  return v.empty() ? 0.0 : sum / static_cast<double>(v.size());
+}
+
+// --- speed probe ---------------------------------------------------------------
+
+// The host's vCPUs share physical cores with other tenants' threads, and as
+// those come and go the simulator runs up to 2x faster or slower, switching
+// within seconds. A short throughput-bound integer loop speeds up and slows
+// down with it, while latency-bound loops (a dependent multiply chain, a
+// pointer chase) move by a few percent (README.md, Host facts). wall_s and
+// setup_s therefore time this probe next to the work and report host
+// seconds scaled to the reference speed, at which one probe takes
+// kSpeedProbeReferenceS.
+constexpr double kSpeedProbeReferenceS = 200e-6;
+
+// Times one probe: four independent integer chains and an L1-resident table.
+double SpeedProbe() {
+  static uint32_t table[4096];
+  const int64_t t0 = NowNs();
+  uint64_t a = 1, b = 2, c = 3, d = 4;
+  for (int i = 0; i < 40000; ++i) {
+    a = a * 6364136223846793005ULL + 1442695040888963407ULL;
+    b ^= b << 13;
+    b ^= b >> 7;
+    b ^= b << 17;
+    c = c * 2862933555777941757ULL + (a >> 29);
+    table[(b >> 20) & 4095] += static_cast<uint32_t>(c);
+    d += (b & 3) != 0 ? table[(a >> 40) & 4095] : (c >> 7);
+  }
+  g_sink += static_cast<double>((a ^ b ^ c ^ d) & 1);
+  return Seconds(NowNs() - t0);
+}
+
+// `seconds` of host time at the reference speed, given the probe time
+// measured next to them.
+double AtReferenceSpeed(double seconds, double probe_s) {
+  return seconds * kSpeedProbeReferenceS / probe_s;
+}
+
 // --- cells -------------------------------------------------------------------
 
 struct Cell {
@@ -304,43 +350,34 @@ Timed TimeRun(const Cell& c) {
 
 // --- result-level metrics ------------------------------------------------------
 
-double WeightedPrimary(const ScenarioResult& r) {
-  double weighted = 0.0;
-  double vcpus = 0.0;
-  for (const aql::GroupPerf& g : r.groups) {
-    if (g.name == "fleet" || g.name.rfind("host", 0) == 0) {
-      continue;
-    }
-    weighted += g.primary * g.vcpus;
-    vcpus += g.vcpus;
-  }
-  return vcpus > 0 ? weighted / vcpus : 0.0;
-}
-
-// Geometric mean over keys of Xen(30 ms) cost / AQL cost (the paper's Fig. 6;
-// above 1 means AQL helps). Returns the pair count through `pairs`.
+// Inverse of the geometric mean over keys of WeightedNormalized, pairing the
+// Xen(30 ms) and AQL cells of each key (the paper's Fig. 6; above 1 means
+// AQL helps). Returns the pair count through `pairs`.
 double AqlGain(const std::vector<Cell>& cells, const std::vector<ScenarioResult>& results,
                size_t* pairs) {
   const std::string xen = PolicySpec::Xen().Label();
   const std::string aql_label = PolicySpec::Aql().Label();
-  std::map<std::string, std::pair<double, double>> by_key;
+  std::map<std::string, std::pair<const ScenarioResult*, const ScenarioResult*>> by_key;
   for (size_t i = 0; i < cells.size(); ++i) {
     const std::string label = cells[i].policy.Label();
     if (label == xen) {
-      by_key[cells[i].key].first = WeightedPrimary(results[i]);
+      by_key[cells[i].key].first = &results[i];
     } else if (label == aql_label) {
-      by_key[cells[i].key].second = WeightedPrimary(results[i]);
+      by_key[cells[i].key].second = &results[i];
     }
   }
   double log_sum = 0.0;
   *pairs = 0;
-  for (const auto& [key, costs] : by_key) {
-    if (costs.first > 0 && costs.second > 0) {
-      log_sum += std::log(costs.first / costs.second);
+  for (const auto& [key, pair] : by_key) {
+    const double normalized = pair.first != nullptr && pair.second != nullptr
+                                  ? WeightedNormalized(*pair.first, *pair.second)
+                                  : 0.0;
+    if (normalized > 0) {
+      log_sum += std::log(normalized);
       ++*pairs;
     }
   }
-  return *pairs > 0 ? std::exp(log_sum / static_cast<double>(*pairs)) : 0.0;
+  return *pairs > 0 ? std::exp(-log_sum / static_cast<double>(*pairs)) : 0.0;
 }
 
 // vCPUs of AQL cells whose final detected type equals the catalog's
@@ -381,13 +418,17 @@ struct ChildRun {
   double wall_s = 0.0;
   double cpu_s = 0.0;
   double maxrss_mb = 0.0;
+  std::vector<double> speed_probes;  // SpeedProbe times taken while the child ran
 };
 
 // Runs `argv` in `cwd` with its output sent to `log`, and reaps it with
 // wait4 for its resource usage. The child's peak RSS can be no smaller than
 // the harness's RSS at fork time, so children run before any simulation.
+// With `speed_probe`, the harness times a SpeedProbe every 2 ms while it
+// waits, which adds at most that much to the wall time of a child that runs
+// for seconds.
 ChildRun Spawn(const std::vector<std::string>& argv, const std::string& cwd,
-               const std::string& log) {
+               const std::string& log, bool speed_probe = false) {
   std::vector<char*> cargv;
   for (const std::string& a : argv) {
     cargv.push_back(const_cast<char*>(a.c_str()));
@@ -413,9 +454,18 @@ ChildRun Spawn(const std::vector<std::string>& argv, const std::string& cwd,
   close(log_fd);
   int status = 0;
   rusage ru{};
-  while (wait4(pid, &status, 0, &ru) < 0) {
-    if (errno != EINTR) {
+  for (;;) {
+    const pid_t reaped = wait4(pid, &status, speed_probe ? WNOHANG : 0, &ru);
+    if (reaped == pid) {
+      break;
+    }
+    if (reaped < 0 && errno != EINTR) {
       Die("wait4 failed");
+    }
+    if (reaped == 0) {
+      run.speed_probes.push_back(SpeedProbe());
+      const timespec pause{0, 2000000};
+      nanosleep(&pause, nullptr);
     }
   }
   run.wall_s = Seconds(NowNs() - t0);
@@ -424,6 +474,13 @@ ChildRun Spawn(const std::vector<std::string>& argv, const std::string& cwd,
               static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) / 1e6;
   run.maxrss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;
   return run;
+}
+
+// "" for a child that exited 0, else what failed, for RecordCheck.
+std::string ExitFailure(const ChildRun& run, const std::string& log) {
+  return run.exit_code == 0
+             ? ""
+             : "exit code " + std::to_string(run.exit_code) + " (see " + log + ")";
 }
 
 JsonValue LoadJson(const std::string& path) {
@@ -451,8 +508,6 @@ std::vector<std::string> SuiteArgs(const Args& a, const std::string& out, bool s
 }
 
 // --- microbenchmarks -------------------------------------------------------------
-
-double g_sink = 0.0;  // keeps microbenchmark results observable
 
 struct Micro {
   double per_op = 0.0;  // median over batches
@@ -645,8 +700,9 @@ Micro PlaceMicro() {
 // Cost of one steady_clock read, the unit of tracing overhead. A timed
 // call's span includes about one read, which the sampler takes off.
 Micro ClockMicro() {
-  int64_t acc = 0;
-  Micro m = TimeOps(kBatches, 100000, 1.0, [&] { acc += NowNs(); });
+  uint64_t acc = 0;  // unsigned: a million readings overflow, and must wrap
+  Micro m = TimeOps(kBatches, 100000, 1.0,
+                    [&] { acc += static_cast<uint64_t>(NowNs()); });
   g_sink += static_cast<double>(acc & 1);
   return m;
 }
@@ -860,7 +916,8 @@ ScenarioResult RunTraced(const Cell& c, Tracer* tracer, int cell, int64_t clock_
 
 // One traced single-machine cell with its untraced references.
 struct TracedCell {
-  const Cell* cell = nullptr;
+  bool multi_socket = false;
+  bool controlled = false;  // has a SchedController (not native Xen)
   bool probe = false;
   int tracer_cell = -1;
   double traced_s = 0.0;
@@ -918,7 +975,8 @@ std::vector<TracedCell> TraceCells(const std::vector<Cell>& own,
   for (const std::vector<Cell>* cells : {&own, &probes}) {
     for (const Cell& c : *cells) {
       TracedCell t;
-      t.cell = &c;
+      t.multi_socket = MultiSocket(c.spec);
+      t.controlled = c.policy.kind != PolicySpec::Kind::kXen;
       t.probe = cells == &probes;
       t.tracer_cell = tracer->AddCell(c.id);
       const int64_t t0 = NowNs();
@@ -944,7 +1002,9 @@ std::vector<TracedCell> TraceCells(const std::vector<Cell>& own,
   return out;
 }
 
-// Exact counts a speed-only change must leave identical.
+// Exact counts of a workload's own cells that a speed-only change must leave
+// identical. Only suite_quick has fleet cells; the machine workloads'
+// migration count is 0.
 struct ExactCounts {
   uint64_t events = 0;
   uint64_t dispatches = 0;
@@ -977,8 +1037,6 @@ ExactCounts MachineCounts(const std::string& workload, uint64_t seed) {
     c.dispatches += Dispatches(r);
     c.plan_applications += r.plan_applications;
   }
-  const Cell fleet = FleetProbe(seed);
-  c.migrations = FleetMigrations(aql::RunScenario(fleet.spec, fleet.policy)).first;
   return c;
 }
 
@@ -1037,9 +1095,8 @@ void AddSpanMetrics(const std::vector<TracedCell>& cells, const Tracer& tracer,
   };
 
   for (const bool multi : {false, true}) {
-    const auto idx = pick([multi](const TracedCell& t) {
-      return MultiSocket(t.cell->spec) == multi;
-    });
+    const auto idx =
+        pick([multi](const TracedCell& t) { return t.multi_socket == multi; });
     double seconds = 0.0;
     double events = 0.0;
     size_t samples = 0;
@@ -1071,16 +1128,15 @@ void AddSpanMetrics(const std::vector<TracedCell>& cells, const Tracer& tracer,
   }
   out->push_back(Metric{"hv.machine_self_frac", cell_ns > 0 ? run_self / cell_ns : 0.0,
                         "frac", Samples(all.size(), "traced cells") + from(all)});
-  const double step_ns =
-      workload_samples > 0 ? workload_sampled / static_cast<double>(workload_samples) : 0.0;
+  const double step_ns = workload_samples > 0
+                             ? workload_sampled / static_cast<double>(workload_samples)
+                             : 0.0;
   out->push_back(Metric{"workload.step_ns", step_ns, "ns",
                         Samples(workload_samples, "sampled calls") + from(all)});
   out->push_back(Metric{"workload.self_frac", cell_ns > 0 ? workload_ns / cell_ns : 0.0,
                         "frac", Samples(workload_samples, "sampled calls") + from(all)});
 
-  const auto ctl = pick([](const TracedCell& t) {
-    return t.cell->policy.kind != PolicySpec::Kind::kXen;
-  });
+  const auto ctl = pick([](const TracedCell& t) { return t.controlled; });
   double ctl_cell_ns = 0.0;
   double ctl_ns = 0.0;
   double ctl_self = 0.0;
@@ -1142,23 +1198,36 @@ Outcome MachineUntraced(const Args& a) {
     events += first.back().events_processed;
   }
 
+  // Set-up passes and timed passes at the reference speed, and the timed
+  // passes in host seconds.
   std::vector<double> setup;
   std::vector<double> passes;
+  std::vector<double> host_passes;
   const int64_t deadline = NowNs() + static_cast<int64_t>(a.seconds * 1e9);
   do {
     for (int p = 0; p < kSetupPerPass; ++p) {
+      const double probe = SpeedProbe();
       const int64_t t0 = NowNs();
       for (const Cell& c : cells) {
         aql::RunScenario(EmptyWindow(c.spec), c.policy);
       }
-      setup.push_back(Seconds(NowNs() - t0));
+      const double seconds = Seconds(NowNs() - t0);
+      setup.push_back(AtReferenceSpeed(seconds, (probe + SpeedProbe()) / 2));
     }
+    // A speed probe before every cell: a pass lasts long enough for the
+    // host's speed to change within it.
     std::vector<ScenarioResult> results;
-    const int64_t t0 = NowNs();
+    double pass = 0.0;
+    double host_pass = 0.0;
     for (const Cell& c : cells) {
-      results.push_back(aql::RunScenario(c.spec, c.policy));
+      const double probe = SpeedProbe();
+      Timed t = TimeRun(c);
+      results.push_back(std::move(t.result));
+      pass += AtReferenceSpeed(t.seconds, probe);
+      host_pass += t.seconds;
     }
-    passes.push_back(Seconds(NowNs() - t0));
+    passes.push_back(pass);
+    host_passes.push_back(host_pass);
     for (size_t i = 0; i < cells.size(); ++i) {
       const std::string diff = DiffResults(first[i], results[i]);
       RecordCheck(&out.ok, cells[i].id, diff.empty() ? "" : "repeat differs in " + diff);
@@ -1171,7 +1240,9 @@ Outcome MachineUntraced(const Args& a) {
   out.metrics = {
       {"wall_s", Percentile(passes, 0.5), "s",
        "median of " + Samples(passes.size(), "passes") + Range(passes) + " over " +
-           Samples(cells.size(), "cells") + ", " + Samples(events, "events")},
+           Samples(cells.size(), "cells") + ", " + Samples(events, "events") +
+           "; host seconds " + std::to_string(Percentile(host_passes, 0.5)) +
+           Range(host_passes)},
       {"setup_s", Percentile(setup, 0.5), "s",
        "median of " + Samples(setup.size(), "set-up passes") + Range(setup)},
       {"peak_rss_mb", PeakRssMb(), "MB", "getrusage"},
@@ -1224,7 +1295,10 @@ Outcome MachineTraced(const Args& a) {
     }
   }
 
-  // The fleet probe, run three times: its metrics and a determinism check.
+  // The machine workloads have no fleet cell, no sweep pool and no render,
+  // but every traced run reports every per-layer metric. Those metrics come
+  // from probes and say so in their notes. The fleet probe runs three
+  // times: a median and a determinism check.
   const Cell fleet = FleetProbe(a.seed);
   std::vector<double> fleet_s;
   ScenarioResult fleet_first;
@@ -1239,9 +1313,9 @@ Outcome MachineTraced(const Args& a) {
     }
   }
   const auto [migrations, migration_failures] = FleetMigrations(fleet_first);
-  counts.migrations = migrations;
 
-  // Render: the workload's traced cells as a BENCH JSON document.
+  // The render probe: the workload's traced cells written as a BENCH JSON
+  // document.
   aql::SweepResult sweep;
   sweep.name = "perfbench_" + a.workload;
   sweep.description = "perfbench traced cells";
@@ -1266,23 +1340,25 @@ Outcome MachineTraced(const Args& a) {
       {"experiment.setup_us_per_cell", Percentile(setup_us, 0.5), "us",
        Samples(setup_us.size(), "empty-window cells")},
       {"experiment.pool_busy_frac", wall_s > 0 ? cpu_s / wall_s : 0.0, "frac",
-       "process CPU over wall, one thread"},
+       "(probe) no pool: process CPU over wall of the one-thread cell runs, about 1"},
       {"experiment.longest_cell_s",
        *std::max_element(cell_ms.begin(), cell_ms.end()) / 1e3, "s",
        Samples(cell_ms.size(), "untraced cell runs")},
-      {"experiment.render_s", render_s, "s", "WriteSweepJson of the traced cells"},
+      {"experiment.render_s", render_s, "s",
+       "(probe) no render: WriteSweepJson of the traced cells"},
       {"experiment.json_bytes", static_cast<double>(fs::file_size(json_path)), "bytes",
-       json_path},
+       "(probe) " + json_path},
       {"sim.events", static_cast<double>(counts.events), "count", "exact"},
       {"hv.dispatches", static_cast<double>(counts.dispatches), "count", "exact"},
       {"core.plan_applications", static_cast<double>(counts.plan_applications), "count",
        "exact"},
-      {"fleet.cell_s", Percentile(fleet_s, 0.5), "s", "median of 3 fleet-probe runs"},
-      {"fleet.migrations", static_cast<double>(counts.migrations), "count",
-       "exact, fleet probe"},
+      {"fleet.cell_s", Percentile(fleet_s, 0.5), "s",
+       "(probe) median of 3 fleet-probe runs"},
+      {"fleet.migrations", static_cast<double>(migrations), "count",
+       "(probe) exact, fleet probe"},
       {"fleet.migration_success_frac",
        MigrationSuccessFrac(migrations, migration_failures),
-       "frac", "fleet probe"},
+       "frac", "(probe) fleet probe"},
   };
   AddSpanMetrics(results, tracer, &out.metrics);
   AddMicros(&out.metrics);
@@ -1300,8 +1376,12 @@ Outcome MachineTraced(const Args& a) {
 Outcome SuiteUntraced(const Args& a) {
   Outcome out;
   const std::string log = a.work + "/child.log";
+  const std::string list_log = a.work + "/list.log";
+  // Children's wall times at the reference speed (see SpeedProbe), and
+  // the suite children's in host seconds.
   std::vector<double> setup;
   std::vector<double> walls;
+  std::vector<double> host_walls;
   double rss = 0.0;
   double recognized = 0.0;
   double apps = 0.0;
@@ -1309,18 +1389,18 @@ Outcome SuiteUntraced(const Args& a) {
   const int64_t deadline = NowNs() + static_cast<int64_t>(a.seconds * 1e9);
   do {
     for (int i = 0; i < kSetupPerPass; ++i) {
-      const ChildRun r = Spawn({a.aql_bench, "--list", "--quick"}, a.work, log);
-      setup.push_back(r.wall_s);
-      if (r.exit_code != 0) {
-        std::printf("FAILED aql_bench --list exited %d (see %s)\n", r.exit_code,
-                    log.c_str());
-        out.correct = false;
-      }
+      const double probe = SpeedProbe();
+      const ChildRun r = Spawn({a.aql_bench, "--list", "--quick"}, a.work, list_log);
+      setup.push_back(AtReferenceSpeed(r.wall_s, (probe + SpeedProbe()) / 2));
+      RecordCheck(&out.ok, "--list child", ExitFailure(r, list_log));
     }
     const std::string dir = a.work + "/suite";
     fs::remove_all(dir);
-    const ChildRun r = Spawn(SuiteArgs(a, dir, /*stable=*/true), a.work, log);
-    walls.push_back(r.wall_s);
+    const ChildRun r =
+        Spawn(SuiteArgs(a, dir, /*stable=*/true), a.work, log, /*speed_probe=*/true);
+    walls.push_back(AtReferenceSpeed(
+        r.wall_s, r.speed_probes.empty() ? SpeedProbe() : Mean(r.speed_probes)));
+    host_walls.push_back(r.wall_s);
     rss = std::max(rss, r.maxrss_mb);
     std::vector<std::string> failures;
     out.ok.Add(CheckSuiteOutputs(dir, a.goldens, r.exit_code, &failures));
@@ -1345,16 +1425,19 @@ Outcome SuiteUntraced(const Args& a) {
 
   out.metrics = {
       {"wall_s", Percentile(walls, 0.5), "s",
-       "median of " + Samples(walls.size(), "children") + Range(walls)},
+       "median of " + Samples(walls.size(), "children") + Range(walls) +
+           "; host seconds " + std::to_string(Percentile(host_walls, 0.5)) +
+           Range(host_walls)},
       {"setup_s", Percentile(setup, 0.5), "s",
        "median of " + Samples(setup.size(), "`--list --quick` children") + Range(setup)},
       {"peak_rss_mb", rss, "MB", "max child ru_maxrss (wait4)"},
-      {"ok_frac", out.ok.Frac(), "frac", Samples(out.ok.attempted, "sweep outputs")},
+      {"ok_frac", out.ok.Frac(), "frac",
+       Samples(out.ok.attempted, "sweep outputs and `--list` children")},
       {"recognition_acc", apps > 0 ? recognized / apps : 0.0, "frac",
        "table3 + table3x + trace_replay"},
       {"aql_gain", gain, "ratio", "fig6 single- and four-socket means, inverted"},
   };
-  out.correct = out.correct && out.ok.failed == 0 && apps > 0 && gain > 0;
+  out.correct = out.ok.failed == 0 && apps > 0 && gain > 0;
   return out;
 }
 
@@ -1456,25 +1539,26 @@ double SumRenderSeconds(const std::string& dir) {
 
 Outcome SuiteTraced(const Args& a) {
   Outcome out;
-  const std::string log = a.work + "/child.log";
   const std::string timed_dir = a.work + "/suite_timed";
   const std::string profiled_dir = a.work + "/suite_profiled";
   fs::remove_all(timed_dir);
   fs::remove_all(profiled_dir);
-  const ChildRun timed = Spawn(SuiteArgs(a, timed_dir, /*stable=*/false), a.work, log);
+  const std::string timed_log = a.work + "/child.log";
+  const ChildRun timed =
+      Spawn(SuiteArgs(a, timed_dir, /*stable=*/false), a.work, timed_log);
+  RecordCheck(&out.ok, "suite child", ExitFailure(timed, timed_log));
+  const std::string profiled_log = a.work + "/profile.log";
   std::vector<std::string> profiled_args = SuiteArgs(a, profiled_dir, /*stable=*/false);
   profiled_args.push_back("--profile");
-  const ChildRun profiled = Spawn(profiled_args, a.work, log);
+  const ChildRun profiled = Spawn(profiled_args, a.work, profiled_log);
+  RecordCheck(&out.ok, "--profile child", ExitFailure(profiled, profiled_log));
+  const std::string list_log = a.work + "/list.log";
   std::vector<double> list_s;
   for (int i = 0; i < 10; ++i) {
-    list_s.push_back(Spawn({a.aql_bench, "--list", "--quick"}, a.work, log).wall_s);
+    const ChildRun r = Spawn({a.aql_bench, "--list", "--quick"}, a.work, list_log);
+    list_s.push_back(r.wall_s);
+    RecordCheck(&out.ok, "--list child", ExitFailure(r, list_log));
   }
-  RecordCheck(&out.ok, "suite child",
-              timed.exit_code == 0 ? "" : "exit code " + std::to_string(timed.exit_code));
-  RecordCheck(&out.ok, "--profile child",
-              profiled.exit_code == 0
-                  ? ""
-                  : "exit code " + std::to_string(profiled.exit_code));
 
   const SuiteLayers s = ReadSuiteLayers(timed_dir, &out.ok);
   const double render_s = SumRenderSeconds(profiled_dir);

@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "src/experiment/json_out.h"
+#include "src/metrics/report.h"
 #include "src/sim/check.h"
 
 namespace perfbench {
@@ -134,6 +135,20 @@ std::string CheckCell(const aql::ScenarioSpec& spec, const aql::ScenarioResult& 
     return "no events processed";
   }
   return "";
+}
+
+double WeightedNormalized(const aql::ScenarioResult& xen,
+                          const aql::ScenarioResult& aql_result) {
+  double weighted = 0.0;
+  double vcpus = 0.0;
+  for (const aql::GroupPerf& g : xen.groups) {
+    if (g.primary > 0 && aql::HasGroup(aql_result.groups, g.name)) {
+      weighted +=
+          aql::NormalizedPerf(aql::FindGroup(aql_result.groups, g.name), g) * g.vcpus;
+      vcpus += g.vcpus;
+    }
+  }
+  return vcpus > 0 ? weighted / vcpus : 0.0;
 }
 
 namespace {

@@ -76,6 +76,14 @@ std::string CheckCell(const aql::ScenarioSpec& spec, const aql::ScenarioResult& 
 // field, or "" when the simulated outputs are identical.
 std::string DiffResults(const aql::ScenarioResult& a, const aql::ScenarioResult& b);
 
+// vCPU-weighted mean, over the application groups of a Xen cell, of each
+// group's AQL/Xen cost ratio (aql::NormalizedPerf; below 1 means AQL helps).
+// The groups' primary costs have different units (IO latency in µs, spin
+// cycle time in ns, slowdowns), so only their ratios are averaged. Groups
+// with no positive Xen cost or no AQL twin are skipped; 0 when none is left.
+double WeightedNormalized(const aql::ScenarioResult& xen,
+                          const aql::ScenarioResult& aql_result);
+
 // One recorded span: a name, a start and an end on the host clock, the span
 // that was open when it began (its parent, -1 for none), the cell it
 // belongs to, and a weight: a sampled span stands for `weight` calls of

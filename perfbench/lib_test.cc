@@ -178,6 +178,26 @@ TEST(DiffResultsTest, IgnoresHostTimeAndNamesTheFirstDifference) {
   EXPECT_EQ(DiffResults(a, d), "events_processed");
 }
 
+TEST(WeightedNormalizedTest, AveragesGroupRatiosWeightedByVcpus) {
+  // A 4-vCPU group whose cost is a spin cycle time in ns beside a 12-vCPU
+  // group whose cost is a slowdown: averaging raw costs would let the first
+  // outweigh the second a millionfold.
+  aql::ScenarioResult xen;
+  xen.groups = {aql::GroupPerf{"kernbench", 4, 1e6, {}},
+                aql::GroupPerf{"hmmer", 12, 2.0, {}}};
+  aql::ScenarioResult aql_result;
+  aql_result.groups = {aql::GroupPerf{"kernbench", 4, 0.5e6, {}},
+                       aql::GroupPerf{"hmmer", 12, 2.0, {}}};
+  EXPECT_DOUBLE_EQ(WeightedNormalized(xen, aql_result), (4 * 0.5 + 12 * 1.0) / 16);
+
+  // A group with no positive Xen cost or no AQL twin is skipped.
+  xen.groups.push_back(aql::GroupPerf{"idle", 8, 0.0, {}});
+  aql_result.groups.push_back(aql::GroupPerf{"idle", 8, 1.0, {}});
+  xen.groups.push_back(aql::GroupPerf{"gone", 8, 3.0, {}});
+  EXPECT_DOUBLE_EQ(WeightedNormalized(xen, aql_result), (4 * 0.5 + 12 * 1.0) / 16);
+  EXPECT_EQ(WeightedNormalized(aql::ScenarioResult{}, aql_result), 0.0);
+}
+
 TEST(TracerTest, SelfTimeSubtractsWeightedDirectChildrenOnly) {
   // cell [0, 1000) > run [100, 900) > controller [200, 300) > one workload
   // sample [210, 220) of weight 5; another sample [400, 410) of weight 5
