@@ -52,8 +52,10 @@ namespace aql {
 // configuration. v4: multi-socket machines run the socket-island engine
 // (per-VM socket placement, per-VM RNG streams, socket-filtered
 // stealing/wakes), which changed their trajectories; --socket-threads is
-// NOT in the key — any thread count reproduces the entry's bytes.
-inline constexpr const char* kCellCacheEngineVersion = "aql-cell-cache-v4";
+// NOT in the key — any thread count reproduces the entry's bytes. v5: LLC
+// eviction visits victims and drains its rounding residue in ascending vCPU
+// id instead of hash-map order.
+inline constexpr const char* kCellCacheEngineVersion = "aql-cell-cache-v5";
 
 struct CellCacheKey {
   uint64_t derived_seed = 0;

@@ -19,17 +19,15 @@ double LlcModel::MissRatio(int socket, int vcpu, uint64_t wss_bytes) const {
   }
   const SocketState& s = sockets_[static_cast<size_t>(socket)];
   AQL_CHECK(vcpu >= 0);
-  if (static_cast<size_t>(vcpu) >= s.memo.size()) {
-    s.memo.resize(static_cast<size_t>(vcpu) + 1);
+  const size_t v = static_cast<size_t>(vcpu);
+  if (v >= s.memo.size()) {
+    s.memo.resize(v + 1);
   }
-  MissMemo& memo = s.memo[static_cast<size_t>(vcpu)];
+  MissMemo& memo = s.memo[v];
   if (memo.epoch == s.epoch && memo.wss == wss_bytes) {
     return memo.ratio;
   }
-  uint64_t occ = 0;
-  if (auto it = s.occupancy.find(vcpu); it != s.occupancy.end()) {
-    occ = it->second;
-  }
+  const uint64_t occ = v < s.occupancy.size() ? s.occupancy[v] : 0;
   // References are spread uniformly over the working set; the resident part
   // hits. Residency can never exceed the WSS, so the ratio is within [0, 1].
   const double hit = static_cast<double>(std::min(occ, wss_bytes)) /
@@ -42,7 +40,8 @@ double LlcModel::MissRatio(int socket, int vcpu, uint64_t wss_bytes) const {
 
 void LlcModel::GrowTables(SocketState& s, int vcpu) {
   AQL_CHECK(vcpu >= 0);
-  if (static_cast<size_t>(vcpu) >= s.running.size()) {
+  if (static_cast<size_t>(vcpu) >= s.occupancy.size()) {
+    s.occupancy.resize(static_cast<size_t>(vcpu) + 1, 0);
     s.running.resize(static_cast<size_t>(vcpu) + 1, 0);
     s.wss.resize(static_cast<size_t>(vcpu) + 1, 0);
   }
@@ -54,8 +53,8 @@ void LlcModel::CommitAccesses(int socket, int vcpu, uint64_t wss_bytes, uint64_t
     return;
   }
   SocketState& s = sockets_[static_cast<size_t>(socket)];
-  uint64_t& occ = s.occupancy[vcpu];
   GrowTables(s, vcpu);
+  uint64_t& occ = s.occupancy[static_cast<size_t>(vcpu)];
   s.wss[static_cast<size_t>(vcpu)] = wss_bytes;
 
   const uint64_t limit = std::min(wss_bytes, capacity_);
@@ -67,6 +66,10 @@ void LlcModel::CommitAccesses(int socket, int vcpu, uint64_t wss_bytes, uint64_t
                                     params_.stream_insertion_fraction);
   }
   const uint64_t grow = std::min(fetched, limit > occ ? limit - occ : 0);
+  if (grow > 0 && occ == 0) {
+    const auto pos = std::lower_bound(s.resident.begin(), s.resident.end(), vcpu);
+    s.resident.insert(pos, vcpu);
+  }
   occ += grow;
   s.total += grow;
   // Occupancy only changes when something grew (the socket total never
@@ -81,63 +84,51 @@ void LlcModel::CommitAccesses(int socket, int vcpu, uint64_t wss_bytes, uint64_t
     return;
   }
   // Socket overflow: evict from co-resident vCPUs proportionally to a
-  // recency-weighted occupancy. The fetching vCPU keeps what it just brought
-  // in; vCPUs currently on-CPU keep most of their footprint (LRU keeps hot
-  // lines resident), descheduled footprints decay at full weight.
-  //
-  // The victims (id != vcpu, bytes > 0) and their weights are captured in a
-  // single walk of the occupancy map; the eviction passes then run over the
-  // flat scratch array. Weights equal the old per-pass recomputation (values
-  // are untouched between the walk and each pass), and the scratch preserves
-  // the map's iteration order, so every share — including the residue drain
-  // below — is byte-identical to walking the map again.
+  // recency-weighted occupancy (the rule is documented on the declaration).
+  // The fetching vCPU keeps what it just brought in; vCPUs currently on-CPU
+  // keep most of their footprint (LRU keeps hot lines resident), descheduled
+  // footprints decay at full weight. The fetcher's weight is 0, which adds
+  // nothing to the total and gives it a zero share.
   const uint64_t overflow = s.total - capacity_;
-  auto& victims = s.evict_scratch;
-  victims.clear();
   double weight_total = 0;
-  for (auto& [id, bytes] : s.occupancy) {
-    if (id == vcpu || bytes == 0) {
-      continue;
-    }
-    const bool running =
-        static_cast<size_t>(id) < s.running.size() && s.running[static_cast<size_t>(id)] != 0;
+  s.weights.resize(s.resident.size());
+  for (size_t i = 0; i < s.resident.size(); ++i) {
+    const size_t id = static_cast<size_t>(s.resident[i]);
     // Recency protection only applies to cache-friendly working sets: a
     // streaming workload (WSS > capacity) touches each line once, so LRU
-    // offers its lines no protection even while it runs. (A zero WSS entry
-    // means "never recorded", i.e. not friendly.)
-    const uint64_t w =
-        static_cast<size_t>(id) < s.wss.size() ? s.wss[static_cast<size_t>(id)] : 0;
-    const bool friendly = w != 0 && w <= capacity_;
-    const double weight =
-        static_cast<double>(bytes) *
-        (running && friendly ? params_.running_eviction_weight : 1.0);
-    victims.emplace_back(&bytes, weight);
-    weight_total += weight;
+    // offers its lines no protection even while it runs. (A resident vCPU
+    // has committed, so its WSS is recorded.)
+    const bool protect = s.running[id] != 0 && s.wss[id] <= capacity_;
+    const double scale = protect ? params_.running_eviction_weight : 1.0;
+    const double bytes = static_cast<double>(s.occupancy[id]);
+    s.weights[i] = s.resident[i] == vcpu ? 0.0 : bytes * scale;
+    weight_total += s.weights[i];
   }
   uint64_t evicted_sum = 0;
+  bool emptied = false;
   if (weight_total > 0) {
-    for (const auto& [bytes, weight] : victims) {
-      uint64_t share = static_cast<uint64_t>(static_cast<double>(overflow) * weight /
-                                             weight_total);
-      share = std::min(share, *bytes);
-      *bytes -= share;
+    for (size_t i = 0; i < s.resident.size(); ++i) {
+      uint64_t& bytes = s.occupancy[static_cast<size_t>(s.resident[i])];
+      const double exact = static_cast<double>(overflow) * s.weights[i] / weight_total;
+      const uint64_t share = std::min(static_cast<uint64_t>(exact), bytes);
+      bytes -= share;
       evicted_sum += share;
+      emptied |= bytes == 0;
     }
   }
-  // Weight caps or rounding may leave a residue; drain remaining victims in
-  // the same (hash) order.
+  // Weight caps or rounding may leave a residue; drain it from the victims
+  // in ascending id.
   uint64_t residue = overflow > evicted_sum ? overflow - evicted_sum : 0;
-  if (residue > 0) {
-    for (const auto& [bytes, weight] : victims) {
-      (void)weight;
-      const uint64_t take = std::min(residue, *bytes);
-      *bytes -= take;
-      evicted_sum += take;
-      residue -= take;
-      if (residue == 0) {
-        break;
-      }
+  for (auto it = s.resident.begin(); residue > 0 && it != s.resident.end(); ++it) {
+    if (*it == vcpu) {
+      continue;
     }
+    uint64_t& bytes = s.occupancy[static_cast<size_t>(*it)];
+    const uint64_t take = std::min(residue, bytes);
+    bytes -= take;
+    evicted_sum += take;
+    residue -= take;
+    emptied |= bytes == 0;
   }
   s.total -= evicted_sum;
   if (s.total > capacity_) {
@@ -146,6 +137,11 @@ void LlcModel::CommitAccesses(int socket, int vcpu, uint64_t wss_bytes, uint64_t
     AQL_CHECK(occ >= trim);
     occ -= trim;
     s.total -= trim;
+  }
+  if (emptied) {
+    const auto empty = [&s](int id) { return s.occupancy[static_cast<size_t>(id)] == 0; };
+    s.resident.erase(std::remove_if(s.resident.begin(), s.resident.end(), empty),
+                     s.resident.end());
   }
 }
 
@@ -161,21 +157,24 @@ void LlcModel::Remove(int socket, int vcpu) {
   SocketState& s = sockets_[static_cast<size_t>(socket)];
   GrowTables(s, vcpu);
   s.running[static_cast<size_t>(vcpu)] = 0;
-  auto it = s.occupancy.find(vcpu);
-  if (it == s.occupancy.end()) {
+  uint64_t& occ = s.occupancy[static_cast<size_t>(vcpu)];
+  if (occ == 0) {
     return;
   }
-  AQL_CHECK(s.total >= it->second);
-  s.total -= it->second;
-  s.occupancy.erase(it);
+  AQL_CHECK(s.total >= occ);
+  s.total -= occ;
+  occ = 0;
+  const auto it = std::lower_bound(s.resident.begin(), s.resident.end(), vcpu);
+  AQL_CHECK(it != s.resident.end() && *it == vcpu);
+  s.resident.erase(it);
   ++s.epoch;
 }
 
 uint64_t LlcModel::Occupancy(int socket, int vcpu) const {
   AQL_CHECK(socket >= 0 && socket < static_cast<int>(sockets_.size()));
   const SocketState& s = sockets_[static_cast<size_t>(socket)];
-  auto it = s.occupancy.find(vcpu);
-  return it == s.occupancy.end() ? 0 : it->second;
+  const size_t v = static_cast<size_t>(vcpu);
+  return vcpu >= 0 && v < s.occupancy.size() ? s.occupancy[v] : 0;
 }
 
 uint64_t LlcModel::TotalOccupancy(int socket) const {

@@ -12,13 +12,14 @@
 //      - LoLCF (WSS <= L2): makes almost no LLC references at all.
 //
 // Occupancy is tracked per (socket, vcpu) in bytes; the per-socket total
-// never exceeds the LLC capacity.
+// never exceeds the LLC capacity. Every result is a function of the call
+// sequence alone: eviction visits victims in ascending vCPU id, so no
+// container layout or insertion history can reorder it.
 
 #ifndef AQLSCHED_SRC_HW_LLC_MODEL_H_
 #define AQLSCHED_SRC_HW_LLC_MODEL_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/hw/topology.h"
@@ -44,6 +45,13 @@ class LlcModel {
   // Commits the outcome of a compute step: `misses` lines were fetched by
   // `vcpu` on `socket`; grows its occupancy (bounded by min(wss, capacity))
   // and evicts co-resident vCPUs proportionally if the socket overflows.
+  //
+  // Eviction rule: the overflow is split over the other resident vCPUs in
+  // proportion to weight = bytes x (running_eviction_weight if the victim is
+  // running with a cache-friendly WSS <= capacity, else 1); each share is
+  // truncated to an integer and capped at the victim's bytes. The rounding
+  // residue is then taken from the victims in ascending vCPU id, and
+  // whatever still overflows is trimmed from the fetcher itself.
   void CommitAccesses(int socket, int vcpu, uint64_t wss_bytes, uint64_t misses);
 
   // Drops all of `vcpu`'s occupancy on `socket` (cross-socket migration or
@@ -67,25 +75,22 @@ class LlcModel {
     double ratio = 0.0;
   };
   struct SocketState {
-    // The occupancy map stays the authority — eviction visits victims in its
-    // hash-iteration order, and that order is part of the deterministic
-    // byte-stable results (see CommitAccesses' residue drain). The running
-    // and WSS side-tables are never iterated, only point-read by vcpu id, so
-    // they live in flat vectors (0 = absent: a WSS is only ever recorded
-    // nonzero).
-    std::unordered_map<int, uint64_t> occupancy;  // vcpu -> resident bytes
-    std::vector<uint8_t> running;                 // vcpu -> on-CPU now
-    std::vector<uint64_t> wss;                    // vcpu -> last seen WSS
+    // Per-vCPU state, indexed by vcpu id (grown on demand; ids are small and
+    // dense).
+    std::vector<uint64_t> occupancy;  // vcpu -> resident bytes
+    std::vector<uint8_t> running;     // vcpu -> on-CPU now
+    std::vector<uint64_t> wss;        // vcpu -> last seen WSS
+    // Ids with nonzero occupancy, ascending: the eviction walk visits victims
+    // and drains the residue in this order.
+    std::vector<int> resident;
+    // Eviction scratch: the weight of resident[i]. Reused across calls.
+    std::vector<double> weights;
     uint64_t total = 0;
     // Bumped whenever any occupancy on the socket changes; validates memo.
     uint64_t epoch = 1;
     // MissRatio memo, indexed by vcpu id (grown on demand). Mutable: a
     // logically-const cache of a pure function of (occupancy, wss).
     mutable std::vector<MissMemo> memo;
-    // Eviction scratch: one (resident-bytes slot, weight) pair per victim,
-    // captured in map order so the overflow passes run over a flat array
-    // instead of re-walking the hash map. Reused across calls.
-    std::vector<std::pair<uint64_t*, double>> evict_scratch;
   };
 
   void GrowTables(SocketState& s, int vcpu);

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "src/hw/llc_model.h"
 #include "src/hw/topology.h"
 
@@ -160,40 +167,243 @@ TEST_F(LlcModelTest, ZeroWssNeverMissesBelowFloor) {
   EXPECT_EQ(llc_.Occupancy(0, 9), 0u);
 }
 
-// Property sweep: after arbitrary interleaved commits, the per-socket total
-// never exceeds capacity and matches the sum of occupancies.
-class LlcInvariantTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(LlcInvariantTest, TotalsConsistent) {
-  const int seed = GetParam();
-  LlcModel llc(1, 8 * kMiB, HwParams{});
-  uint64_t state = static_cast<uint64_t>(seed) * 2654435761u + 12345;
-  auto next = [&state] {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    return state >> 33;
-  };
-  for (int step = 0; step < 200; ++step) {
-    const int vcpu = static_cast<int>(next() % 6);
-    const uint64_t wss = (1 + next() % 16) * kMiB;
-    const uint64_t misses = next() % 50000;
-    if (next() % 8 == 0) {
-      llc.Remove(0, vcpu);
-    } else {
-      llc.SetRunning(0, vcpu, next() % 2 == 0);
-      llc.CommitAccesses(0, vcpu, wss, misses);
-    }
-    ASSERT_LE(llc.TotalOccupancy(0), 8 * kMiB);
-    uint64_t sum = 0;
-    for (int v = 0; v < 6; ++v) {
-      const uint64_t occ = llc.Occupancy(0, v);
-      ASSERT_LE(occ, 8 * kMiB);
-      sum += occ;
-    }
-    ASSERT_EQ(sum, llc.TotalOccupancy(0));
-  }
+// Three victims behind one overflowing commit, computed by hand. Capacity is
+// 6400 B (100 lines) and every WSS is 6400 B, so every footprint is
+// cache-friendly:
+//   vcpu 1: 20 lines = 1280 B, running -> weight 1280 x 0.15 = 192
+//   vcpu 2: 30 lines = 1920 B          -> weight 1920
+//   vcpu 3: 35 lines = 2240 B          -> weight 2240
+// vcpu 4 then fetches 25 lines = 1600 B: the socket holds 7040 B, 640 B over.
+// The shares floor(640 x weight / 4352) are 28, 282 and 329 (639 in all), and
+// the 1 B residue comes from the lowest id, vcpu 1.
+TEST(LlcEvictionTest, HandComputedSharesAndResidue) {
+  LlcModel llc(1, 6400, HwParams{});
+  llc.CommitAccesses(0, 1, 6400, 20);
+  llc.CommitAccesses(0, 2, 6400, 30);
+  llc.CommitAccesses(0, 3, 6400, 35);
+  llc.SetRunning(0, 1, true);
+  llc.CommitAccesses(0, 4, 6400, 25);
+  EXPECT_EQ(llc.Occupancy(0, 1), 1280u - 28 - 1);
+  EXPECT_EQ(llc.Occupancy(0, 2), 1920u - 282);
+  EXPECT_EQ(llc.Occupancy(0, 3), 2240u - 329);
+  EXPECT_EQ(llc.Occupancy(0, 4), 1600u);  // the fetcher keeps what it fetched
+  EXPECT_EQ(llc.TotalOccupancy(0), 6400u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, LlcInvariantTest, ::testing::Range(1, 13));
+// Eviction depends on the occupancies, never on the order in which the vCPUs
+// became resident: every insertion order of the same four footprints evicts
+// identically on the same overflowing commit. Capacity and WSS are 6400 B as
+// above; vcpus 1, 2, 3 and 5 hold 1280, 1920, 2240 and 576 B (vcpu 1 running,
+// so it weighs 192), and vcpu 4's 1600 B fetch overflows by 1216 B. The
+// shares are 47, 473, 552 and 142, and the 2 B residue comes from vcpu 1.
+TEST(LlcEvictionTest, IndependentOfInsertionHistory) {
+  struct Footprint {
+    int vcpu;
+    uint64_t lines;
+    bool operator<(const Footprint& o) const { return vcpu < o.vcpu; }
+  };
+  const auto evict_after = [](const std::vector<Footprint>& history) {
+    LlcModel llc(1, 6400, HwParams{});
+    for (const Footprint& f : history) {
+      llc.CommitAccesses(0, f.vcpu, 6400, f.lines);
+    }
+    llc.SetRunning(0, 1, true);
+    llc.CommitAccesses(0, 4, 6400, 25);
+    std::vector<uint64_t> occupancy;
+    for (int v = 1; v <= 5; ++v) {
+      occupancy.push_back(llc.Occupancy(0, v));
+    }
+    return occupancy;
+  };
+  const std::vector<uint64_t> expected = {1231, 1447, 1688, 1600, 434};
+  std::vector<Footprint> history = {{1, 20}, {2, 30}, {3, 35}, {5, 9}};
+  int orders = 0;
+  do {
+    std::string order;
+    for (const Footprint& f : history) {
+      order += std::to_string(f.vcpu) + " ";
+    }
+    EXPECT_EQ(evict_after(history), expected) << "insertion order " << order;
+    ++orders;
+  } while (std::next_permutation(history.begin(), history.end()));
+  EXPECT_EQ(orders, 24);
+}
+
+// Naive reference for the eviction rule documented on
+// LlcModel::CommitAccesses: ordered maps, totals recomputed from the
+// occupancies, no memo and no resident list.
+class ReferenceLlc {
+ public:
+  ReferenceLlc(size_t sockets, uint64_t cap) : capacity_(cap), sockets_(sockets) {}
+
+  void CommitAccesses(int socket, int vcpu, uint64_t wss, uint64_t misses) {
+    if (misses == 0 || wss == 0) {
+      return;
+    }
+    Socket& s = sockets_[static_cast<size_t>(socket)];
+    s.wss[vcpu] = wss;
+    uint64_t fetched = misses * params_.cache_line_bytes;
+    if (wss > capacity_) {
+      const double fraction = params_.stream_insertion_fraction;
+      fetched = static_cast<uint64_t>(static_cast<double>(fetched) * fraction);
+    }
+    const uint64_t limit = std::min(wss, capacity_);
+    uint64_t& occ = s.occupancy[vcpu];
+    occ += std::min(fetched, limit > occ ? limit - occ : 0);
+    if (Total(socket) <= capacity_) {
+      return;
+    }
+    ++overflows;
+    const uint64_t overflow = Total(socket) - capacity_;
+    const double protected_weight = params_.running_eviction_weight;
+    std::map<int, double> weights;  // the victims, in ascending id
+    double weight_total = 0;
+    for (const auto& [id, bytes] : s.occupancy) {
+      if (id == vcpu || bytes == 0) {
+        continue;
+      }
+      const bool protect = s.running[id] && s.wss[id] <= capacity_;
+      weights[id] = static_cast<double>(bytes) * (protect ? protected_weight : 1.0);
+      weight_total += weights[id];
+    }
+    uint64_t evicted = 0;
+    if (weight_total > 0) {
+      for (const auto& [id, weight] : weights) {
+        const double exact = static_cast<double>(overflow) * weight / weight_total;
+        const uint64_t share = std::min(s.occupancy[id], static_cast<uint64_t>(exact));
+        s.occupancy[id] -= share;
+        evicted += share;
+      }
+    }
+    uint64_t residue = overflow > evicted ? overflow - evicted : 0;
+    if (residue > 0) {
+      ++residue_drains;
+    }
+    for (const auto& [id, weight] : weights) {
+      const uint64_t take = std::min(residue, s.occupancy[id]);
+      s.occupancy[id] -= take;
+      residue -= take;
+    }
+    if (Total(socket) > capacity_) {
+      occ -= Total(socket) - capacity_;
+    }
+  }
+
+  void SetRunning(int socket, int vcpu, bool running) {
+    sockets_[static_cast<size_t>(socket)].running[vcpu] = running;
+  }
+
+  void Remove(int socket, int vcpu) {
+    Socket& s = sockets_[static_cast<size_t>(socket)];
+    s.running[vcpu] = false;
+    s.occupancy.erase(vcpu);
+  }
+
+  uint64_t Occupancy(int socket, int vcpu) const {
+    const Socket& s = sockets_[static_cast<size_t>(socket)];
+    const auto it = s.occupancy.find(vcpu);
+    return it == s.occupancy.end() ? 0 : it->second;
+  }
+
+  uint64_t Total(int socket) const {
+    uint64_t total = 0;
+    for (const auto& [id, bytes] : sockets_[static_cast<size_t>(socket)].occupancy) {
+      total += bytes;
+    }
+    return total;
+  }
+
+  double MissRatio(int socket, int vcpu, uint64_t wss) const {
+    if (wss == 0) {
+      return params_.min_miss_ratio;
+    }
+    const uint64_t resident = std::min(Occupancy(socket, vcpu), wss);
+    const double hit = static_cast<double>(resident) / static_cast<double>(wss);
+    return std::max(params_.min_miss_ratio, 1.0 - hit);
+  }
+
+  int overflows = 0;
+  int residue_drains = 0;
+
+ private:
+  struct Socket {
+    std::map<int, uint64_t> occupancy;
+    std::map<int, bool> running;
+    std::map<int, uint64_t> wss;
+  };
+  HwParams params_;
+  uint64_t capacity_;
+  std::vector<Socket> sockets_;
+};
+
+// Randomized differential test: after every operation, every occupancy, every
+// socket total and a miss ratio equal the naive reference, the total equals
+// the sum of the occupancies, and no socket exceeds its capacity.
+class LlcDifferentialTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(LlcDifferentialTest, MatchesNaiveReference) {
+  constexpr int kSockets = 2;
+  constexpr int kVcpus = 10;
+  constexpr uint64_t kCapacity = 8 * kMiB;
+  // Friendly working sets up to exactly the capacity, then streaming ones.
+  const uint64_t kWssKiB[] = {256, 1024, 3072, 6144, 8192, 12288, 32768};
+  std::mt19937_64 rng(static_cast<uint64_t>(GetParam()));
+  const auto pick = [&rng](uint64_t n) { return rng() % n; };
+  const auto pick_wss = [&] { return kWssKiB[pick(std::size(kWssKiB))] * 1024; };
+
+  LlcModel llc(kSockets, kCapacity, HwParams{});
+  ReferenceLlc ref(kSockets, kCapacity);
+  std::vector<uint64_t> wss(kVcpus);
+  for (uint64_t& w : wss) {
+    w = pick_wss();
+  }
+  for (int op = 0; op < 600; ++op) {
+    SCOPED_TRACE("op " + std::to_string(op));
+    const int socket = static_cast<int>(pick(kSockets));
+    const int vcpu = static_cast<int>(pick(kVcpus));
+    uint64_t& vcpu_wss = wss[static_cast<size_t>(vcpu)];
+    const uint64_t roll = pick(20);
+    if (roll < 12) {
+      if (pick(8) == 0) {
+        vcpu_wss = pick_wss();
+      }
+      const uint64_t misses = pick(40000);
+      llc.CommitAccesses(socket, vcpu, vcpu_wss, misses);
+      ref.CommitAccesses(socket, vcpu, vcpu_wss, misses);
+    } else if (roll < 16) {
+      const bool running = pick(2) == 0;
+      llc.SetRunning(socket, vcpu, running);
+      ref.SetRunning(socket, vcpu, running);
+    } else if (roll < 18) {
+      // A migration: drop the footprint, then refill on either socket.
+      llc.Remove(socket, vcpu);
+      ref.Remove(socket, vcpu);
+      const int to = static_cast<int>(pick(kSockets));
+      const uint64_t misses = pick(40000);
+      llc.CommitAccesses(to, vcpu, vcpu_wss, misses);
+      ref.CommitAccesses(to, vcpu, vcpu_wss, misses);
+    } else {
+      const uint64_t query = pick(2) == 0 ? vcpu_wss : pick(3) * kMiB;
+      ASSERT_EQ(llc.MissRatio(socket, vcpu, query), ref.MissRatio(socket, vcpu, query));
+    }
+    for (int s = 0; s < kSockets; ++s) {
+      SCOPED_TRACE("socket " + std::to_string(s));
+      uint64_t sum = 0;
+      for (int v = 0; v < kVcpus; ++v) {
+        ASSERT_EQ(llc.Occupancy(s, v), ref.Occupancy(s, v)) << "vcpu " << v;
+        sum += llc.Occupancy(s, v);
+      }
+      ASSERT_EQ(llc.TotalOccupancy(s), ref.Total(s));
+      ASSERT_EQ(llc.TotalOccupancy(s), sum);
+      ASSERT_LE(llc.TotalOccupancy(s), kCapacity);
+    }
+  }
+  // The run must have exercised eviction and the residue drain.
+  EXPECT_GT(ref.overflows, 100);
+  EXPECT_GT(ref.residue_drains, 10);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LlcDifferentialTest, ::testing::Range(1, 13));
 
 }  // namespace
 }  // namespace aql

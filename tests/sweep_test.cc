@@ -316,10 +316,10 @@ TEST(SweepEngineTest, BarrierWaitNeverEntersStableJson) {
 }
 
 #ifdef AQL_GOLDEN_DIR
-// Byte-compares a quick-mode --stable-json run of `sweep` against the golden
-// captured from main before the engine overhaul (tests/goldens/README.md).
-// CI's bench-merge job covers all registered sweeps the same way; here we
-// pin two cheap representative ones into every ctest run.
+// Byte-compares a quick-mode --stable-json run of `sweep` against its
+// committed golden (tests/goldens/README.md records when each was last
+// re-baselined). CI's bench-merge job covers all registered sweeps the same
+// way; here we pin the cheap representative ones into every ctest run.
 void ExpectMatchesGolden(const char* sweep, int island_threads = 1,
                          int socket_threads = 1) {
   const SweepSpec* spec = SweepRegistry::Instance().Find(sweep);
@@ -347,6 +347,12 @@ TEST(GoldenTest, Table5QuickMatchesCommittedGolden) {
 
 TEST(GoldenTest, Fig4QuickMatchesCommittedGolden) {
   ExpectMatchesGolden("fig4_vtrs_traces");
+}
+
+// 34 single-socket validation cells whose LLC overflows: pins the LLC
+// eviction order (victims and residue in ascending vCPU id) on every rig.
+TEST(GoldenTest, Table3QuickMatchesCommittedGolden) {
+  ExpectMatchesGolden("table3_recognition");
 }
 
 // The fleet sweeps are cheap in quick mode (8-100 hosts, short windows), so
