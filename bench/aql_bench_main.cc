@@ -3,7 +3,10 @@
 //   aql_bench --list                     enumerate registered sweeps
 //   aql_bench --run <name> [--run ...]   run selected sweeps
 //   aql_bench --all                      run every registered sweep
-//   aql_bench merge [opts] <frag>...     merge shard fragments (see below)
+//
+// The selected sweeps share one pool of --jobs worker threads: workers take
+// cells in sweep order, then cell order, and each sweep is rendered,
+// printed and written as soon as its last cell lands, in selection order.
 //
 // Options:
 //   --jobs N         worker threads for (scenario, policy) cells
@@ -13,8 +16,8 @@
 //                    worker threads advancing host islands INSIDE a fleet
 //                    cell (default 1 = sequential). Orthogonal to --jobs;
 //                    output is byte-identical for every N (the determinism
-//                    contract in docs/ARCHITECTURE.md), so goldens, caches
-//                    and --stable-json comparisons never depend on it.
+//                    contract in docs/ARCHITECTURE.md), so goldens and
+//                    --stable-json comparisons never depend on it.
 //                    Single-machine cells are unaffected.
 //   --socket-threads N
 //                    worker threads advancing socket islands INSIDE a
@@ -30,48 +33,19 @@
 //   --profile        per-cell wall-clock phase breakdown (event-core / llc /
 //                    scheduler / render) under each cell's `profile` key;
 //                    timing data only, never part of --stable-json output
-//   --shard K/N      run only shard K of N (1-based): cells are partitioned
-//                    round-robin over their deterministic expansion order,
-//                    the render step is skipped, and the output is a
-//                    BENCH_<name>.shard<K>of<N>.json fragment for `merge`
 //   --cell ID        run a single cell by id (render skipped); for CI perf
 //                    probes that time one full-mode cell without paying for
-//                    its siblings. Mutually exclusive with --shard. Runs
-//                    the cell inline — the cell worker pool is skipped and
-//                    --jobs is clamped to 1, so a --cell --island-threads
-//                    benchmark measures island parallelism alone.
-//   --cache-dir DIR  reuse cached cell results (content-addressed on the
-//                    cell's configuration; see docs/BENCH_FORMAT.md)
-//
-// The merge subcommand combines fragments — grouped by sweep, so fragments
-// of several sweeps can be passed in one invocation — into BENCH_<name>.json
-// files byte-identical to unsharded `--stable-json` runs. It errors on
-// overlapping, missing or mismatched fragments.
-//
-//   aql_bench merge [--out DIR] [--timing] <fragment.json>...
-//
-//   --timing         include wall-clock fields in the merged JSON (per-cell
-//                    compute times from the fragments; the total is their
-//                    sum, since fragments may come from different machines)
-//
-// The cache-gc subcommand bounds a long-lived cell cache: it evicts entry
-// files oldest-mtime-first until the cache fits the byte budget (and sweeps
-// up temp files orphaned by crashed writers). Surviving entries still hit
-// bit-identically.
-//
-//   aql_bench cache-gc --cache-dir DIR --max-bytes N
+//                    its siblings. --jobs is clamped to 1, so a --cell
+//                    --island-threads benchmark measures island parallelism
+//                    alone.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "src/experiment/cell_cache.h"
-#include "src/experiment/merge.h"
 #include "src/experiment/registry.h"
 #include "src/metrics/table.h"
 
@@ -84,9 +58,7 @@ void Usage(FILE* out) {
                "[--jobs N] [--island-threads N] [--socket-threads N] "
                "[--quick] [--out DIR] "
                "[--stable-json] [--no-json] "
-               "[--profile] [--shard K/N] [--cell ID] [--cache-dir DIR]\n"
-               "       aql_bench merge [--out DIR] [--timing] <fragment.json>...\n"
-               "       aql_bench cache-gc --cache-dir DIR --max-bytes N\n");
+               "[--profile] [--cell ID]\n");
 }
 
 int DefaultJobs() {
@@ -106,142 +78,7 @@ int ListSweeps(const SweepOptions& options) {
   return 0;
 }
 
-// `aql_bench merge`: groups the given fragments by sweep and merges each
-// group into a BENCH_<name>.json equal to an unsharded run's output.
-int MergeMain(int argc, char** argv) {
-  std::string out_dir = ".";
-  bool timing = false;
-  std::vector<std::string> paths;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "aql_bench merge: --out needs a value\n");
-        return 2;
-      }
-      out_dir = argv[++i];
-    } else if (arg == "--timing") {
-      timing = true;
-    } else if (arg == "--help" || arg == "-h") {
-      Usage(stdout);
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "aql_bench merge: unknown argument: %s\n", arg.c_str());
-      return 2;
-    } else {
-      paths.push_back(arg);
-    }
-  }
-  if (paths.empty()) {
-    std::fprintf(stderr, "aql_bench merge: no fragment files given\n");
-    Usage(stderr);
-    return 2;
-  }
-
-  // Group the parsed fragments by their recorded sweep name (deep
-  // validation happens inside MergeFragmentDocs); parse each file once.
-  struct Group {
-    std::vector<JsonValue> docs;
-    std::vector<std::string> paths;
-  };
-  std::map<std::string, Group> by_sweep;
-  for (const std::string& path : paths) {
-    JsonValue doc;
-    std::string error;
-    if (!LoadFragmentFile(path, &doc, &error)) {
-      std::fprintf(stderr, "aql_bench merge: %s\n", error.c_str());
-      return 1;
-    }
-    const JsonValue* bench = doc.Find("bench");
-    if (bench == nullptr || !bench->IsString()) {
-      std::fprintf(stderr, "aql_bench merge: %s: missing 'bench' field\n", path.c_str());
-      return 1;
-    }
-    Group& group = by_sweep[bench->AsString()];
-    group.docs.push_back(std::move(doc));
-    group.paths.push_back(path);
-  }
-
-  for (const auto& [sweep, group] : by_sweep) {
-    const MergeOutcome outcome = MergeFragmentDocs(group.docs, group.paths);
-    if (!outcome.ok) {
-      std::fprintf(stderr, "aql_bench merge: %s: %s\n", sweep.c_str(),
-                   outcome.error.c_str());
-      return 1;
-    }
-    std::printf("=== %s (merged from %zu fragments) ===\n", sweep.c_str(),
-                group.paths.size());
-    std::fputs(outcome.result.text.c_str(), stdout);
-    const std::string path =
-        WriteSweepJson(outcome.result, out_dir, /*include_timing=*/timing);
-    std::printf("[%s] %zu cells merged, wrote %s\n", sweep.c_str(),
-                outcome.result.cells.size(), path.c_str());
-    std::fflush(stdout);
-  }
-  return 0;
-}
-
-// `aql_bench cache-gc`: bound a long-lived cell cache by evicting
-// oldest-mtime entries (src/experiment/cell_cache.h). Surviving entries
-// keep hitting bit-identically.
-int CacheGcMain(int argc, char** argv) {
-  std::string dir;
-  long long max_bytes = -1;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "aql_bench cache-gc: %s needs a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--cache-dir") {
-      dir = value();
-    } else if (arg == "--max-bytes") {
-      // Strict parse: a typo ("1G", "x10") must not read as 0 and wipe the
-      // cache.
-      const char* text = value();
-      char* end = nullptr;
-      max_bytes = std::strtoll(text, &end, 10);
-      if (end == text || *end != '\0' || max_bytes < 0) {
-        std::fprintf(stderr, "aql_bench cache-gc: --max-bytes wants a plain "
-                             "non-negative byte count, got %s\n", text);
-        return 2;
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      Usage(stdout);
-      return 0;
-    } else {
-      std::fprintf(stderr, "aql_bench cache-gc: unknown argument: %s\n", arg.c_str());
-      return 2;
-    }
-  }
-  if (dir.empty() || max_bytes < 0) {
-    std::fprintf(stderr, "aql_bench cache-gc: --cache-dir and --max-bytes are required\n");
-    Usage(stderr);
-    return 2;
-  }
-  const CellCache::GcStats stats =
-      CellCache::Gc(dir, static_cast<uint64_t>(max_bytes));
-  std::printf("cache-gc %s: %llu entries (%llu bytes) -> evicted %llu, "
-              "removed %llu temp files, %llu bytes resident\n",
-              dir.c_str(), static_cast<unsigned long long>(stats.entries_before),
-              static_cast<unsigned long long>(stats.bytes_before),
-              static_cast<unsigned long long>(stats.entries_evicted),
-              static_cast<unsigned long long>(stats.tmp_removed),
-              static_cast<unsigned long long>(stats.bytes_after));
-  return 0;
-}
-
 int Main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "merge") == 0) {
-    return MergeMain(argc, argv);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "cache-gc") == 0) {
-    return CacheGcMain(argc, argv);
-  }
-
   SweepOptions options;
   options.jobs = DefaultJobs();
 
@@ -295,21 +132,8 @@ int Main(int argc, char** argv) {
       stable_json = true;
     } else if (arg == "--no-json") {
       write_json = false;
-    } else if (arg == "--shard") {
-      const char* spec = value();
-      int k = 0;
-      int n = 0;
-      if (std::sscanf(spec, "%d/%d", &k, &n) != 2 || n < 1 || k < 1 || k > n) {
-        std::fprintf(stderr, "aql_bench: --shard wants K/N with 1 <= K <= N, got %s\n",
-                     spec);
-        return 2;
-      }
-      options.shard_index = k;
-      options.shard_count = n;
     } else if (arg == "--cell") {
       options.only_cell = value();
-    } else if (arg == "--cache-dir") {
-      options.cache_dir = value();
     } else if (arg == "--help" || arg == "-h") {
       Usage(stdout);
       return 0;
@@ -335,11 +159,6 @@ int Main(int argc, char** argv) {
     return 2;
   }
 
-  const bool sharded = options.shard_count > 0;
-  if (sharded && !options.only_cell.empty()) {
-    std::fprintf(stderr, "aql_bench: --cell and --shard are mutually exclusive\n");
-    return 2;
-  }
   if (!options.only_cell.empty() && names.size() != 1) {
     std::fprintf(stderr, "aql_bench: --cell wants exactly one --run sweep\n");
     return 2;
@@ -347,85 +166,58 @@ int Main(int argc, char** argv) {
   if (!options.only_cell.empty()) {
     // A single cell is a single unit of cell-pool work: clamp --jobs (which
     // defaults to hardware concurrency) so the header, the timed JSON and
-    // the engine all agree the run is inline. --island-threads /
+    // the engine all agree the run has no sibling work. --island-threads /
     // --socket-threads are then the only parallelism in play — exactly what
     // a --cell island benchmark wants to measure.
     options.jobs = 1;
   }
-  if (sharded && !write_json) {
-    std::fprintf(stderr, "aql_bench: --shard produces fragment JSON; "
-                         "--no-json makes a sharded run pointless\n");
-    return 2;
-  }
-  if (sharded && options.profile) {
-    // Fragments (and the cell cache they share a record format with) carry
-    // no profile data, so the breakdown would be collected and then
-    // silently dropped. Refuse instead of wasting the instrumented run.
-    std::fprintf(stderr, "aql_bench: --profile output cannot ride in shard "
-                         "fragments; profile unsharded runs\n");
-    return 2;
-  }
-
-  size_t failed_cells = 0;
+  std::vector<const SweepSpec*> specs;
   for (const std::string& name : names) {
     const SweepSpec* spec = SweepRegistry::Instance().Find(name);
     if (spec == nullptr) {
       std::fprintf(stderr, "aql_bench: unknown sweep: %s (try --list)\n", name.c_str());
       return 2;
     }
-    char islands[64] = "";
-    if (options.island_threads > 1 && options.socket_threads > 1) {
-      std::snprintf(islands, sizeof(islands),
-                    ", island-threads=%d, socket-threads=%d",
-                    options.island_threads, options.socket_threads);
-    } else if (options.island_threads > 1) {
-      std::snprintf(islands, sizeof(islands), ", island-threads=%d",
-                    options.island_threads);
-    } else if (options.socket_threads > 1) {
-      std::snprintf(islands, sizeof(islands), ", socket-threads=%d",
-                    options.socket_threads);
-    }
-    if (sharded) {
-      std::printf("=== %s (%s, shard %d/%d, jobs=%d%s) ===\n", name.c_str(),
-                  options.quick ? "quick" : "full", options.shard_index,
-                  options.shard_count, options.jobs, islands);
-    } else {
-      std::printf("=== %s (%s%s, jobs=%d%s) ===\n", name.c_str(),
-                  options.quick ? "quick" : "full",
-                  stable_json ? ", stable-json" : "", options.jobs, islands);
-    }
-    std::fflush(stdout);
+    specs.push_back(spec);
+  }
 
-    const SweepResult result = RunSweep(*spec, options);
+  char islands[64] = "";
+  if (options.island_threads > 1 && options.socket_threads > 1) {
+    std::snprintf(islands, sizeof(islands), ", island-threads=%d, socket-threads=%d",
+                  options.island_threads, options.socket_threads);
+  } else if (options.island_threads > 1) {
+    std::snprintf(islands, sizeof(islands), ", island-threads=%d",
+                  options.island_threads);
+  } else if (options.socket_threads > 1) {
+    std::snprintf(islands, sizeof(islands), ", socket-threads=%d",
+                  options.socket_threads);
+  }
+  size_t failed_cells = 0;
+  RunSweeps(specs, options, [&](SweepResult result) {
+    const char* name = result.name.c_str();
+    std::printf("=== %s (%s%s, jobs=%d%s) ===\n", name, options.quick ? "quick" : "full",
+                stable_json ? ", stable-json" : "", options.jobs, islands);
     std::fputs(result.text.c_str(), stdout);
-    std::printf("[%s] %zu cells in %.2fs wall\n", name.c_str(), result.cells.size(),
+    std::printf("[%s] %zu cells in %.2fs\n", name, result.cells.size(),
                 result.wall_seconds);
     if (result.failed_cells > 0) {
       // A failed cell is recorded (structured `error` entry in the JSON) and
       // the remaining cells and sweeps still run; the non-zero exit below
       // keeps CI from mistaking a partial document for a clean one.
       std::fprintf(stderr, "[%s] %zu cell(s) FAILED (see per-cell error entries)\n",
-                   name.c_str(), result.failed_cells);
+                   name, result.failed_cells);
       failed_cells += result.failed_cells;
     }
-
     if (write_json) {
-      if (sharded) {
-        // Fragments are inherently stable: per-cell wall times ride inside
-        // the records, everything else is deterministic.
-        const std::string path = WriteFragmentJson(result, out_dir);
-        std::printf("[%s] wrote %s\n", name.c_str(), path.c_str());
-      } else {
-        // --stable-json writes the deterministic projection (no wall-clock
-        // fields), byte-comparable across runs and thread counts.
-        const std::string path =
-            WriteSweepJson(result, out_dir, /*include_timing=*/!stable_json);
-        std::printf("[%s] wrote %s\n", name.c_str(), path.c_str());
-      }
+      // --stable-json writes the deterministic projection (no wall-clock
+      // fields), byte-comparable across runs and thread counts.
+      const std::string path =
+          WriteSweepJson(result, out_dir, /*include_timing=*/!stable_json);
+      std::printf("[%s] wrote %s\n", name, path.c_str());
     }
     std::printf("\n");
     std::fflush(stdout);
-  }
+  });
   if (failed_cells > 0) {
     std::fprintf(stderr, "aql_bench: %zu cell(s) failed across %zu sweep(s)\n",
                  failed_cells, names.size());

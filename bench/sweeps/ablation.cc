@@ -26,7 +26,7 @@ constexpr uint64_t kLockSeeds[] = {47, 11, 23};
 
 // Id schemes: boost/<on|off>, recency/<prot|noprot>/q<ms>,
 // insert/<dip|full>/<app>, lock/<fifo|unfair>/s<seed>. Ids are
-// shard/merge/cache keys; keep them stable (docs/BENCH_FORMAT.md,
+// --cell/diff keys; keep them stable (docs/BENCH_FORMAT.md,
 // "Cell-ID stability rules").
 std::vector<SweepCell> Build(const SweepOptions& opts) {
   std::vector<SweepCell> cells;

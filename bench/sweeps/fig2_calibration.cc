@@ -36,9 +36,9 @@ std::vector<uint64_t> Seeds(const SweepOptions& opts) {
 }
 
 // Id schemes: cal/<app>/x<density>/q<ms>/s<seed> and lock/q<ms>/s<seed>.
-// Ids are shard/merge/cache keys; keep them stable (docs/BENCH_FORMAT.md,
+// Ids are --cell/diff keys; keep them stable (docs/BENCH_FORMAT.md,
 // "Cell-ID stability rules"). Quick mode drops all but the first seed, so
-// quick and full runs are distinct cell sets (never merged together).
+// quick and full runs are distinct cell sets (never compared together).
 std::string PanelId(const std::string& app, int density, TimeNs q, uint64_t seed) {
   return "cal/" + app + "/x" + std::to_string(density) + "/q" +
          std::to_string(static_cast<int64_t>(ToMs(q))) + "/s" + std::to_string(seed);

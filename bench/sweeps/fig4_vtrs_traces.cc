@@ -20,7 +20,7 @@ std::vector<SweepCell> Build(const SweepOptions& opts) {
   std::vector<SweepCell> cells;
   for (const char* app : kApps) {
     SweepCell cell;
-    // Id scheme: trace/<app>. Ids are shard/merge/cache keys; keep them
+    // Id scheme: trace/<app>. Ids are --cell/diff keys; keep them
     // stable (docs/BENCH_FORMAT.md, "Cell-ID stability rules").
     cell.id = std::string("trace/") + app;
     cell.scenario = ValidationRig(app);

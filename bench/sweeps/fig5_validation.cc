@@ -22,10 +22,10 @@ std::vector<uint64_t> Seeds(const SweepOptions& opts) {
   return opts.quick ? std::vector<uint64_t>{11} : std::vector<uint64_t>{11, 23};
 }
 
-// Id scheme: val/<app>/q<ms>/s<seed>. Ids are shard/merge/cache keys; keep
+// Id scheme: val/<app>/q<ms>/s<seed>. Ids are --cell/diff keys; keep
 // them stable (docs/BENCH_FORMAT.md, "Cell-ID stability rules"). Note the
 // quick-mode expansion drops the second seed, so quick and full runs are
-// distinct cell sets (never merged together).
+// distinct cell sets (never compared together).
 std::string CellId(const std::string& app, TimeNs q, uint64_t seed) {
   return "val/" + app + "/q" + std::to_string(static_cast<int64_t>(ToMs(q))) + "/s" +
          std::to_string(seed);

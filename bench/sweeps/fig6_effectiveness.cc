@@ -25,7 +25,7 @@ std::vector<SweepCell> Build(const SweepOptions& opts) {
                              PolicySpec policy) {
     SweepCell cell;
     // Id scheme: <scenario>/<policy> tags built by the callers below. Ids
-    // are shard/merge/cache keys; keep them stable (docs/BENCH_FORMAT.md,
+    // are --cell/diff keys; keep them stable (docs/BENCH_FORMAT.md,
     // "Cell-ID stability rules").
     cell.id = tag;
     cell.scenario = std::move(scenario);

@@ -23,7 +23,7 @@ std::vector<SweepCell> Build(const SweepOptions& opts) {
   auto add = [&cells, &opts](const std::string& app, const std::string& tag,
                              const PolicySpec& policy) {
     SweepCell cell;
-    // Id scheme: numa/<app>/<policy-variant>. Ids are shard/merge/cache
+    // Id scheme: numa/<app>/<policy-variant>. Ids are --cell/diff
     // keys; keep them stable (docs/BENCH_FORMAT.md, "Cell-ID stability
     // rules").
     cell.id = "numa/" + app + "/" + tag;

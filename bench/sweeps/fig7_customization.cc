@@ -45,7 +45,7 @@ std::vector<SweepCell> Build(const SweepOptions& opts) {
   std::vector<SweepCell> cells;
   for (const Variant& v : kVariants) {
     SweepCell cell;
-    // Id scheme: the variant tag (full/small/…). Ids are shard/merge/cache
+    // Id scheme: the variant tag (full/small/…). Ids are --cell/diff
     // keys; keep them stable (docs/BENCH_FORMAT.md, "Cell-ID stability
     // rules").
     cell.id = v.tag;

@@ -44,7 +44,7 @@ std::vector<SweepCell> Build(const SweepOptions& opts) {
   std::vector<SweepCell> cells;
   auto add = [&cells, &opts](const std::string& tag, PolicySpec policy) {
     SweepCell cell;
-    // Id scheme: the scheduler tag (xen/aql/…). Ids are shard/merge/cache
+    // Id scheme: the scheduler tag (xen/aql/…). Ids are --cell/diff
     // keys; keep them stable (docs/BENCH_FORMAT.md, "Cell-ID stability
     // rules").
     cell.id = tag;

@@ -52,7 +52,7 @@ std::vector<SweepCell> Build(const SweepOptions& opts) {
     const int hosts = opts.quick ? rung.quick_hosts : rung.full_hosts;
     SweepCell cell;
     // Id scheme: consolidation/<density-tag> — stable across quick/full so
-    // shard membership and cache keys line up (docs/BENCH_FORMAT.md).
+    // --cell probes and diffs line up (docs/BENCH_FORMAT.md).
     cell.id = "consolidation/" + std::string(rung.tag);
     cell.scenario = FleetScenario("consolidation/" + std::to_string(hosts) + "h", hosts,
                                   vms, ClusterPolicy::kNaive);

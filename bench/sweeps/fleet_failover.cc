@@ -102,7 +102,7 @@ std::vector<SweepCell> Build(const SweepOptions& opts) {
                  const FleetFaultPlan& plan) {
     SweepCell cell;
     // Id scheme: failover/<policy>/<intensity>/<bk|nobk> plus the control
-    // and recognition cells. Ids are shard/merge/cache keys; keep them
+    // and recognition cells. Ids are --cell/diff keys; keep them
     // stable (docs/BENCH_FORMAT.md, "Cell-ID stability rules").
     cell.id = id;
     cell.scenario =

@@ -68,7 +68,7 @@ std::vector<SweepCell> Build(const SweepOptions& opts) {
   auto add = [&](const std::string& tag, ClusterPolicy cluster,
                  const PolicySpec& host_policy) {
     SweepCell cell;
-    // Id scheme: hotspot/<tag>. Ids are shard/merge/cache keys; keep them
+    // Id scheme: hotspot/<tag>. Ids are --cell/diff keys; keep them
     // stable (docs/BENCH_FORMAT.md, "Cell-ID stability rules").
     cell.id = "hotspot/" + tag;
     cell.scenario =

@@ -49,7 +49,7 @@ constexpr ChargeVariant kCharges[] = {
 SweepCell ProbeCell(const SweepOptions& opts, const std::string& tag,
                     const PolicySpec& policy) {
   SweepCell cell;
-  // Id scheme: probe/<policy-variant>. Ids are shard/merge/cache keys; keep
+  // Id scheme: probe/<policy-variant>. Ids are --cell/diff keys; keep
   // them stable (docs/BENCH_FORMAT.md, "Cell-ID stability rules").
   cell.id = "probe/" + tag;
   cell.scenario.machine = SingleSocketMachine(4);

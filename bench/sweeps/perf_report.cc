@@ -23,7 +23,7 @@ namespace {
 std::vector<SweepCell> Build(const SweepOptions& opts) {
   std::vector<SweepCell> cells;
 
-  // Id scheme: <rig>/<policy>. Ids are shard/merge/cache keys; keep them
+  // Id scheme: <rig>/<policy>. Ids are --cell/diff keys; keep them
   // stable (docs/BENCH_FORMAT.md, "Cell-ID stability rules").
   auto add = [&](const std::string& id, ScenarioSpec scenario, const PolicySpec& policy) {
     SweepCell cell;

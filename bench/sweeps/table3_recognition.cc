@@ -19,7 +19,7 @@ std::vector<SweepCell> Build(const SweepOptions& opts) {
   std::vector<SweepCell> cells;
   for (const AppProfile& app : Catalog()) {
     SweepCell cell;
-    // Id scheme: rec/<app>. Ids are shard/merge/cache keys; keep them
+    // Id scheme: rec/<app>. Ids are --cell/diff keys; keep them
     // stable (docs/BENCH_FORMAT.md, "Cell-ID stability rules").
     cell.id = "rec/" + app.name;
     cell.scenario = ValidationRig(app.name);

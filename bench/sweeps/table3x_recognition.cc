@@ -30,7 +30,7 @@ namespace aql {
 namespace {
 
 // Applications added to ExtendedCatalog() after this sweep's golden was
-// committed are pinned OUT of the expansion: cell ids are shard/merge/cache
+// committed are pinned OUT of the expansion: cell ids are --cell/diff
 // keys and the committed BENCH_table3x.json golden byte-compares the whole
 // document (docs/BENCH_FORMAT.md, "Cell-ID stability rules"). Newer apps get
 // their recognition cells in the sweep that introduced them —
@@ -44,7 +44,7 @@ std::vector<SweepCell> Build(const SweepOptions& opts) {
       continue;
     }
     SweepCell cell;
-    // Id scheme: rec/<app> (+ base/<app> below). Ids are shard/merge/cache
+    // Id scheme: rec/<app> (+ base/<app> below). Ids are --cell/diff
     // keys; keep them stable (docs/BENCH_FORMAT.md, "Cell-ID stability
     // rules").
     cell.id = "rec/" + app.name;

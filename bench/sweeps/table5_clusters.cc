@@ -16,7 +16,7 @@ std::vector<SweepCell> Build(const SweepOptions& opts) {
   std::vector<SweepCell> cells;
   for (int s = 1; s <= 5; ++s) {
     SweepCell cell;
-    // Id scheme: S<index> (Table 4 scenario). Ids are shard/merge/cache
+    // Id scheme: S<index> (Table 4 scenario). Ids are --cell/diff
     // keys; keep them stable (docs/BENCH_FORMAT.md, "Cell-ID stability
     // rules").
     cell.id = "S" + std::to_string(s);

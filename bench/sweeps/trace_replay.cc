@@ -13,11 +13,11 @@
 // reference emitter scripts/trace_gen.py from the same parameter table —
 // tests/trace_replay_test.cc compares the two, which keeps the normative
 // spec in docs/TRACE_FORMAT.md honest. Replay consumes no RNG, so these
-// cells are byte-identical across --jobs, --shard and --island-threads by
+// cells are byte-identical across --jobs and --island-threads by
 // construction.
 //
 // Id scheme: rec/<kind> + base/<kind>. Ids and the relative trace paths are
-// shard/merge/cache keys; keep them stable (docs/BENCH_FORMAT.md).
+// --cell/diff keys; keep them stable (docs/BENCH_FORMAT.md).
 
 #include <filesystem>
 #include <fstream>
@@ -80,8 +80,8 @@ std::string TraceText(const TraceKind& k) {
   return os.str();
 }
 
-// Writes the trace if absent or stale (idempotent: re-expansion by the
-// merge/cache layers and repeated shard runs see identical bytes).
+// Writes the trace if absent or stale (idempotent: every expansion, --list
+// included, sees identical bytes).
 void EnsureTraceFile(const TraceKind& k) {
   const std::string path = TracePath(k);
   const std::string text = TraceText(k);

@@ -61,8 +61,6 @@ def load_benches(path):
     """Returns {bench_name: doc} for every BENCH_*.json under path."""
     if os.path.isdir(path):
         files = sorted(glob.glob(os.path.join(path, "**", "BENCH_*.json"), recursive=True))
-        # Shard fragments are intermediates, not trajectory points.
-        files = [f for f in files if ".shard" not in os.path.basename(f)]
     else:
         files = [path]
     out = {}

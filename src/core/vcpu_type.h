@@ -9,7 +9,6 @@
 #define AQLSCHED_SRC_CORE_VCPU_TYPE_H_
 
 #include <array>
-#include <string>
 
 namespace aql {
 
@@ -53,18 +52,6 @@ inline const char* VcpuTypeName(VcpuType t) {
       return "BurstyIo";
   }
   return "?";
-}
-
-// Inverse of VcpuTypeName, for re-ingesting serialized results (shard
-// fragments, cell-cache entries). Returns false on an unknown name.
-inline bool VcpuTypeFromName(const std::string& name, VcpuType* out) {
-  for (VcpuType t : kAllVcpuTypes) {
-    if (name == VcpuTypeName(t)) {
-      *out = t;
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace aql

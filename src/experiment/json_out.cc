@@ -62,11 +62,6 @@ const std::vector<JsonValue>& JsonValue::Items() const {
   return items_;
 }
 
-const std::vector<std::pair<std::string, JsonValue>>& JsonValue::Members() const {
-  AQL_CHECK(type_ == Type::kObject);
-  return members_;
-}
-
 const std::string& JsonValue::AsString() const {
   AQL_CHECK(type_ == Type::kString);
   return string_;

@@ -1,5 +1,5 @@
-// Minimal ordered JSON emission and parsing for sweep results
-// (BENCH_<name>.json, shard fragments, cell-cache entries).
+// Minimal ordered JSON emission and parsing: sweep results
+// (BENCH_<name>.json) on the write side, trace files on the read side.
 //
 // JsonValue started as a write-only document builder: objects keep insertion
 // order so output is stable, and numbers are printed with round-trip
@@ -8,8 +8,9 @@
 // --jobs 1` and `--jobs N` output comparable byte-for-byte (wall-clock
 // timing is segregated behind `include_timing`).
 //
-// The read side (Parse + accessors) exists for the shard/merge and
-// cell-cache pipelines, which re-ingest previously emitted documents.
+// The read side (Parse + accessors) serves the trace replayer
+// (src/workload/trace_replay.cc, one document per JSON-lines record) and
+// tools that read BENCH documents back, such as perfbench/.
 // Numbers round-trip bit-exactly: integers without '.'/'e' parse into the
 // int/uint arms, everything else goes through strtod against the same
 // shortest-round-trip text JsonNumber produced.
@@ -68,8 +69,6 @@ class JsonValue {
   const JsonValue* Find(const std::string& key) const;
   // Array elements (aborts on non-arrays).
   const std::vector<JsonValue>& Items() const;
-  // Object members in document order (aborts on non-objects).
-  const std::vector<std::pair<std::string, JsonValue>>& Members() const;
   // Typed scalar reads; abort on a type mismatch. AsDouble/AsInt/AsUint
   // accept any numeric arm (the writer emits integral doubles as bare
   // integers, so readers must not depend on the arm).

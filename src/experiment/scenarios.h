@@ -42,9 +42,8 @@ struct ScenarioSpec {
   // runner dispatches to RunFleet instead of building one Machine.
   FleetConfig fleet;
   // Trace-driven scenarios: the JSON-lines trace (docs/TRACE_FORMAT.md)
-  // replayed by the VM whose app is kTraceAppName. Enters the scenario JSON
-  // and the cell-cache fingerprint (including the file's content, so edited
-  // traces invalidate cached cells). Single-machine scenarios only.
+  // replayed by the VM whose app is kTraceAppName. Enters the scenario
+  // JSON. Single-machine scenarios only.
   std::string trace_path;
 };
 

@@ -1,15 +1,17 @@
 #include "src/experiment/sweep.h"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
 
-#include "src/experiment/cell_cache.h"
 #include "src/sim/check.h"
 #include "src/sim/rng.h"
 #include "src/workload/catalog.h"
@@ -93,229 +95,173 @@ void SweepContext::Timing(const std::string& key, double value) {
 
 namespace {
 
-CellResult RunCell(const SweepCell& cell, const SweepOptions& sweep_options) {
-  // Cell-level validation with a catchable error: a sweep whose build step
-  // emitted a bad scenario (e.g. an application name missing from the
-  // catalog) fails THIS cell — reported as a structured `error` entry while
-  // the remaining cells still run — instead of aborting the whole process
-  // the way the simulator's internal AQL_CHECK invariants do.
-  for (const VmSpec& vm : cell.scenario.vms) {
-    if (vm.app != kTraceAppName && !HasApp(vm.app)) {
-      throw std::runtime_error("unknown application: " + vm.app);
-    }
-  }
-  CellResult out;
-  out.cell = cell;
-  RunOptions options;
-  options.profile = sweep_options.profile;
-  options.island_threads = sweep_options.island_threads;
-  options.socket_threads = sweep_options.socket_threads;
-  if (cell.trace_cursors) {
-    auto* trace = &out.cursor_trace;
-    options.trace = [trace](TimeNs, int vcpu, const CursorSet&, const CursorSet& avg) {
-      if (vcpu == 0) {
-        trace->push_back(avg);
+// Runs `out->cell` in place. Cell-level validation throws a catchable
+// error: a sweep whose build step emitted a bad scenario (e.g. an
+// application name missing from the catalog) fails THIS cell — reported as
+// a structured `error` entry while the remaining cells still run — instead
+// of aborting the whole process the way the simulator's internal AQL_CHECK
+// invariants do.
+void RunCell(CellResult* out, const SweepOptions& sweep_options) {
+  std::string error;
+  try {
+    for (const VmSpec& vm : out->cell.scenario.vms) {
+      if (vm.app != kTraceAppName && !HasApp(vm.app)) {
+        throw std::runtime_error("unknown application: " + vm.app);
       }
-    };
+    }
+    RunOptions options;
+    options.profile = sweep_options.profile;
+    options.island_threads = sweep_options.island_threads;
+    options.socket_threads = sweep_options.socket_threads;
+    if (out->cell.trace_cursors) {
+      auto* trace = &out->cursor_trace;
+      options.trace = [trace](TimeNs, int vcpu, const CursorSet&, const CursorSet& avg) {
+        if (vcpu == 0) {
+          trace->push_back(avg);
+        }
+      };
+    }
+    out->result = RunScenario(out->cell.scenario, out->cell.policy, options);
+    return;
+  } catch (const std::exception& e) {
+    error = e.what();
+  } catch (...) {
+    error = "unknown exception";
   }
-  out.result = RunScenario(cell.scenario, cell.policy, options);
-  return out;
+  out->cursor_trace.clear();
+  out->error = std::move(error);
 }
 
-// Cache-aware cell execution: cells are pure functions of their (already
-// seed-derived) configuration, so a valid cache entry substitutes for the
-// simulation bit-for-bit (the entry stores the full serialized result).
-// Entries are keyed by configuration, not by (sweep, cell-id), so a hit may
-// come from another sweep's identical cell; re-stamping `out.cell` keeps
-// this run's own labels on the result.
-CellResult RunOrLoadCell(const SweepCell& cell, const SweepOptions& options,
-                         CellCache* cache) {
-  if (cache == nullptr) {
-    return RunCell(cell, options);
-  }
-  CellCacheKey key;
-  key.derived_seed = cell.scenario.machine.seed;
-  key.quick = options.quick;
-  key.config_fingerprint = CellConfigFingerprint(cell);
-  CellResult out;
-  if (cache->Load(key, &out)) {
-    out.cell = cell;
-    return out;
-  }
-  out = RunCell(cell, options);
-  cache->Store(key, out);
-  return out;
-}
-
-}  // namespace
-
-std::vector<SweepCell> ExpandCells(const SweepSpec& spec, const SweepOptions& options) {
+// Expands `spec` (deterministic in `options`), verifies cell-id uniqueness,
+// derives each cell's seed from its declared seed + options.seed_salt, and
+// applies the --cell filter. Seeds are derived before any cell runs, so a
+// cell's stream never depends on worker scheduling.
+std::vector<CellResult> ExpandCells(const SweepSpec& spec, const SweepOptions& options) {
   std::vector<SweepCell> cells = spec.build(options);
   AQL_CHECK_MSG(!cells.empty(), "sweep expanded to zero cells");
   std::set<std::string> ids;
+  std::vector<CellResult> out;
   for (SweepCell& cell : cells) {
     AQL_CHECK_MSG(ids.insert(cell.id).second, ("duplicate cell id: " + cell.id).c_str());
-    // Per-cell seeding happens before dispatch so the derived stream is a
-    // function of the declared seed only, never of worker scheduling.
-    cell.scenario.machine.seed =
-        Rng::DeriveSeed(cell.scenario.machine.seed, options.seed_salt);
+    if (options.only_cell.empty() || cell.id == options.only_cell) {
+      cell.scenario.machine.seed =
+          Rng::DeriveSeed(cell.scenario.machine.seed, options.seed_salt);
+      out.emplace_back().cell = std::move(cell);
+    }
   }
-  return cells;
+  AQL_CHECK_MSG(!out.empty(), ("no such cell in sweep: " + options.only_cell).c_str());
+  return out;
 }
 
-bool CellInShard(size_t index, int shard_index, int shard_count) {
-  if (shard_count <= 0) {
-    return true;
-  }
-  return static_cast<int>(index % static_cast<size_t>(shard_count)) == shard_index - 1;
-}
+// A sweep the workers have reached and the calling thread has not emitted.
+struct InFlight {
+  const SweepSpec* spec = nullptr;
+  std::vector<CellResult> cells;
+  size_t claimed = 0;
+  size_t finished = 0;
+};
 
-SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& options) {
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  const bool sharded = options.shard_count > 0;
-  if (sharded) {
-    AQL_CHECK_MSG(options.shard_index >= 1 && options.shard_index <= options.shard_count,
-                  "shard index out of range (want 1 <= K <= N)");
+// Renders a finished sweep (skipped for a --cell run, which holds one cell,
+// and for a sweep with a failed cell, whose renderer would read a missing
+// result) and packs it into a SweepResult.
+SweepResult Finish(InFlight& sweep, const SweepOptions& options) {
+  SweepResult out;
+  out.name = sweep.spec->name;
+  out.description = sweep.spec->description;
+  out.options = options;
+  for (const CellResult& c : sweep.cells) {
+    out.wall_seconds += c.result.wall_seconds;
+    out.failed_cells += c.error.empty() ? 0 : 1;
   }
-  const bool cell_selected = !options.only_cell.empty();
-  AQL_CHECK_MSG(!(sharded && cell_selected),
-                "--cell and --shard are mutually exclusive");
-
-  std::vector<SweepCell> cells = ExpandCells(spec, options);
-  const size_t total_cells = cells.size();
-  if (sharded) {
-    std::vector<SweepCell> mine;
-    for (size_t i = 0; i < cells.size(); ++i) {
-      if (CellInShard(i, options.shard_index, options.shard_count)) {
-        mine.push_back(std::move(cells[i]));
-      }
-    }
-    cells = std::move(mine);  // may legitimately be empty (N > total cells)
-  } else if (cell_selected) {
-    std::vector<SweepCell> mine;
-    for (SweepCell& cell : cells) {
-      if (cell.id == options.only_cell) {
-        mine.push_back(std::move(cell));
-      }
-    }
-    AQL_CHECK_MSG(!mine.empty(),
-                  ("no such cell in sweep: " + options.only_cell).c_str());
-    cells = std::move(mine);
-  }
-
-  std::unique_ptr<CellCache> cache;
-  if (!options.cache_dir.empty()) {
-    cache = std::make_unique<CellCache>(options.cache_dir, options.config_hash);
-  }
-
-  std::vector<CellResult> results(cells.size());
-  // Mid-sweep failure containment: a cell whose scenario build or run
-  // throws becomes a structured per-cell `error` entry (never cached, never
-  // rendered) and the remaining cells still run; aql_bench turns any failed
-  // cell into a non-zero exit after finishing every sweep. AQL_CHECK
-  // violations still abort — they are simulator invariants, not input
-  // errors.
-  const auto run_guarded = [&cells, &options, &results, &cache](size_t i) {
-    try {
-      results[i] = RunOrLoadCell(cells[i], options, cache.get());
-    } catch (const std::exception& e) {
-      results[i] = CellResult{};
-      results[i].cell = cells[i];
-      results[i].error = e.what();
-    } catch (...) {
-      results[i] = CellResult{};
-      results[i].cell = cells[i];
-      results[i].error = "unknown exception";
-    }
-  };
-  // Single-cell runs (a --cell selection, or a sweep/shard that expanded to
-  // one cell) execute inline: the worker pool would add thread setup around
-  // a single unit of work, and --cell + --island-threads benchmarks must
-  // measure island parallelism alone. The pool clamp below guarantees this
-  // (jobs collapses to 1), and the branch keeps the guarantee explicit.
-  const size_t jobs =
-      std::min<size_t>(cells.size(), options.jobs < 1 ? 1 : options.jobs);
-  if (jobs <= 1 || cells.size() <= 1) {
-    for (size_t i = 0; i < cells.size(); ++i) {
-      run_guarded(i);
-    }
-  } else {
-    std::atomic<size_t> next{0};
-    auto worker = [&cells, &next, &run_guarded] {
-      for (;;) {
-        const size_t i = next.fetch_add(1);
-        if (i >= cells.size()) {
-          return;
-        }
-        run_guarded(i);
-      }
-    };
-    std::vector<std::thread> pool;
-    for (size_t t = 1; t < jobs; ++t) {
-      pool.emplace_back(worker);
-    }
-    worker();
-    for (std::thread& t : pool) {
-      t.join();
-    }
-  }
-
-  size_t failed_cells = 0;
-  for (const CellResult& r : results) {
-    if (!r.error.empty()) {
-      ++failed_cells;
-    }
-  }
-  SweepContext ctx(options, std::move(results));
-  // A shard (or a --cell selection) holds an arbitrary subset of cells, so
-  // the render step (which addresses cells by id across the whole sweep)
-  // only runs over full expansions; MergeFragments re-renders over the
-  // reassembled union of shards.
+  SweepContext ctx(options, std::move(sweep.cells));
   double render_seconds = 0.0;
-  if (failed_cells > 0) {
-    // Renderers address cells by id and expect complete results; with any
-    // cell failed, the render would be misleading at best. The per-cell
-    // error entries carry the diagnosis.
-    ctx.Print("render skipped: " + std::to_string(failed_cells) +
+  if (out.failed_cells > 0) {
+    ctx.Print("render skipped: " + std::to_string(out.failed_cells) +
               " cell(s) failed (see per-cell error entries)\n");
-  } else if (!sharded && !cell_selected && spec.render) {
+  } else if (options.only_cell.empty() && sweep.spec->render) {
     const auto render_start = std::chrono::steady_clock::now();
-    spec.render(ctx);
+    sweep.spec->render(ctx);
     render_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - render_start)
             .count();
   }
-
-  SweepResult out;
-  out.name = spec.name;
-  out.description = spec.description;
-  out.options = options;
+  out.wall_seconds += render_seconds;
   out.cells = ctx.TakeCells();
   out.text = std::move(ctx.text);
   out.tables = std::move(ctx.tables);
   out.summary = std::move(ctx.summary);
   out.notes = std::move(ctx.notes);
   out.timings = std::move(ctx.timings);
-  out.shard_index = sharded ? options.shard_index : 0;
-  out.shard_count = sharded ? options.shard_count : 0;
-  out.total_cells = total_cells;
-  out.failed_cells = failed_cells;
   if (options.profile) {
     // Completes the --profile phase picture: compute phases live in the
     // per-cell `profile` objects, the render step is sweep-level.
     out.timings.emplace_back("render_seconds", render_seconds);
   }
-  if (cache != nullptr) {
-    // Cache effectiveness is run-environment state, not simulation output,
-    // so it rides with the wall-clock timings (excluded from stable JSON).
-    out.timings.emplace_back("cache_hits", static_cast<double>(cache->hits()));
-    out.timings.emplace_back("cache_misses", static_cast<double>(cache->misses()));
-  }
-  const auto wall_end = std::chrono::steady_clock::now();
-  out.wall_seconds = std::chrono::duration<double>(wall_end - wall_start).count();
   return out;
 }
+
+}  // namespace
+
+void RunSweeps(const std::vector<const SweepSpec*>& specs, const SweepOptions& options,
+               const std::function<void(SweepResult)>& emit) {
+  std::mutex mu;
+  std::condition_variable sweep_finished;
+  std::deque<std::unique_ptr<InFlight>> in_flight;  // in `specs` order
+  size_t next_spec = 0;
+
+  auto worker = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    for (;;) {
+      if (in_flight.empty() ||
+          in_flight.back()->claimed == in_flight.back()->cells.size()) {
+        if (next_spec == specs.size()) {
+          return;
+        }
+        auto sweep = std::make_unique<InFlight>();
+        sweep->spec = specs[next_spec++];
+        sweep->cells = ExpandCells(*sweep->spec, options);
+        in_flight.push_back(std::move(sweep));
+        continue;
+      }
+      InFlight& sweep = *in_flight.back();
+      CellResult& cell = sweep.cells[sweep.claimed++];
+      lock.unlock();
+      RunCell(&cell, options);
+      lock.lock();
+      if (++sweep.finished == sweep.cells.size()) {
+        sweep_finished.notify_one();
+      }
+    }
+  };
+  std::vector<std::thread> workers;
+  for (int t = 0; t < std::max(1, options.jobs); ++t) {
+    workers.emplace_back(worker);
+  }
+  for (size_t s = 0; s < specs.size(); ++s) {
+    std::unique_ptr<InFlight> sweep;
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      sweep_finished.wait(lock, [&in_flight] {
+        return !in_flight.empty() &&
+               in_flight.front()->finished == in_flight.front()->cells.size();
+      });
+      sweep = std::move(in_flight.front());
+      in_flight.pop_front();
+    }
+    emit(Finish(*sweep, options));
+  }
+  for (std::thread& t : workers) {
+    t.join();
+  }
+}
+
+SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& options) {
+  SweepResult out;
+  RunSweeps({&spec}, options, [&out](SweepResult r) { out = std::move(r); });
+  return out;
+}
+
+namespace {
 
 JsonValue ScenarioJson(const ScenarioSpec& spec) {
   JsonValue vms = JsonValue::Array();
@@ -374,9 +320,7 @@ JsonValue ScenarioJson(const ScenarioSpec& spec) {
     }
     if (spec.fleet.fault.Active()) {
       // Fault-injecting fleets only: absent for fault-free fleets so their
-      // JSON (and the committed goldens) stays byte-identical. Entering the
-      // scenario JSON also puts the fault plan into the cell-cache
-      // fingerprint automatically.
+      // JSON (and the committed goldens) stays byte-identical.
       const FleetFaultPlan& fp = spec.fleet.fault;
       JsonValue fault = JsonValue::Object();
       fault.Set("crash_rate_per_host_per_sec", fp.crash_rate_per_host_per_sec)
@@ -397,8 +341,6 @@ JsonValue ScenarioJson(const ScenarioSpec& spec) {
   }
   return s;
 }
-
-namespace {
 
 JsonValue GroupJson(const GroupPerf& g) {
   JsonValue metrics = JsonValue::Object();

@@ -2,13 +2,14 @@
 // scenarios x policies ("cells") plus a render step that turns the collected
 // cell results into the paper's tables and summary metrics.
 //
-// Cells are independent simulations, so the engine executes them on a
-// std::thread worker pool. Determinism is preserved regardless of thread
-// count: every cell's RNG stream is derived up front from the scenario's
-// declared seed via Rng::DeriveSeed, each cell owns its Simulation, and
-// results land in a pre-sized slot indexed by cell order. A sweep run with
-// --jobs 1 and --jobs N therefore produces identical metric values
-// cell-for-cell (tests/sweep_test.cc asserts this).
+// Cells are independent simulations, so the engine executes them on one
+// std::thread worker pool shared by every sweep a run selects (RunSweeps).
+// Determinism is preserved regardless of thread count: every cell's RNG
+// stream is derived from the scenario's declared seed via Rng::DeriveSeed
+// before any cell runs, each cell owns its Simulation, and results land in
+// a pre-sized slot indexed by cell order. A run with --jobs 1 and --jobs N
+// therefore produces identical metric values cell-for-cell
+// (tests/sweep_test.cc asserts this).
 
 #ifndef AQLSCHED_SRC_EXPERIMENT_SWEEP_H_
 #define AQLSCHED_SRC_EXPERIMENT_SWEEP_H_
@@ -35,45 +36,29 @@ struct SweepOptions {
   // same salt yields the same cell streams, so paired comparisons (policy A
   // vs B on one scenario seed) stay variance-reduced.
   uint64_t seed_salt = 0x51eedca11ULL;
-  // Sharded execution (`--shard K/N`): run only the cells whose expansion
-  // index i satisfies i % shard_count == shard_index - 1 (round-robin, so
-  // shards are balanced regardless of how a sweep orders its cells).
-  // shard_count == 0 means unsharded. Sharded runs skip the render step —
-  // their output is a fragment to be combined by MergeFragments, which
-  // re-renders over the union (src/experiment/merge.h).
-  int shard_index = 0;  // 1-based
-  int shard_count = 0;
   // Run a single cell by id (`--cell <id>`): the expansion is filtered to
   // that one cell and the render step is skipped (render addresses cells
   // across the whole sweep). Used by CI perf probes that want one full-mode
-  // cell's wall time without paying for its siblings. Mutually exclusive
-  // with sharding; empty selects every cell.
+  // cell's wall time without paying for its siblings; empty selects every
+  // cell.
   std::string only_cell;
-  // Collect per-cell wall-clock phase breakdowns (`--profile`): each
-  // freshly-computed cell carries a `profile` object in timing-enabled JSON
-  // (docs/BENCH_FORMAT.md). Never present in --stable-json output, and never
-  // served from the cell cache (a cache hit did not simulate anything).
+  // Collect per-cell wall-clock phase breakdowns (`--profile`): each cell
+  // carries a `profile` object in timing-enabled JSON
+  // (docs/BENCH_FORMAT.md). Never present in --stable-json output.
   bool profile = false;
   // Fleet cells only: worker threads advancing host islands inside one cell
   // (`--island-threads`). Orthogonal to `jobs` (which parallelizes across
   // cells): a 1024-host fleet cell is a single unit of `jobs` work, and
   // island threads are the only lever inside it. Execution-only knob —
-  // stable JSON and the cell-cache key are independent of it by contract
+  // stable JSON is independent of it by contract
   // (tests/fleet_parallel_test.cc, docs/BENCH_FORMAT.md).
   int island_threads = 1;
   // Multi-socket single-machine cells: worker threads advancing socket
   // islands inside one cell (`--socket-threads`). Same contract as
-  // island_threads — execution-only, invisible to stable JSON and the
-  // cell-cache key (tests/machine_parallel_test.cc, docs/BENCH_FORMAT.md);
-  // single-socket machines and fleet cells ignore it.
+  // island_threads — execution-only, invisible to stable JSON
+  // (tests/machine_parallel_test.cc, docs/BENCH_FORMAT.md); single-socket
+  // machines and fleet cells ignore it.
   int socket_threads = 1;
-  // Cell-result cache directory (`--cache-dir`); empty disables caching.
-  // See src/experiment/cell_cache.h for the key and invalidation contract.
-  std::string cache_dir;
-  // Overrides the cache's configuration fingerprint; 0 means "use the
-  // engine default" (CellCache::DefaultConfigHash). Changing it invalidates
-  // every cached cell.
-  uint64_t config_hash = 0;
 
   // Window scaling helpers used by sweep builders: full durations in normal
   // mode, ~10x shorter in quick mode with floors that keep the vTRS
@@ -100,7 +85,7 @@ struct CellResult {
   // Non-empty when the cell's scenario build or run threw instead of
   // completing: the engine records the failure here (structured `error`
   // entry in JSON), finishes the remaining cells, and aql_bench exits
-  // non-zero. Failed cells are never cached or rendered.
+  // non-zero. A sweep with a failed cell is not rendered.
   std::string error;
 };
 
@@ -130,7 +115,7 @@ class SweepContext {
   // "_ns_per_op" suffixes).
   void Timing(const std::string& key, double value);
 
-  // Collected output, consumed by RunSweep.
+  // Collected output, consumed by the engine.
   std::string text;
   std::vector<std::pair<std::string, TextTable>> tables;
   std::vector<std::pair<std::string, double>> summary;
@@ -158,46 +143,39 @@ struct SweepResult {
   std::string description;
   SweepOptions options;
   std::vector<CellResult> cells;
-  // Render output (empty for sharded runs; fragments carry cells only).
+  // Render output (empty for a --cell run or a sweep with a failed cell).
   std::string text;
   std::vector<std::pair<std::string, TextTable>> tables;
   std::vector<std::pair<std::string, double>> summary;
   std::vector<std::pair<std::string, std::string>> notes;
   std::vector<std::pair<std::string, double>> timings;
-  double wall_seconds = 0.0;  // whole sweep, including render
-  // Shard bookkeeping: which slice this run executed (0/0 = unsharded) and
-  // how many cells the full expansion has (merge completeness check).
-  int shard_index = 0;
-  int shard_count = 0;
-  size_t total_cells = 0;
+  // The sweep's compute time: the sum of its cells' wall_seconds plus its
+  // render time. Sweeps share one worker pool and overlap, so this is work,
+  // not an interval of the run.
+  double wall_seconds = 0.0;
   // Cells whose run threw (CellResult::error). Non-zero makes aql_bench
   // exit non-zero after finishing every remaining cell and sweep.
   size_t failed_cells = 0;
 };
 
-// Expands `spec` into its full cell list (deterministic in `options`),
-// verifies cell-id uniqueness, and derives each cell's seed from the
-// declared scenario seed + options.seed_salt. Shared by RunSweep and
-// MergeFragments so both sides agree on cell identity and order.
-std::vector<SweepCell> ExpandCells(const SweepSpec& spec, const SweepOptions& options);
+// Runs every sweep in `specs` on one pool of `options.jobs` worker threads.
+// Workers claim cells in sweep order, then cell order; a sweep is expanded
+// (cells built, ids checked, seeds derived from the declared seed and
+// options.seed_salt) only when the workers reach it. The calling thread
+// renders each sweep as soon as its last cell lands and hands it to `emit`,
+// once per sweep and in `specs` order, so only sweeps in flight are held in
+// memory. A failed cell becomes an `error` entry and every other cell and
+// sweep still runs.
+void RunSweeps(const std::vector<const SweepSpec*>& specs, const SweepOptions& options,
+               const std::function<void(SweepResult)>& emit);
 
-// Round-robin shard membership for expansion index `index` (see
-// SweepOptions::shard_index). `shard_index` is 1-based.
-bool CellInShard(size_t index, int shard_index, int shard_count);
-
-// Expands, executes (on `options.jobs` workers, honoring the shard slice
-// and the cell cache when configured) and renders one sweep.
+// The one-sweep case of RunSweeps.
 SweepResult RunSweep(const SweepSpec& spec, const SweepOptions& options);
 
 // JSON document for a finished sweep. With `include_timing` false all
 // wall-clock fields are omitted and the output is a pure function of the
 // simulation results (byte-identical across runs and thread counts).
 JsonValue SweepJson(const SweepResult& result, bool include_timing = true);
-
-// The scenario-description object used inside cell JSON (name, seed,
-// pcpus, windows, VM list). Also the basis of the cell cache's
-// configuration fingerprint (src/experiment/cell_cache.h).
-JsonValue ScenarioJson(const ScenarioSpec& spec);
 
 // Writes BENCH_<name>.json under `out_dir` (created if needed); returns the
 // file path.

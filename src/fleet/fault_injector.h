@@ -39,7 +39,7 @@
 namespace aql {
 
 // Declarative fault model of one fleet run. Serialized into scenario JSON
-// (and therefore the cell-cache fingerprint) only when Active().
+// only when Active().
 struct FleetFaultPlan {
   // Fail-stop crash process: per-host probability per second of simulated
   // time, evaluated once per epoch interval on the boundary grid.

@@ -138,8 +138,7 @@ struct FleetSpec {
   // Worker threads advancing host islands between epoch boundaries
   // (values < 1 mean "one"). Execution-only knob: the result is byte-
   // identical at every setting, so it is deliberately NOT part of
-  // FleetConfig (which is serialized into scenario JSON and the cell-cache
-  // fingerprint).
+  // FleetConfig (which is serialized into scenario JSON).
   int island_threads = 1;
 };
 

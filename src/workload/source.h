@@ -16,8 +16,8 @@
 //   trace   : replays a JSON-lines trace file (docs/TRACE_FORMAT.md). The
 //             op stream IS the file; MakeModels builds one TraceReplayModel
 //             per stream (src/workload/trace_replay.h). Traces use no RNG,
-//             so a trace-driven cell is byte-identical across --jobs,
-//             --shard and --island-threads by construction.
+//             so a trace-driven cell is byte-identical across --jobs
+//             and --island-threads by construction.
 //
 // The experiment runner (src/experiment/runner.cc) routes every VM build
 // through MakeWorkloadSource.

@@ -21,7 +21,7 @@
 //
 // Determinism: replay consumes no random numbers — every arrival, burst and
 // working set comes from the file — so a trace-driven cell is byte-identical
-// across --jobs, --shard and --island-threads by construction
+// across --jobs and --island-threads by construction
 // (tests/trace_replay_test.cc pins this).
 
 #ifndef AQLSCHED_SRC_WORKLOAD_TRACE_REPLAY_H_

@@ -1,6 +1,7 @@
 // Tests for the sweep engine: thread-count invariance of results (per-cell
-// RNG seeding), the sweep registry, JSON emission, quick-mode scaling,
-// --profile containment, and byte-compares against the committed goldens.
+// RNG seeding), the shared pool's emission order and failure containment,
+// the sweep registry, JSON emission, quick-mode scaling, --profile
+// containment, and byte-compares against the committed goldens.
 
 #include <fstream>
 #include <sstream>
@@ -44,37 +45,57 @@ SweepSpec TinySpec() {
   return spec;
 }
 
-// Mid-sweep cell failure: the broken cell gets a structured `error` entry,
-// every sibling still runs to completion, the render step is skipped (it
-// would read the missing result) and failed_cells reports the damage so
-// aql_bench can exit non-zero.
-TEST(SweepEngineTest, FailedCellIsRecordedAndSiblingsStillRun) {
+// A sweep of short Xen cells on the S1 colocation scenario, one per id.
+SweepSpec ColocationSpec(const std::string& name, std::vector<std::string> ids,
+                         TimeNs measure = Ms(200)) {
   SweepSpec spec;
-  spec.name = "partial";
-  spec.description = "engine hardening test sweep";
-  spec.build = [](const SweepOptions&) {
+  spec.name = name;
+  spec.description = "engine test sweep";
+  spec.build = [ids, measure](const SweepOptions&) {
     std::vector<SweepCell> cells;
-    for (const char* id : {"ok/a", "broken", "ok/b"}) {
+    for (const std::string& id : ids) {
       SweepCell cell;
       cell.id = id;
       cell.scenario = ColocationScenario(1);
       cell.scenario.warmup = Ms(100);
-      cell.scenario.measure = Ms(200);
+      cell.scenario.measure = measure;
       cell.policy = PolicySpec::Xen();
       cells.push_back(std::move(cell));
     }
+    return cells;
+  };
+  return spec;
+}
+
+// Mid-run cell failure: the broken cell gets a structured `error` entry,
+// every sibling still runs to completion, its sweep's render step is
+// skipped (it would read the missing result) and failed_cells reports the
+// damage so aql_bench can exit non-zero. The next sweep on the shared pool
+// still runs and renders.
+TEST(SweepEngineTest, FailedCellIsRecordedAndSiblingsStillRun) {
+  SweepSpec partial = ColocationSpec("partial", {"ok/a", "broken", "ok/b"});
+  const auto build = partial.build;
+  partial.build = [build](const SweepOptions& options) {
+    std::vector<SweepCell> cells = build(options);
     cells[1].scenario.vms[0].app = "no_such_app";
     return cells;
   };
-  bool rendered = false;
-  spec.render = [&rendered](SweepContext&) { rendered = true; };
+  bool partial_rendered = false;
+  partial.render = [&partial_rendered](SweepContext&) { partial_rendered = true; };
+  SweepSpec clean = ColocationSpec("clean", {"c"});
+  bool clean_rendered = false;
+  clean.render = [&clean_rendered](SweepContext&) { clean_rendered = true; };
 
   SweepOptions opts;
   opts.jobs = 2;
-  const SweepResult r = RunSweep(spec, opts);
+  std::vector<SweepResult> results;
+  RunSweeps({&partial, &clean}, opts,
+            [&results](SweepResult r) { results.push_back(std::move(r)); });
+  ASSERT_EQ(results.size(), 2u);
+  const SweepResult& r = results[0];
 
   EXPECT_EQ(r.failed_cells, 1u);
-  EXPECT_FALSE(rendered);
+  EXPECT_FALSE(partial_rendered);
   EXPECT_NE(r.text.find("render skipped"), std::string::npos);
   ASSERT_EQ(r.cells.size(), 3u);
   EXPECT_TRUE(r.cells[0].error.empty());
@@ -90,6 +111,34 @@ TEST(SweepEngineTest, FailedCellIsRecordedAndSiblingsStillRun) {
   EXPECT_NE(json.find("\"error\": \"unknown application: no_such_app\""),
             std::string::npos);
   EXPECT_NE(json.find("\"failed_cells\": 1"), std::string::npos);
+
+  // The failure stays inside its sweep.
+  EXPECT_TRUE(clean_rendered);
+  EXPECT_EQ(results[1].failed_cells, 0u);
+  EXPECT_GT(results[1].cells[0].result.events_processed, 0u);
+  EXPECT_EQ(results[0].failed_cells + results[1].failed_cells, 1u);
+}
+
+// Sweeps are emitted in the order given, once each, even when a later sweep
+// finishes first: here the first sweep holds the one slow cell while the
+// second worker runs all of the second sweep.
+TEST(SweepEngineTest, SweepsAreEmittedOnceInSpecOrder) {
+  const SweepSpec slow = ColocationSpec("slow", {"long"}, Ms(3000));
+  const SweepSpec fast = ColocationSpec("fast", {"a", "b", "c"});
+  for (const int jobs : {1, 2}) {
+    SweepOptions opts;
+    opts.jobs = jobs;
+    std::vector<std::string> emitted;
+    RunSweeps({&slow, &fast}, opts, [&emitted](SweepResult r) {
+      EXPECT_EQ(r.failed_cells, 0u);
+      for (const CellResult& c : r.cells) {
+        EXPECT_GT(c.result.events_processed, 0u) << r.name << "/" << c.cell.id;
+      }
+      emitted.push_back(r.name);
+    });
+    EXPECT_EQ(emitted, (std::vector<std::string>{"slow", "fast"}))
+        << "jobs " << jobs;
+  }
 }
 
 TEST(SweepEngineTest, ThreadCountDoesNotAffectResults) {
@@ -125,77 +174,6 @@ TEST(SweepEngineTest, ThreadCountDoesNotAffectResults) {
   // The deterministic JSON projection is byte-identical.
   EXPECT_EQ(SweepJson(r1, /*include_timing=*/false).Dump(),
             SweepJson(r4, /*include_timing=*/false).Dump());
-}
-
-TEST(SweepEngineTest, CellInShardRoundRobin) {
-  // Unsharded: everything is a member.
-  EXPECT_TRUE(CellInShard(0, 0, 0));
-  EXPECT_TRUE(CellInShard(7, 0, 0));
-  // 2-way: even indices to shard 1, odd to shard 2.
-  EXPECT_TRUE(CellInShard(0, 1, 2));
-  EXPECT_FALSE(CellInShard(0, 2, 2));
-  EXPECT_TRUE(CellInShard(1, 2, 2));
-  EXPECT_TRUE(CellInShard(4, 1, 2));
-  // Every index belongs to exactly one shard.
-  for (size_t i = 0; i < 13; ++i) {
-    int owners = 0;
-    for (int k = 1; k <= 4; ++k) {
-      owners += CellInShard(i, k, 4) ? 1 : 0;
-    }
-    EXPECT_EQ(owners, 1) << i;
-  }
-}
-
-TEST(SweepEngineTest, ShardsPartitionTheSweepAndMatchTheFullRun) {
-  SweepOptions full_opts;
-  full_opts.jobs = 2;
-  const SweepResult full = RunSweep(TinySpec(), full_opts);
-
-  std::vector<const CellResult*> reassembled(full.cells.size(), nullptr);
-  size_t seen = 0;
-  std::vector<SweepResult> shards;
-  for (int k = 1; k <= 2; ++k) {
-    SweepOptions opts = full_opts;
-    opts.shard_index = k;
-    opts.shard_count = 2;
-    shards.push_back(RunSweep(TinySpec(), opts));
-  }
-  for (const SweepResult& shard : shards) {
-    EXPECT_EQ(shard.total_cells, full.cells.size());
-    // Sharded runs skip the render step: fragments carry cells only.
-    EXPECT_TRUE(shard.summary.empty());
-    EXPECT_TRUE(shard.tables.empty());
-    for (const CellResult& cell : shard.cells) {
-      for (size_t i = 0; i < full.cells.size(); ++i) {
-        if (full.cells[i].cell.id == cell.cell.id) {
-          ASSERT_EQ(reassembled[i], nullptr) << "overlap at " << cell.cell.id;
-          reassembled[i] = &cell;
-          ++seen;
-        }
-      }
-    }
-  }
-  ASSERT_EQ(seen, full.cells.size());
-  for (size_t i = 0; i < full.cells.size(); ++i) {
-    ASSERT_NE(reassembled[i], nullptr) << full.cells[i].cell.id;
-    // Shard execution must not perturb results: same derived seeds, same
-    // bits, regardless of which process slice ran the cell.
-    EXPECT_EQ(reassembled[i]->result.events_processed,
-              full.cells[i].result.events_processed);
-    EXPECT_EQ(reassembled[i]->result.cpu_utilization,
-              full.cells[i].result.cpu_utilization);
-  }
-}
-
-TEST(SweepEngineTest, ShardMayBeEmptyWhenCountExceedsCells) {
-  SweepOptions opts;
-  opts.shard_index = 5;
-  opts.shard_count = 5;  // TinySpec has 4 cells: shard 5 gets none
-  const SweepResult r = RunSweep(TinySpec(), opts);
-  EXPECT_TRUE(r.cells.empty());
-  EXPECT_EQ(r.total_cells, 4u);
-  EXPECT_EQ(r.shard_index, 5);
-  EXPECT_EQ(r.shard_count, 5);
 }
 
 TEST(SweepEngineTest, SeedSaltChangesStreams) {
@@ -316,10 +294,20 @@ TEST(SweepEngineTest, BarrierWaitNeverEntersStableJson) {
 }
 
 #ifdef AQL_GOLDEN_DIR
+std::string Golden(const std::string& sweep) {
+  const std::string path =
+      std::string(AQL_GOLDEN_DIR) + "/quick/BENCH_" + sweep + ".json";
+  std::ifstream f(path, std::ios::binary);
+  EXPECT_TRUE(f.good()) << "missing golden: " << path;
+  std::ostringstream golden;
+  golden << f.rdbuf();
+  return golden.str();
+}
+
 // Byte-compares a quick-mode --stable-json run of `sweep` against its
 // committed golden (tests/goldens/README.md records when each was last
-// re-baselined). CI's bench-merge job covers all registered sweeps the same
-// way; here we pin the cheap representative ones into every ctest run.
+// re-baselined). CI's bench job covers all registered sweeps the same way;
+// here we pin the cheap representative ones into every ctest run.
 void ExpectMatchesGolden(const char* sweep, int island_threads = 1,
                          int socket_threads = 1) {
   const SweepSpec* spec = SweepRegistry::Instance().Find(sweep);
@@ -330,15 +318,34 @@ void ExpectMatchesGolden(const char* sweep, int island_threads = 1,
   options.island_threads = island_threads;
   options.socket_threads = socket_threads;
   const SweepResult result = RunSweep(*spec, options);
-  const std::string path =
-      std::string(AQL_GOLDEN_DIR) + "/quick/BENCH_" + sweep + ".json";
-  std::ifstream f(path, std::ios::binary);
-  ASSERT_TRUE(f.good()) << "missing golden: " << path;
-  std::ostringstream golden;
-  golden << f.rdbuf();
-  EXPECT_EQ(SweepJson(result, /*include_timing=*/false).Dump(), golden.str())
+  EXPECT_EQ(SweepJson(result, /*include_timing=*/false).Dump(), Golden(sweep))
       << sweep << ": stable JSON diverged from the committed golden — the "
       << "engine changed results, not just speed";
+}
+
+// Several sweeps on one shared pool, as `aql_bench --all` runs them: cells
+// of different sweeps interleave on the workers, and every sweep must still
+// reproduce its golden at any worker count.
+TEST(GoldenTest, SharedPoolReproducesGoldens) {
+  std::vector<const SweepSpec*> specs;
+  for (const char* sweep :
+       {"fig5_validation", "fleet_hotspot", "trace_replay", "table5_clusters"}) {
+    specs.push_back(SweepRegistry::Instance().Find(sweep));
+    ASSERT_NE(specs.back(), nullptr) << sweep;
+  }
+  for (const int jobs : {1, 4}) {
+    SweepOptions options;
+    options.quick = true;
+    options.jobs = jobs;
+    size_t emitted = 0;
+    RunSweeps(specs, options, [&](SweepResult r) {
+      ASSERT_LT(emitted, specs.size());
+      EXPECT_EQ(r.name, specs[emitted++]->name);
+      EXPECT_EQ(SweepJson(r, /*include_timing=*/false).Dump(), Golden(r.name))
+          << r.name << " at jobs " << jobs;
+    });
+    EXPECT_EQ(emitted, specs.size());
+  }
 }
 
 TEST(GoldenTest, Table5QuickMatchesCommittedGolden) {
@@ -378,7 +385,7 @@ TEST(GoldenTest, FleetFailoverQuickMatchesCommittedGolden) {
   ExpectMatchesGolden("fleet_failover");
 }
 
-// Trace-driven cells are byte-identical across --jobs, --shard and
+// Trace-driven cells are byte-identical across --jobs and
 // --island-threads by construction (replay consumes no RNG, see
 // src/workload/trace_replay.h); the golden plus the islands rerun pin that.
 TEST(GoldenTest, TraceReplayQuickMatchesCommittedGolden) {

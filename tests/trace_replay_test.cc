@@ -1,7 +1,7 @@
 // Tests for the trace-driven workload backend: strict schema validation
 // (docs/TRACE_FORMAT.md), the op-stream view and replay models of
 // TraceSource, the workload-source dispatch, the registered trace_replay
-// sweep's determinism contract (jobs / shards / island-threads), and the
+// sweep's determinism contract (jobs / island-threads), and the
 // byte-level round trip against the reference emitter scripts/trace_gen.py.
 
 #include <cstdlib>
@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/experiment/merge.h"
 #include "src/experiment/registry.h"
 #include "src/experiment/runner.h"
 #include "src/experiment/sweep.h"
@@ -387,25 +386,6 @@ TEST(TraceReplaySweepTest, QuickRunIsJobAndIslandCountInvariant) {
   const std::string s8 = StableDump(RunSweep(*spec, islands));
   EXPECT_EQ(s1, s4);
   EXPECT_EQ(s1, s8);
-}
-
-TEST(TraceReplaySweepTest, TwoShardMergeReproducesUnshardedRun) {
-  const SweepSpec* spec = SweepRegistry::Instance().Find("trace_replay");
-  ASSERT_NE(spec, nullptr);
-  SweepOptions unsharded;
-  unsharded.quick = true;
-  const SweepResult whole = RunSweep(*spec, unsharded);
-
-  std::vector<JsonValue> fragments;
-  for (int shard = 1; shard <= 2; ++shard) {
-    SweepOptions opts = unsharded;
-    opts.shard_index = shard;
-    opts.shard_count = 2;
-    fragments.push_back(FragmentJson(RunSweep(*spec, opts)));
-  }
-  const MergeOutcome merged = MergeFragmentDocs(fragments);
-  ASSERT_TRUE(merged.ok) << merged.error;
-  EXPECT_EQ(StableDump(whole), StableDump(merged.result));
 }
 
 // --- reference emitter round trip -------------------------------------------
