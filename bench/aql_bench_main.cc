@@ -19,13 +19,6 @@
 //                    contract in docs/ARCHITECTURE.md), so goldens and
 //                    --stable-json comparisons never depend on it.
 //                    Single-machine cells are unaffected.
-//   --socket-threads N
-//                    worker threads advancing socket islands INSIDE a
-//                    multi-socket single-machine cell (default 1 =
-//                    sequential). Same contract as --island-threads:
-//                    byte-identical output for every N, clamped to the
-//                    machine's socket count; single-socket machines and
-//                    fleet cells are unaffected.
 //   --quick          scaled-down simulated durations (CI smoke)
 //   --out DIR        output directory for BENCH_<name>.json (default ".")
 //   --stable-json    omit wall-clock timing from JSON (byte-comparable runs)
@@ -55,7 +48,7 @@ namespace {
 void Usage(FILE* out) {
   std::fprintf(out,
                "usage: aql_bench (--list | --all | --run <name>...) "
-               "[--jobs N] [--island-threads N] [--socket-threads N] "
+               "[--jobs N] [--island-threads N] "
                "[--quick] [--out DIR] "
                "[--stable-json] [--no-json] "
                "[--profile] [--cell ID]\n");
@@ -116,12 +109,6 @@ int Main(int argc, char** argv) {
         std::fprintf(stderr, "aql_bench: --island-threads must be >= 1\n");
         return 2;
       }
-    } else if (arg == "--socket-threads") {
-      options.socket_threads = std::atoi(value());
-      if (options.socket_threads < 1) {
-        std::fprintf(stderr, "aql_bench: --socket-threads must be >= 1\n");
-        return 2;
-      }
     } else if (arg == "--quick") {
       options.quick = true;
     } else if (arg == "--profile") {
@@ -166,9 +153,9 @@ int Main(int argc, char** argv) {
   if (!options.only_cell.empty()) {
     // A single cell is a single unit of cell-pool work: clamp --jobs (which
     // defaults to hardware concurrency) so the header, the timed JSON and
-    // the engine all agree the run has no sibling work. --island-threads /
-    // --socket-threads are then the only parallelism in play — exactly what
-    // a --cell island benchmark wants to measure.
+    // the engine all agree the run has no sibling work. --island-threads is
+    // then the only parallelism in play — exactly what a --cell island
+    // benchmark wants to measure.
     options.jobs = 1;
   }
   std::vector<const SweepSpec*> specs;
@@ -181,16 +168,10 @@ int Main(int argc, char** argv) {
     specs.push_back(spec);
   }
 
-  char islands[64] = "";
-  if (options.island_threads > 1 && options.socket_threads > 1) {
-    std::snprintf(islands, sizeof(islands), ", island-threads=%d, socket-threads=%d",
-                  options.island_threads, options.socket_threads);
-  } else if (options.island_threads > 1) {
+  char islands[32] = "";
+  if (options.island_threads > 1) {
     std::snprintf(islands, sizeof(islands), ", island-threads=%d",
                   options.island_threads);
-  } else if (options.socket_threads > 1) {
-    std::snprintf(islands, sizeof(islands), ", socket-threads=%d",
-                  options.socket_threads);
   }
   size_t failed_cells = 0;
   RunSweeps(specs, options, [&](SweepResult result) {

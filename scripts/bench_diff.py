@@ -28,12 +28,14 @@ to demonstrate engine speedups against a committed BENCH_baseline capture.
 In trajectory mode, adds the per-cell wall series to the per-sweep output.
 
 Parallel runs: a document produced with --island-threads N > 1 is keyed
-(and labeled in every table) as 'name@islN', and one produced with
---socket-threads N > 1 as 'name@sockN', so sequential and parallel
+(and labeled in every table) as 'name@islN', so sequential and parallel
 captures of the same sweep coexist in one artifact directory. --walls
-matches a '@islN'/'@sockN' run against its sequential baseline when no
+matches a '@islN' run against its sequential baseline when no
 same-threaded baseline exists — the row that turns CI's sequential-vs-
-parallel probes (fleet islands, socket islands) into speedup numbers.
+parallel fleet-island probe into a speedup number. Documents whose
+options.socket_threads is above 1 are skipped: aql_bench no longer has
+--socket-threads, and only older captures (such as those in a rolling
+history artifact) carry it.
 
 Usage: scripts/bench_diff.py [--wall-drift-pct P] [--walls] OLD_DIR NEW_DIR
        scripts/bench_diff.py --trajectory HISTORY_DIR [--walls]
@@ -77,23 +79,25 @@ def load_benches(path):
             annotate("warning", f"skipping {f}: top-level JSON is not an object")
             continue
         name = doc.get("bench", os.path.basename(f))
-        # Label parallel captures (host islands and socket islands) so they
-        # never collide with (or silently compare against) the sequential
-        # capture of the same sweep. Stable JSON omits execution options, so
-        # only timing documents ever carry a suffix.
+        sockets = doc.get("options", {}).get("socket_threads", 1)
+        if isinstance(sockets, int) and sockets > 1:
+            print(f"info: skipping {f}: captured with --socket-threads {sockets}, "
+                  "an option aql_bench no longer has")
+            continue
+        # Label parallel captures so they never collide with (or silently
+        # compare against) the sequential capture of the same sweep. Stable
+        # JSON omits execution options, so only timing documents ever carry
+        # a suffix.
         islands = doc.get("options", {}).get("island_threads", 1)
         if isinstance(islands, int) and islands > 1:
             name = f"{name}@isl{islands}"
-        sockets = doc.get("options", {}).get("socket_threads", 1)
-        if isinstance(sockets, int) and sockets > 1:
-            name = f"{name}@sock{sockets}"
         out[name] = doc
     return out
 
 
 def base_name(name):
-    """Sweep name with any '@islN'/'@sockN' thread-count label stripped."""
-    return name.split("@isl", 1)[0].split("@sock", 1)[0]
+    """Sweep name with any '@islN' thread-count label stripped."""
+    return name.split("@isl", 1)[0]
 
 
 def walls_baseline(old_benches, name):
@@ -325,7 +329,7 @@ def main():
         if name not in new_benches:
             # A thread-count variant of the same sweep is a re-labeling,
             # not a disappearance (e.g. diffing a sequential capture against
-            # an --island-threads or --socket-threads one of the same cells).
+            # an --island-threads one of the same cells).
             if any(base_name(k) == base_name(name) for k in new_benches):
                 print(f"info: sweep '{name}' present only at a different "
                       f"thread count in the candidate run")

@@ -1,6 +1,5 @@
 #include "src/experiment/runner.h"
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <utility>
@@ -9,7 +8,6 @@
 #include "src/baselines/vslicer.h"
 #include "src/baselines/vturbo.h"
 #include "src/sim/check.h"
-#include "src/sim/work_pool.h"
 #include "src/workload/catalog.h"
 #include "src/workload/source.h"
 
@@ -242,16 +240,6 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, const PolicySpec& policy,
     machine.SetProfile(&phase_profile);
   }
 
-  // Socket-island execution threads (multi-socket machines only; clamped to
-  // the socket count — more workers than islands could never run). Attached
-  // after SetProfile so the barrier-wait sink reaches the pool.
-  std::unique_ptr<WorkPool> pool;
-  if (options.socket_threads > 1 && mc.topology.sockets > 1) {
-    pool = std::make_unique<WorkPool>(
-        std::min(options.socket_threads, mc.topology.sockets));
-    sim.SetWorkPool(pool.get());
-  }
-
   const auto sim_wall_start = std::chrono::steady_clock::now();
   machine.Start();
 
@@ -300,16 +288,14 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, const PolicySpec& policy,
 
   if (options.profile) {
     // Phase attribution for the cell (aql_bench --profile): the simulation
-    // loop's wall time, split into event-core machinery, LLC/bus math,
-    // controller work and island-barrier waits; the unattributed remainder
-    // is workload-model and dispatch bookkeeping time.
-    machine.FlushProfile();
+    // loop's wall time, split into event-core machinery, LLC/bus math and
+    // controller work; the unattributed remainder is workload-model and
+    // dispatch bookkeeping time.
     result.profile["sim_seconds"] =
         std::chrono::duration<double>(sim_wall_end - sim_wall_start).count();
     result.profile["event_core_seconds"] = phase_profile.event_core.seconds;
     result.profile["llc_seconds"] = phase_profile.llc_seconds;
     result.profile["scheduler_seconds"] = phase_profile.scheduler_seconds;
-    result.profile["barrier_wait_seconds"] = phase_profile.barrier_wait_seconds;
   }
 
   const auto wall_end = std::chrono::steady_clock::now();

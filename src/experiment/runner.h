@@ -26,13 +26,6 @@ struct RunOptions {
   // result is byte-identical at every setting (tests/fleet_parallel_test.cc
   // proves it differentially); single-machine scenarios ignore it.
   int island_threads = 1;
-  // Single-machine scenarios on a multi-socket topology: worker threads
-  // advancing socket islands between synchronization horizons. Execution-
-  // only, exactly like island_threads: the result is byte-identical at
-  // every setting (tests/machine_parallel_test.cc proves it
-  // differentially); single-socket machines and fleet scenarios ignore it
-  // (the fleet owns the thread budget — see src/fleet/fleet.cc).
-  int socket_threads = 1;
 };
 
 struct ScenarioResult {
@@ -48,9 +41,9 @@ struct ScenarioResult {
   double wall_seconds = 0.0;
   // RunOptions::profile only: wall-clock phase breakdown of the simulation
   // ("sim_seconds", "event_core_seconds", "llc_seconds",
-  // "scheduler_seconds"). Nondeterministic timing data — emitted into cell
-  // JSON only alongside the other wall-clock fields, never into the
-  // --stable-json byte stream.
+  // "scheduler_seconds"; fleet scenarios add "barrier_wait_seconds").
+  // Nondeterministic timing data — emitted into cell JSON only alongside
+  // the other wall-clock fields, never into the --stable-json byte stream.
   std::map<std::string, double> profile;
 
   // AQL policy only: final detected type per vCPU and the final pool layout.

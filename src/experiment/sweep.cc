@@ -112,7 +112,6 @@ void RunCell(CellResult* out, const SweepOptions& sweep_options) {
     RunOptions options;
     options.profile = sweep_options.profile;
     options.island_threads = sweep_options.island_threads;
-    options.socket_threads = sweep_options.socket_threads;
     if (out->cell.trace_cursors) {
       auto* trace = &out->cursor_trace;
       options.trace = [trace](TimeNs, int vcpu, const CursorSet&, const CursorSet& avg) {
@@ -453,7 +452,6 @@ JsonValue SweepJson(const SweepResult& result, bool include_timing) {
     // wall-time rows with the parallelism that produced them.
     opts.Set("jobs", result.options.jobs);
     opts.Set("island_threads", result.options.island_threads);
-    opts.Set("socket_threads", result.options.socket_threads);
   }
   doc.Set("options", std::move(opts));
 

@@ -53,12 +53,6 @@ struct SweepOptions {
   // stable JSON is independent of it by contract
   // (tests/fleet_parallel_test.cc, docs/BENCH_FORMAT.md).
   int island_threads = 1;
-  // Multi-socket single-machine cells: worker threads advancing socket
-  // islands inside one cell (`--socket-threads`). Same contract as
-  // island_threads — execution-only, invisible to stable JSON
-  // (tests/machine_parallel_test.cc, docs/BENCH_FORMAT.md); single-socket
-  // machines and fleet cells ignore it.
-  int socket_threads = 1;
 
   // Window scaling helpers used by sweep builders: full durations in normal
   // mode, ~10x shorter in quick mode with floors that keep the vTRS

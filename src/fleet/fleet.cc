@@ -926,9 +926,7 @@ FleetResult FleetRun::Run() {
   // stats), so the pool may hand islands to worker threads in any order and
   // still produce the sequential loop's exact bytes. With island_threads <=
   // 1 (or one host) the pool spawns nothing and this IS the sequential
-  // loop, island index order included. Host Simulations never get a socket
-  // WorkPool of their own — the fleet owns the thread budget, so socket
-  // islands inside a host run inline. Everything below the barrier —
+  // loop, island index order included. Everything below the barrier —
   // metric resets, drains, rebalances, migrations — runs on this
   // (coordinating) thread only.
   WorkPool pool(std::min(spec_.island_threads, cfg_.hosts));

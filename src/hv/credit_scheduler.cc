@@ -106,7 +106,7 @@ Vcpu* CreditScheduler::PickNext(int pcpu) {
   Priority best_prio = Priority::kOver;
   size_t best_size = 0;
   for (int peer : PoolPcpus(pool)) {
-    if (peer == pcpu || !SameIsland(peer, pcpu)) {
+    if (peer == pcpu || !SameSocket(peer, pcpu)) {
       continue;
     }
     RunQueue& q = queue(peer);
@@ -156,7 +156,7 @@ int CreditScheduler::ChooseWakePcpu(const Vcpu& v, const std::vector<bool>& idle
     return v.home_pcpu;
   }
   for (int pc : pcpus) {
-    if (!socket_of_.empty() && !SameIsland(pc, v.home_pcpu)) {
+    if (!socket_of_.empty() && !SameSocket(pc, v.home_pcpu)) {
       continue;
     }
     if (idle[static_cast<size_t>(pc)]) {
@@ -167,7 +167,7 @@ int CreditScheduler::ChooseWakePcpu(const Vcpu& v, const std::vector<bool>& idle
   int best = -1;
   size_t best_len = 0;
   for (int pc : pcpus) {
-    if (!socket_of_.empty() && !SameIsland(pc, v.home_pcpu)) {
+    if (!socket_of_.empty() && !SameSocket(pc, v.home_pcpu)) {
       continue;
     }
     const size_t len = queue(pc).Size();

@@ -66,10 +66,10 @@ class CreditScheduler {
   // Restricts work placement to socket-local pCPUs: with a filter installed
   // (`socket_of_pcpu[p]` = socket of pCPU p; empty disables), PickNext only
   // steals from same-socket pool peers and ChooseWakePcpu only considers
-  // pool members on the waker's home socket. This is the load-balancing half
-  // of the socket-island determinism contract: a vCPU never leaves its home
-  // socket except through an explicit re-homing (ApplyPoolPlan), which the
-  // coordinator applies at a barrier. Credit accounting stays pool-wide.
+  // pool members on the waker's home socket, so a vCPU never leaves its home
+  // socket except through an explicit re-homing (Machine::ApplyPoolPlan).
+  // The multi-socket goldens encode this filter. Credit accounting stays
+  // pool-wide.
   void SetSocketFilter(std::vector<int> socket_of_pcpu);
 
   // --- run queues ---
@@ -107,7 +107,7 @@ class CreditScheduler {
   };
 
   // True when pCPUs a and b may exchange work (no filter, or same socket).
-  bool SameIsland(int a, int b) const {
+  bool SameSocket(int a, int b) const {
     return socket_of_.empty() ||
            socket_of_[static_cast<size_t>(a)] == socket_of_[static_cast<size_t>(b)];
   }

@@ -6,10 +6,8 @@
 // and maintains the per-vCPU counters vTRS reads.
 //
 // Counters live in a flat per-vCPU table sized once (Resize) before any
-// notification: under socket-island parallelism each island increments only
-// its own vCPUs' slots, so there is no shared aggregate and no rehashing —
-// notification is island-confined by construction. Totals are summed on
-// demand, coordinator-side.
+// notification, so there is no shared aggregate and no rehashing. Totals
+// are summed on demand.
 
 #ifndef AQLSCHED_SRC_HV_EVENT_CHANNEL_H_
 #define AQLSCHED_SRC_HV_EVENT_CHANNEL_H_

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <numeric>
 #include <utility>
 
 #include "src/hv/placement.h"
@@ -22,60 +21,31 @@ Machine::Machine(Simulation& sim, const MachineConfig& config)
       sched_(config.topology.TotalPcpus(), config.credit),
       workload_rng_(config.seed ^ 0x5bd1e995u),
       pcpus_(static_cast<size_t>(config.topology.TotalPcpus())),
-      partitioned_(config.topology.sockets > 1) {
-  const int sockets = config_.topology.sockets;
+      multi_socket_(config.topology.sockets > 1),
+      machine_lane_(multi_socket_ ? config.topology.sockets : 0) {
   for (size_t p = 0; p < pcpus_.size(); ++p) {
     pcpus_[p].socket = config_.topology.SocketOf(static_cast<int>(p));
   }
-  if (partitioned_) {
-    // One island domain per socket. The partition — not the thread count —
-    // is what defines the event schedule, so a multi-socket machine is
-    // partitioned unconditionally and `--socket-threads` stays a pure
-    // execution knob.
-    sim_.ConfigureDomains(sockets);
-    socket_ctx_.resize(static_cast<size_t>(sockets));
-    ctx_of_socket_.resize(static_cast<size_t>(sockets));
-    for (int s = 0; s < sockets; ++s) {
-      ctx_of_socket_[static_cast<size_t>(s)] = &socket_ctx_[static_cast<size_t>(s)];
-    }
-    idle_scratch_.resize(static_cast<size_t>(sockets));
-    llc_seconds_scratch_.assign(static_cast<size_t>(sockets), 0.0);
+  if (multi_socket_) {
     std::vector<int> socket_of(pcpus_.size());
     for (size_t p = 0; p < pcpus_.size(); ++p) {
       socket_of[p] = pcpus_[p].socket;
     }
     sched_.SetSocketFilter(std::move(socket_of));
-  } else {
-    idle_scratch_.resize(1);
   }
   for (size_t p = 0; p < pcpus_.size(); ++p) {
     const int pcpu = static_cast<int>(p);
     // Slot registration consumes no sequence number, so the event order of a
     // run is unchanged vs. scheduling segment events dynamically. Each
-    // pCPU's slot lives in its socket's island queue.
-    pcpus_[p].segment_slot = SocketQueue(pcpus_[p].socket)
-                                 .RegisterSlot([this, pcpu](TimeNs) { OnSegmentEnd(pcpu); });
+    // pCPU's slot runs in its socket's lane.
+    pcpus_[p].segment_slot = sim_.queue().RegisterSlot(
+        [this, pcpu](TimeNs) { OnSegmentEnd(pcpu); }, pcpus_[p].socket);
   }
 }
 
 void Machine::SetProfile(SimPhaseProfile* profile) {
   profile_ = profile;
   sim_.SetEventProfile(profile != nullptr ? &profile->event_core : nullptr);
-  sim_.SetBarrierProfile(profile != nullptr ? &profile->barrier_wait_seconds : nullptr);
-}
-
-void Machine::FlushProfile() {
-  if (profile_ == nullptr || !partitioned_) {
-    return;
-  }
-  // Overwrite with the scratch sum (the scratch carries the full history,
-  // so flushing is idempotent). The event core folds in Simulation; the
-  // scheduler and barrier phases are coordinator-written directly.
-  double total = 0.0;
-  for (const double s : llc_seconds_scratch_) {
-    total += s;
-  }
-  profile_->llc_seconds = total;
 }
 
 Machine::~Machine() = default;
@@ -104,25 +74,23 @@ void Machine::Start() {
   AQL_CHECK(!started_);
   AQL_CHECK_MSG(!vcpus_.empty(), "machine has no vCPUs");
   started_ = true;
-  ExecContext& ctx = root_ctx_;
-  ctx.processing = true;
+  processing_ = true;
   channel_.Resize(static_cast<int>(vcpus_.size()));
 
   const int n_pcpus = config_.topology.TotalPcpus();
   std::vector<std::vector<Vcpu*>> per_pcpu(static_cast<size_t>(n_pcpus));
-  if (partitioned_) {
-    // Per-VM deterministic RNG streams (legacy keeps the single machine-wide
-    // stream; see WorkloadRng).
+  if (multi_socket_) {
+    // Per-VM deterministic RNG streams (a single socket keeps the single
+    // machine-wide stream; see WorkloadRng).
     vm_rngs_.reserve(vms_.size());
     for (const std::unique_ptr<Vm>& vm : vms_) {
       vm_rngs_.emplace_back(
           Rng::DeriveSeed(config_.seed ^ 0x5bd1e995u, static_cast<uint64_t>(vm->id())));
     }
-    vcpu_timers_.assign(vcpus_.size(), {});
     // Placement packs each VM onto one socket (least-loaded, lowest index on
-    // ties; round-robin within the socket) — the confinement invariant that
-    // keeps wakes, kicks and spin handoffs island-local. Operators pin this
-    // way too: splitting a VM across sockets is a known anti-pattern.
+    // ties; round-robin within the socket), so wakes, kicks and spin
+    // handoffs stay on one socket. Operators pin this way too: splitting a
+    // VM across sockets is a known anti-pattern.
     const int sockets = config_.topology.sockets;
     std::vector<std::vector<int>> socket_pcpus;
     socket_pcpus.reserve(static_cast<size_t>(sockets));
@@ -186,16 +154,15 @@ void Machine::Start() {
 
   // Periodic chains: accounting first, then monitoring, so that when both
   // fire at the same timestamp the credit state the controller sees is
-  // already up to date (the event queue is FIFO for equal timestamps).
-  // Start() runs outside island phases, so both land in the coordinator
-  // domain — they are exactly the cross-socket horizon points.
+  // already up to date (the event queue is FIFO within a lane). Both run in
+  // the machine lane, after every socket's events at the same timestamp.
   const TimeNs period = config_.credit.accounting_period;
-  sim_.After(period, [this](TimeNs now) { OnAccounting(now); });
-  sim_.After(config_.monitor_period, [this](TimeNs now) { OnMonitor(now); });
+  sim_.After(period, [this](TimeNs now) { OnAccounting(now); }, machine_lane_);
+  sim_.After(config_.monitor_period, [this](TimeNs now) { OnMonitor(now); },
+             machine_lane_);
 
-  ctx.processing = false;
-  Drain(ctx);
-  RecomputePartition();
+  processing_ = false;
+  Drain();
 
   if (controller_ != nullptr) {
     controller_->OnAttach(*this);
@@ -208,54 +175,33 @@ void Machine::Start() {
 TimeNs Machine::Now() const { return sim_.Now(); }
 
 Rng& Machine::WorkloadRng(int vcpu_id) {
-  if (!partitioned_) {
+  if (!multi_socket_) {
     return workload_rng_;
   }
   return vm_rngs_[static_cast<size_t>(vcpu(vcpu_id)->vm()->id())];
 }
 
 void Machine::OnVcpuTimer(int vcpu_id, int tag, TimeNs now) {
-  if (partitioned_) {
-    // Untrack before anything can reschedule: first pending entry matching
-    // (deadline, tag) — duplicates are interchangeable.
-    std::vector<PendingTimer>& pending = vcpu_timers_[static_cast<size_t>(vcpu_id)];
-    for (auto it = pending.begin(); it != pending.end(); ++it) {
-      if (it->when == now && it->tag == tag) {
-        pending.erase(it);
-        break;
-      }
-    }
-  }
   Vcpu* v = vcpus_[static_cast<size_t>(vcpu_id)];
   if (v->state == RunState::kFinished) {
     return;
   }
-  ExecContext& ctx = Ctx();
-  ctx.processing = true;
+  processing_ = true;
   v->workload()->OnTimer(now, tag);
-  ctx.processing = false;
-  Drain(ctx);
+  processing_ = false;
+  Drain();
 }
 
 void Machine::ScheduleTimer(TimeNs when, int vcpu_id, int tag) {
   AQL_CHECK(vcpu_id >= 0 && vcpu_id < static_cast<int>(vcpus_.size()));
   // Capture (this, id, tag): 16 trivially-copyable bytes, which fits the
   // std::function small-buffer — timer arrivals stay allocation-free.
-  if (!partitioned_) {
-    sim_.At(when, [this, vcpu_id, tag](TimeNs now) { OnVcpuTimer(vcpu_id, tag, now); });
-    return;
-  }
-  // Timers target the vCPU's home island and are tracked so a cross-socket
-  // re-homing can migrate the pending ones (ApplyPoolPlan).
-  const int domain = DomainOfSocket(HomeSocket(*vcpus_[static_cast<size_t>(vcpu_id)]));
-  const EventId id = sim_.AtDomain(
-      domain, when, [this, vcpu_id, tag](TimeNs now) { OnVcpuTimer(vcpu_id, tag, now); });
-  vcpu_timers_[static_cast<size_t>(vcpu_id)].push_back(PendingTimer{when, tag, id});
+  sim_.At(when, [this, vcpu_id, tag](TimeNs now) { OnVcpuTimer(vcpu_id, tag, now); },
+          HomeSocket(*vcpus_[static_cast<size_t>(vcpu_id)]));
 }
 
 void Machine::NotifyIoEvent(int vcpu_id) {
   Vcpu* v = vcpu(vcpu_id);
-  AQL_CHECK(!partitioned_ || sim_.ConfinedTo(DomainOfSocket(HomeSocket(*v))));
   channel_.Notify(vcpu_id);
   v->pmu.io_events += 1;
   RunOrDefer([this, v] { WakeImpl(v, /*io_event=*/true); });
@@ -315,18 +261,12 @@ void Machine::Dispatch(int pcpu, Vcpu* v, bool switched) {
   s.quantum_end = now + sched_.QuantumFor(pcpu, *v);
   s.pending_overhead = switched ? config_.hw.context_switch_cost : 0;
 
-  // Cross-socket move loses the LLC footprint. Under socket islands this
-  // branch only ever sees footprint == socket or -1: dispatch is
-  // socket-confined and ApplyPoolPlan flushes the footprint when a
-  // re-homing crosses sockets.
+  // Dispatch stays on the home socket (wakes and steals are socket-
+  // filtered) and ApplyPoolPlan flushes the footprint of a vCPU re-homed
+  // across sockets, so any footprint is already on this socket.
   const int socket = s.socket;
-  if (v->footprint_socket != socket) {
-    if (v->footprint_socket >= 0) {
-      llc_.Remove(v->footprint_socket, v->id());
-      v->migrations += 1;
-    }
-    v->footprint_socket = socket;
-  }
+  AQL_CHECK(v->footprint_socket < 0 || v->footprint_socket == socket);
+  v->footprint_socket = socket;
   llc_.SetRunning(socket, v->id(), true);
 
   BeginStep(pcpu);
@@ -387,14 +327,9 @@ void Machine::BeginStep(int pcpu) {
       stall = static_cast<TimeNs>(static_cast<double>(stall) * factor);
       mem_bus_.SetDemand(socket, pcpu, demand);
       if (profile_ != nullptr) {
-        const double dt =
+        profile_->llc_seconds +=
             std::chrono::duration<double>(std::chrono::steady_clock::now() - llc_start)
                 .count();
-        if (partitioned_) {
-          llc_seconds_scratch_[static_cast<size_t>(socket)] += dt;  // island-local
-        } else {
-          profile_->llc_seconds += dt;
-        }
       }
       s.step_work = work;
       s.step_refs = refs;
@@ -407,13 +342,13 @@ void Machine::BeginStep(int pcpu) {
       s.step_planned = work + stall + s.pending_overhead + s.step_debt;
       s.pending_overhead = 0;
       const TimeNs end = std::min(now + s.step_planned, s.quantum_end);
-      SocketQueue(s.socket).ArmSlot(s.segment_slot, std::max(end, now + 1));
+      sim_.queue().ArmSlot(s.segment_slot, std::max(end, now + 1));
       break;
     }
     case Step::Kind::kSpin: {
       s.step_planned = kTimeInfinite;
       const TimeNs end = std::max(s.quantum_end, now + 1);
-      SocketQueue(s.socket).ArmSlot(s.segment_slot, end);
+      sim_.queue().ArmSlot(s.segment_slot, end);
       break;
     }
     case Step::Kind::kBlock: {
@@ -440,8 +375,7 @@ void Machine::OnSegmentEnd(int pcpu) {
   const TimeNs now = sim_.Now();
   const TimeNs elapsed = now - s.step_start;
 
-  ExecContext& ctx = Ctx();
-  ctx.processing = true;
+  processing_ = true;
   const bool completed =
       s.step.kind == Step::Kind::kCompute && elapsed >= s.step_planned;
   EndStep(pcpu, completed);
@@ -451,8 +385,8 @@ void Machine::OnSegmentEnd(int pcpu) {
   } else {
     BeginStep(pcpu);
   }
-  ctx.processing = false;
-  Drain(ctx);
+  processing_ = false;
+  Drain();
 }
 
 void Machine::EndStep(int pcpu, bool completed) {
@@ -520,9 +454,9 @@ void Machine::EndStep(int pcpu, bool completed) {
 void Machine::TruncateStep(int pcpu) {
   PcpuState& s = pcpus_[static_cast<size_t>(pcpu)];
   AQL_CHECK(s.current != nullptr);
-  AQL_CHECK_MSG(SocketQueue(s.socket).SlotArmed(s.segment_slot),
+  AQL_CHECK_MSG(sim_.queue().SlotArmed(s.segment_slot),
                 "no in-flight segment to truncate");
-  SocketQueue(s.socket).DisarmSlot(s.segment_slot);
+  sim_.queue().DisarmSlot(s.segment_slot);
   EndStep(pcpu, /*completed=*/false);
 }
 
@@ -573,17 +507,6 @@ void Machine::PreemptCurrent(int pcpu, bool front) {
   }
 }
 
-EventQueue::Callback Machine::WakeCallback(Vcpu* v) {
-  return [this, v](TimeNs) {
-    v->wake_event = kInvalidEventId;
-    ExecContext& ctx = Ctx();
-    ctx.processing = true;
-    WakeImpl(v, /*io_event=*/false);
-    ctx.processing = false;
-    Drain(ctx);
-  };
-}
-
 void Machine::BlockCurrent(int pcpu, TimeNs wake_at) {
   PcpuState& s = pcpus_[static_cast<size_t>(pcpu)];
   Vcpu* v = s.current;
@@ -593,12 +516,16 @@ void Machine::BlockCurrent(int pcpu, TimeNs wake_at) {
   if (wake_at < kTimeInfinite) {
     AQL_CHECK(wake_at >= sim_.Now());
     v->wake_at = wake_at;
-    // The wake lives in the vCPU's home island (BlockCurrent runs either on
-    // that island or on the coordinator at a barrier, never elsewhere).
-    v->wake_event = partitioned_
-                        ? sim_.AtDomain(DomainOfSocket(HomeSocket(*v)), wake_at,
-                                        WakeCallback(v))
-                        : sim_.At(wake_at, WakeCallback(v));
+    v->wake_event = sim_.At(
+        wake_at,
+        [this, v](TimeNs) {
+          v->wake_event = kInvalidEventId;
+          processing_ = true;
+          WakeImpl(v, /*io_event=*/false);
+          processing_ = false;
+          Drain();
+        },
+        HomeSocket(*v));
   }
   TryDispatch(pcpu);
 }
@@ -606,30 +533,14 @@ void Machine::BlockCurrent(int pcpu, TimeNs wake_at) {
 // ---------------------------------------------------------------------------
 // Wake path
 
-const std::vector<bool>& Machine::IdleFlags(int socket) {
-  if (!partitioned_) {
-    std::vector<bool>& flags = idle_scratch_[0];
-    flags.assign(pcpus_.size(), false);
-    for (size_t p = 0; p < pcpus_.size(); ++p) {
-      if (pcpus_[p].current == nullptr) {
-        flags[p] = true;
-      }
-    }
-    return flags;
-  }
-  // Partitioned: refresh only `socket`'s entries, in its own scratch
-  // vector. PcpuState::socket is immutable, so the membership scan is safe
-  // from any island; `current` is only read for the caller's own socket.
-  std::vector<bool>& flags = idle_scratch_[static_cast<size_t>(socket)];
-  if (flags.size() != pcpus_.size()) {
-    flags.assign(pcpus_.size(), false);
-  }
+const std::vector<bool>& Machine::IdleFlags() {
+  idle_scratch_.assign(pcpus_.size(), false);
   for (size_t p = 0; p < pcpus_.size(); ++p) {
-    if (pcpus_[p].socket == socket) {
-      flags[p] = pcpus_[p].current == nullptr;
+    if (pcpus_[p].current == nullptr) {
+      idle_scratch_[p] = true;
     }
   }
-  return flags;
+  return idle_scratch_;
 }
 
 void Machine::WakeImpl(Vcpu* v, bool io_event) {
@@ -637,7 +548,6 @@ void Machine::WakeImpl(Vcpu* v, bool io_event) {
   if (v->state != RunState::kBlocked) {
     return;  // already runnable/running: the event was delivered to the model
   }
-  AQL_CHECK(!partitioned_ || sim_.ConfinedTo(DomainOfSocket(HomeSocket(*v))));
   if (v->wake_event != kInvalidEventId) {
     sim_.Cancel(v->wake_event);
     v->wake_event = kInvalidEventId;
@@ -646,7 +556,7 @@ void Machine::WakeImpl(Vcpu* v, bool io_event) {
   // quantum and are in UNDER are boosted (paper §3.4 / Xen semantics).
   v->boosted = config_.credit.boost_enabled && !v->consumed_full_quantum && v->credits >= 0;
   v->state = RunState::kRunnable;
-  const int target = sched_.ChooseWakePcpu(*v, IdleFlags(HomeSocket(*v)));
+  const int target = sched_.ChooseWakePcpu(*v, IdleFlags());
   sched_.Enqueue(v, target);
   MaybePreempt(target);
 }
@@ -655,7 +565,6 @@ void Machine::KickImpl(Vcpu* v) {
   if (v->state != RunState::kRunning) {
     return;  // will observe the new state at its next dispatch/step
   }
-  AQL_CHECK(!partitioned_ || sim_.ConfinedTo(DomainOfSocket(HomeSocket(*v))));
   const int pcpu = v->running_pcpu;
   AQL_CHECK_MSG(pcpu >= 0, "running vCPU not found on any pCPU");
   AQL_CHECK(pcpus_[static_cast<size_t>(pcpu)].current == v);
@@ -689,11 +598,8 @@ void Machine::MaybePreempt(int pcpu) {
 
 void Machine::OnAccounting(TimeNs now) {
   (void)now;
-  ExecContext& ctx = Ctx();
-  ctx.processing = true;
-  // Charge the running vCPUs so the period runtime is complete. This is a
-  // coordinator phase: every island has advanced to the horizon, so the
-  // cross-socket reads here are barrier-ordered.
+  processing_ = true;
+  // Charge the running vCPUs so the period runtime is complete.
   for (size_t p = 0; p < pcpus_.size(); ++p) {
     if (pcpus_[p].current != nullptr) {
       ChargeRuntime(static_cast<int>(p), pcpus_[p].current);
@@ -705,9 +611,10 @@ void Machine::OnAccounting(TimeNs now) {
   // authoritative (otherwise every accounting period would act as a hidden
   // 30 ms slice). Priority takes effect at the next dispatch decision;
   // BOOST wake-ups still preempt immediately.
-  sim_.After(config_.credit.accounting_period, [this](TimeNs t) { OnAccounting(t); });
-  ctx.processing = false;
-  Drain(ctx);
+  sim_.After(config_.credit.accounting_period, [this](TimeNs t) { OnAccounting(t); },
+             machine_lane_);
+  processing_ = false;
+  Drain();
 }
 
 void Machine::OnMonitor(TimeNs now) {
@@ -717,69 +624,12 @@ void Machine::OnMonitor(TimeNs now) {
                                  : std::chrono::steady_clock::time_point();
     controller_->OnMonitorPeriod(*this, now);
     if (profile_ != nullptr) {
-      // Coordinator-written: no island ever touches this field.
       profile_->scheduler_seconds +=
           std::chrono::duration<double>(std::chrono::steady_clock::now() - sched_start)
               .count();
     }
   }
-  sim_.After(config_.monitor_period, [this](TimeNs t) { OnMonitor(t); });
-}
-
-// ---------------------------------------------------------------------------
-// Socket islands
-
-void Machine::RecomputePartition() {
-  if (!partitioned_) {
-    return;
-  }
-  const int sockets = config_.topology.sockets;
-  // Union-find over sockets coupled by a VM whose vCPU homes straddle them
-  // (a pool plan may do that): such islands must advance together, so they
-  // merge — correct-but-serial rather than wrong.
-  std::vector<int> parent(static_cast<size_t>(sockets));
-  std::iota(parent.begin(), parent.end(), 0);
-  const auto find = [&parent](int s) {
-    while (parent[static_cast<size_t>(s)] != s) {
-      s = parent[static_cast<size_t>(s)];
-    }
-    return s;
-  };
-  for (const std::unique_ptr<Vm>& vm : vms_) {
-    int first = -1;
-    for (const std::unique_ptr<Vcpu>& up : vm->vcpus()) {
-      const int s = HomeSocket(*up);
-      if (first < 0) {
-        first = s;
-      } else {
-        const int ra = find(first);
-        const int rb = find(s);
-        if (ra != rb) {
-          parent[static_cast<size_t>(std::max(ra, rb))] = std::min(ra, rb);
-        }
-      }
-    }
-  }
-  // Emit groups ordered by smallest member socket; domains are socket + 1.
-  std::vector<std::vector<int>> groups;
-  std::vector<int> group_index(static_cast<size_t>(sockets), -1);
-  for (int s = 0; s < sockets; ++s) {
-    const int r = find(s);
-    if (group_index[static_cast<size_t>(r)] == -1) {
-      group_index[static_cast<size_t>(r)] = static_cast<int>(groups.size());
-      groups.emplace_back();
-    }
-    groups[static_cast<size_t>(group_index[static_cast<size_t>(r)])].push_back(s + 1);
-  }
-  // Merged islands share the group leader's reentrancy context, restoring
-  // whole-group deferral semantics.
-  for (const std::vector<int>& g : groups) {
-    ExecContext* leader = &socket_ctx_[static_cast<size_t>(g.front()) - 1];
-    for (const int d : g) {
-      ctx_of_socket_[static_cast<size_t>(d) - 1] = leader;
-    }
-  }
-  sim_.SetPartition(std::move(groups));
+  sim_.After(config_.monitor_period, [this](TimeNs t) { OnMonitor(t); }, machine_lane_);
 }
 
 // ---------------------------------------------------------------------------
@@ -793,21 +643,9 @@ void Machine::ApplyPoolPlan(const PoolPlan& plan) {
   }
   const std::string err = plan.Validate(config_.topology.TotalPcpus(), ids);
   AQL_CHECK_MSG(err.empty(), err.c_str());
-  AQL_CHECK_MSG(sim_.OnCoordinator(), "ApplyPoolPlan is coordinator-only");
 
-  ExecContext& ctx = root_ctx_;
-  ctx.processing = true;
+  processing_ = true;
   sched_.SetPools(plan.pools);
-
-  // Remember pre-plan home sockets: a cross-socket re-homing must migrate
-  // the vCPU's island-resident state afterwards.
-  std::vector<int> old_socket;
-  if (partitioned_) {
-    old_socket.reserve(vcpus_.size());
-    for (const Vcpu* v : vcpus_) {
-      old_socket.push_back(HomeSocket(*v));
-    }
-  }
 
   // Re-home vCPUs per the placement layer's assignment (each pool's members
   // dealt round-robin over its pCPUs).
@@ -841,32 +679,12 @@ void Machine::ApplyPoolPlan(const PoolPlan& plan) {
     }
   }
 
-  // Migrate island-resident state of vCPUs whose home crossed sockets:
-  // pending timers and wake events move to the new island's domain (in
-  // stored order), the LLC footprint on the old socket is flushed here, on
-  // the coordinator — the new island must never write the old island's
-  // cache state.
-  if (partitioned_) {
+  // A vCPU re-homed across sockets loses its LLC footprint on the old
+  // socket. Every other footprint is already on its vCPU's home socket,
+  // because dispatch never leaves the home socket.
+  if (multi_socket_) {
     for (Vcpu* v : vcpus_) {
-      const int ns = HomeSocket(*v);
-      if (ns == old_socket[static_cast<size_t>(v->id())]) {
-        continue;
-      }
-      const int domain = DomainOfSocket(ns);
-      for (PendingTimer& t : vcpu_timers_[static_cast<size_t>(v->id())]) {
-        const bool live = sim_.Cancel(t.id);
-        AQL_CHECK(live);
-        const int vcpu_id = v->id();
-        const int tag = t.tag;
-        t.id = sim_.AtDomain(
-            domain, t.when, [this, vcpu_id, tag](TimeNs now) { OnVcpuTimer(vcpu_id, tag, now); });
-      }
-      if (v->wake_event != kInvalidEventId) {
-        const bool live = sim_.Cancel(v->wake_event);
-        AQL_CHECK(live);
-        v->wake_event = sim_.AtDomain(domain, v->wake_at, WakeCallback(v));
-      }
-      if (v->footprint_socket >= 0 && v->footprint_socket != ns) {
+      if (v->footprint_socket >= 0 && v->footprint_socket != HomeSocket(*v)) {
         llc_.Remove(v->footprint_socket, v->id());
         v->footprint_socket = -1;
         v->migrations += 1;
@@ -880,9 +698,8 @@ void Machine::ApplyPoolPlan(const PoolPlan& plan) {
       TryDispatch(static_cast<int>(p));
     }
   }
-  ctx.processing = false;
-  Drain(ctx);
-  RecomputePartition();
+  processing_ = false;
+  Drain();
 }
 
 void Machine::SetVcpuQuantum(int vcpu_id, TimeNs quantum) {
@@ -897,7 +714,6 @@ void Machine::SetRemoteAccessScale(int vcpu_id, double scale) {
 
 void Machine::ChargeControllerOverhead(TimeNs cost) {
   AQL_CHECK(cost >= 0);
-  AQL_CHECK_MSG(sim_.OnCoordinator(), "controller overhead is coordinator-only");
   if (cost == 0) {
     return;  // exactly inert: zero-charge AQL stays bit-identical to Xen
   }
@@ -970,48 +786,36 @@ uint64_t Machine::total_dispatches() const {
 // ---------------------------------------------------------------------------
 // Deferred-operation machinery
 
-Machine::ExecContext& Machine::Ctx() {
-  if (!partitioned_) {
-    return root_ctx_;
-  }
-  const int d = sim_.ActiveDomain();
-  if (d == 0) {
-    return root_ctx_;
-  }
-  return *ctx_of_socket_[static_cast<size_t>(d) - 1];
-}
-
-void Machine::Drain(ExecContext& ctx) {
-  AQL_CHECK(!ctx.processing);
+void Machine::Drain() {
+  AQL_CHECK(!processing_);
   // Hold the guard while draining: operations triggered from inside a
   // drained callback (e.g. a spin-lock handoff kicked from OnStepEnd) are
   // themselves deferred into the next batch instead of interleaving with a
   // half-finished dispatch operation.
-  ctx.processing = true;
+  processing_ = true;
   // Index loop instead of batch-swapping vectors: operations deferred from
   // inside a drained callback append behind the cursor and run in the same
   // FIFO order as the old batch scheme, but the vector's capacity survives
   // across drains (no per-drain allocation). Move each callback out before
   // invoking it — the push_back it may trigger can reallocate the vector.
-  for (size_t i = 0; i < ctx.deferred.size(); ++i) {
-    std::function<void()> f = std::move(ctx.deferred[i]);
+  for (size_t i = 0; i < deferred_.size(); ++i) {
+    std::function<void()> f = std::move(deferred_[i]);
     f();
   }
-  ctx.deferred.clear();
-  ctx.processing = false;
+  deferred_.clear();
+  processing_ = false;
 }
 
 template <typename F>
 void Machine::RunOrDefer(F&& f) {
-  ExecContext& ctx = Ctx();
-  if (ctx.processing) {
-    ctx.deferred.push_back(std::forward<F>(f));
+  if (processing_) {
+    deferred_.push_back(std::forward<F>(f));
     return;
   }
-  ctx.processing = true;
+  processing_ = true;
   f();
-  ctx.processing = false;
-  Drain(ctx);
+  processing_ = false;
+  Drain();
 }
 
 }  // namespace aql

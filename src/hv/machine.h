@@ -11,27 +11,21 @@
 // SchedController invoked every monitoring period; they observe PMU state
 // and reconfigure CPU pools through ApplyPoolPlan().
 //
-// Socket islands: on a multi-socket topology the Machine partitions its
-// simulation by socket (Simulation::ConfigureDomains) — each socket's pCPUs,
-// run queues, LLC/bus slice and vCPUs advance as one island between
-// synchronization horizons, regardless of thread count (a WorkPool merely
-// executes islands concurrently). The confinement rules that make this
-// byte-deterministic:
-//  * vCPUs are placed per VM onto one socket; wake placement and work
-//    stealing are socket-filtered (CreditScheduler::SetSocketFilter), so a
-//    vCPU never leaves its home socket except through ApplyPoolPlan.
-//  * Everything cross-socket — credit accounting, controller monitor
-//    periods, pool plans, re-homings, controller-overhead charges — runs on
-//    the coordinating thread at a barrier, in fixed socket-index order; the
-//    coordinator migrates pending timers/wake events into the new socket's
-//    domain and flushes the LLC footprint when a re-homing crosses sockets.
-//  * If a pool plan makes a VM straddle sockets, the affected islands are
-//    merged (RecomputePartition): correct-but-serial rather than wrong.
-//  * Per-island reentrancy contexts (ExecContext) replace the global
-//    processing_/deferred_ pair; confinement assertions
-//    (Simulation::ConfinedTo) guard the wake/kick/timer entry points.
-// A single-socket machine takes none of these paths and is bit-identical
-// to the pre-island engine.
+// Multi-socket machines: every vCPU has a home socket, and the machine runs
+// on the one event queue of its Simulation, with these rules:
+//  * Start() packs each VM onto one socket (least-loaded, lowest index on
+//    ties) and gives each VM its own workload RNG stream.
+//  * Wake placement and work stealing are socket-filtered
+//    (CreditScheduler::SetSocketFilter), so a vCPU never leaves its home
+//    socket except through ApplyPoolPlan, which flushes the LLC footprint
+//    of a vCPU re-homed across sockets.
+//  * Events that share a timestamp run in lane order (src/sim/
+//    event_queue.h). Each socket's pCPU segment slots and its vCPUs' timers
+//    and wakes use the socket's index as lane; credit accounting and the
+//    controller's monitor period use the lane after every socket's. A
+//    pending timer or wake keeps the lane it was scheduled in.
+// A single-socket machine schedules everything in lane 0 and keeps the
+// machine-wide RNG stream and round-robin placement.
 
 #ifndef AQLSCHED_SRC_HV_MACHINE_H_
 #define AQLSCHED_SRC_HV_MACHINE_H_
@@ -85,8 +79,8 @@ struct SimPhaseProfile {
   EventCoreProfile event_core;  // pop machinery, excluding callbacks
   double llc_seconds = 0.0;     // LLC/bus math in BeginStep
   double scheduler_seconds = 0.0;  // controller monitor-period work
-  // Coordinator wall time blocked at island barriers waiting for straggler
-  // workers (WorkPool). Zero without a pool — no pool, no barrier.
+  // Fleet runs only: wall time the coordinating thread spends blocked at
+  // host-island barriers waiting for straggler workers (WorkPool).
   double barrier_wait_seconds = 0.0;
 };
 
@@ -144,11 +138,6 @@ class Machine : public WorkloadHost {
   // Attaches the phase-profile sink (nullptr detaches). Observational only;
   // results are bit-identical with or without it.
   void SetProfile(SimPhaseProfile* profile);
-
-  // Folds island-side profile scratch (per-socket LLC timing) into the
-  // attached sink. Call after run sections, before reading the sink; a
-  // no-op without a sink or on a single-socket machine.
-  void FlushProfile();
 
   // --- observability ---
   Simulation& sim() { return sim_; }
@@ -211,14 +200,6 @@ class Machine : public WorkloadHost {
     uint64_t dispatches = 0;
   };
 
-  // Per-island reentrancy context: workload callbacks issued while the
-  // island (or the coordinator) is mid-operation are deferred and drained
-  // at a consistent point, independently per island.
-  struct ExecContext {
-    bool processing = false;
-    std::vector<std::function<void()>> deferred;
-  };
-
   // Dispatch path.
   void Resched(int pcpu);
   void TryDispatch(int pcpu);
@@ -231,47 +212,29 @@ class Machine : public WorkloadHost {
   void PreemptCurrent(int pcpu, bool front);
   void BlockCurrent(int pcpu, TimeNs wake_at);
   void ChargeRuntime(int pcpu, Vcpu* v);
-  // Timer-arrival body shared by the legacy and island scheduling paths.
   void OnVcpuTimer(int vcpu_id, int tag, TimeNs now);
-  // The wake-at-deadline callback for a blocked vCPU (BlockCurrent and the
-  // cross-socket wake-event migration both schedule it).
-  EventQueue::Callback WakeCallback(Vcpu* v);
 
   // Wake path.
   void WakeImpl(Vcpu* v, bool io_event);
   void KickImpl(Vcpu* v);
   void MaybePreempt(int pcpu);
   // Fills and returns the idle flags the wake path feeds to ChooseWakePcpu
-  // (allocation-free in steady state). Partitioned machines fill only
-  // `socket`'s pCPUs, into that socket's own scratch vector — reading other
-  // sockets' dispatch state from an island would be a data race, and the
-  // socket-filtered ChooseWakePcpu never looks at those entries.
-  const std::vector<bool>& IdleFlags(int socket);
+  // (allocation-free in steady state).
+  const std::vector<bool>& IdleFlags();
 
   // Periodic events.
   void OnAccounting(TimeNs now);
   void OnMonitor(TimeNs now);
 
-  // --- socket islands ---
-  bool partitioned() const { return partitioned_; }
-  // Island domain owning `socket` (0 when not partitioned).
-  int DomainOfSocket(int socket) const { return partitioned_ ? socket + 1 : 0; }
+  // Home socket of `v` (0 on a single socket), which is also the event lane
+  // of its timers and wakes.
   int HomeSocket(const Vcpu& v) const {
-    return pcpus_[static_cast<size_t>(v.home_pcpu)].socket;
+    return multi_socket_ ? pcpus_[static_cast<size_t>(v.home_pcpu)].socket : 0;
   }
-  // Queue holding `socket`'s segment slots and timers.
-  EventQueue& SocketQueue(int socket) {
-    return sim_.domain_queue(DomainOfSocket(socket));
-  }
-  // Re-derives the island grouping from VM placement (VMs straddling
-  // sockets merge their islands) and hands it to the Simulation. Called at
-  // Start and after every ApplyPoolPlan.
-  void RecomputePartition();
 
-  // Reentrancy context of the calling execution scope: the executing
-  // island's inside an island phase, the root context otherwise.
-  ExecContext& Ctx();
-  void Drain(ExecContext& ctx);
+  // Deferred-operation machinery: workload callbacks issued while the
+  // machine is mid-operation are queued and drained at a consistent point.
+  void Drain();
   template <typename F>
   void RunOrDefer(F&& f);
 
@@ -290,40 +253,22 @@ class Machine : public WorkloadHost {
   std::unique_ptr<SchedController> controller_;
 
   bool started_ = false;
-  // True on multi-socket topologies: the simulation is split into one
-  // island domain per socket (set in the constructor, never changes).
-  bool partitioned_ = false;
+  // Multi-socket topology (set in the constructor, never changes).
+  const bool multi_socket_;
+  // Lane of credit accounting and monitor periods: after every socket's
+  // lane on a multi-socket machine, 0 otherwise.
+  const int machine_lane_;
 
-  // Reentrancy contexts: root_ctx_ serves the coordinator and the whole
-  // machine when not partitioned; socket_ctx_[s] serves socket s's island.
-  // Islands merged into one group share the group leader's context
-  // (ctx_of_socket_), restoring whole-group reentrancy semantics.
-  ExecContext root_ctx_;
-  std::vector<ExecContext> socket_ctx_;
-  std::vector<ExecContext*> ctx_of_socket_;
+  bool processing_ = false;
+  std::vector<std::function<void()>> deferred_;
 
-  // Partitioned only: per-VM workload RNG streams (index = VM id), so each
-  // island draws from its own VMs' streams.
+  // Multi-socket only: per-VM workload RNG streams (index = VM id).
   std::vector<Rng> vm_rngs_;
 
-  // Partitioned only: pending external-stimulus timers per vCPU, so a
-  // cross-socket re-homing can move them into the new island's domain.
-  struct PendingTimer {
-    TimeNs when;
-    int tag;
-    EventId id;
-  };
-  std::vector<std::vector<PendingTimer>> vcpu_timers_;
-
-  // Wake-path idle-flag scratch: one full-size vector per socket (islands
-  // must not share one — vector<bool> packs bits). Index 0 doubles as the
-  // single-socket scratch.
-  std::vector<std::vector<bool>> idle_scratch_;
+  // Wake-path idle-flag scratch.
+  std::vector<bool> idle_scratch_;
 
   SimPhaseProfile* profile_ = nullptr;
-  // Per-socket accumulator for BeginStep's LLC/bus timing; FlushProfile
-  // sums it into profile_->llc_seconds (islands must not share a double).
-  std::vector<double> llc_seconds_scratch_;
 
   TimeNs measure_start_ = 0;
   TimeNs controller_overhead_ = 0;

@@ -82,12 +82,11 @@ class Vcpu {
   double remote_access_scale = 1.0;
 
   // pCPU currently executing this vCPU (-1 when not running). Maintained by
-  // the Machine dispatch path; makes kicks O(1) and island-confined.
+  // the Machine dispatch path; makes kicks O(1).
   int running_pcpu = -1;
 
   // Pending self-wake timer event (kBlock with finite wake_at) and its
-  // absolute deadline. The deadline is kept so a cross-socket re-homing can
-  // reschedule the event into the new socket's island domain.
+  // absolute deadline.
   EventId wake_event = kInvalidEventId;
   TimeNs wake_at = 0;
 

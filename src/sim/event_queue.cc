@@ -8,7 +8,13 @@
 
 namespace aql {
 
-EventId EventQueue::ScheduleAt(TimeNs when, Callback cb) {
+uint64_t EventQueue::NextKey(int lane) {
+  AQL_CHECK(lane >= 0 && lane < kLanes);
+  AQL_CHECK_MSG((next_seq_ >> kLaneShift) == 0, "sequence number overflows the lane key");
+  return (static_cast<uint64_t>(lane) << kLaneShift) | next_seq_++;
+}
+
+EventId EventQueue::ScheduleAt(TimeNs when, Callback cb, int lane) {
   AQL_CHECK_MSG(when >= now_, "event scheduled in the past");
   AQL_CHECK(cb != nullptr);
   uint32_t index;
@@ -22,7 +28,7 @@ EventId EventQueue::ScheduleAt(TimeNs when, Callback cb) {
   SlabEntry& entry = slab_[index];
   entry.cb = std::move(cb);
   entry.live = true;
-  heap_.push_back(HeapEntry{when, next_seq_++, index});
+  heap_.push_back(HeapEntry{when, NextKey(lane), index});
   std::push_heap(heap_.begin(), heap_.end(), HeapLater);
   ++live_count_;
   return MakeId(index, entry.generation);
@@ -50,11 +56,13 @@ bool EventQueue::Cancel(EventId id) {
   return true;
 }
 
-EventQueue::SlotId EventQueue::RegisterSlot(Callback cb) {
+EventQueue::SlotId EventQueue::RegisterSlot(Callback cb, int lane) {
   AQL_CHECK(cb != nullptr);
+  AQL_CHECK(lane >= 0 && lane < kLanes);
   AQL_CHECK_MSG(!slot_callback_active_, "RegisterSlot from inside a slot callback");
   Slot slot;
   slot.cb = std::move(cb);
+  slot.lane = lane;
   slots_.push_back(std::move(slot));
   return static_cast<SlotId>(slots_.size()) - 1;
 }
@@ -68,7 +76,7 @@ void EventQueue::ArmSlot(SlotId slot, TimeNs when) {
     ++live_count_;
   }
   s.when = when;
-  s.seq = next_seq_++;
+  s.key = NextKey(s.lane);
 }
 
 void EventQueue::DisarmSlot(SlotId slot) {
@@ -101,16 +109,16 @@ EventQueue::Best EventQueue::FindBest() const {
   Best best;
   if (!heap_.empty()) {
     best.when = heap_.front().when;
-    best.seq = heap_.front().seq;
+    best.key = heap_.front().key;
     best.slot = -1;
     best.any = true;
   }
   for (size_t i = 0; i < slots_.size(); ++i) {
     const Slot& s = slots_[i];
     if (s.armed &&
-        (!best.any || s.when < best.when || (s.when == best.when && s.seq < best.seq))) {
+        (!best.any || s.when < best.when || (s.when == best.when && s.key < best.key))) {
       best.when = s.when;
-      best.seq = s.seq;
+      best.key = s.key;
       best.slot = static_cast<int>(i);
       best.any = true;
     }

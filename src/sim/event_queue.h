@@ -1,9 +1,12 @@
 // Discrete-event timer core.
 //
-// The queue orders callbacks by (time, sequence number) so that events
-// scheduled earlier at the same timestamp run first — this makes simulations
-// fully deterministic. Two kinds of events share one sequence counter (and
-// therefore one total order):
+// The queue orders callbacks by (time, lane, sequence number): events that
+// share a timestamp run in ascending lane, and within a lane those scheduled
+// earlier run first — this makes simulations fully deterministic. The lane
+// is a small ordering key, 0 by default; a multi-socket Machine gives each
+// socket its own lane and its machine-wide events the lane after every
+// socket's (src/hv/machine.h). Two kinds of events share one sequence
+// counter (and therefore one total order):
 //
 //  * Dynamic events (ScheduleAt): one-shot callbacks stored in a slab and
 //    ordered through a flat binary min-heap of POD entries. The EventId
@@ -58,18 +61,21 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  // Schedules `cb` to run at absolute time `when`. `when` must not be in the
-  // past relative to the last popped event.
-  EventId ScheduleAt(TimeNs when, Callback cb);
+  // Lanes are [0, kLanes).
+  static constexpr int kLanes = 256;
+
+  // Schedules `cb` to run at absolute time `when` in `lane`. `when` must not
+  // be in the past relative to the last popped event.
+  EventId ScheduleAt(TimeNs when, Callback cb, int lane = 0);
 
   // Cancels a pending event. Returns true if the event was still pending;
   // ids that already fired or were already cancelled are a checked no-op.
   bool Cancel(EventId id);
 
-  // Registers a permanent timer slot with a fixed callback and no armed
-  // deadline. Must not be called from inside a slot callback (the callback
-  // lives in the slot table).
-  SlotId RegisterSlot(Callback cb);
+  // Registers a permanent timer slot with a fixed callback, a fixed lane
+  // and no armed deadline. Must not be called from inside a slot callback
+  // (the callback lives in the slot table).
+  SlotId RegisterSlot(Callback cb, int lane = 0);
 
   // Arms (or re-arms, overwriting any pending deadline) `slot` to fire at
   // `when`. Draws a fresh sequence number, exactly like ScheduleAt would.
@@ -103,9 +109,13 @@ class EventQueue {
   void set_profile(EventCoreProfile* profile) { profile_ = profile; }
 
  private:
+  // Order key of an event: the lane in the top bits, the sequence number
+  // below it. A lane-0 key is the bare sequence number.
+  static constexpr int kLaneShift = 56;
+
   struct HeapEntry {
     TimeNs when;
-    uint64_t seq;
+    uint64_t key;
     uint32_t index;  // slab index
   };
   struct SlabEntry {
@@ -116,14 +126,15 @@ class EventQueue {
   struct Slot {
     Callback cb;
     TimeNs when = 0;
-    uint64_t seq = 0;
+    uint64_t key = 0;
+    int lane = 0;
     bool armed = false;
   };
   // Earliest live event: a slot index, or the heap front (slot == -1), or
   // nothing (any == false).
   struct Best {
     TimeNs when = 0;
-    uint64_t seq = 0;
+    uint64_t key = 0;
     int slot = -1;
     bool any = false;
   };
@@ -132,8 +143,11 @@ class EventQueue {
     if (a.when != b.when) {
       return a.when > b.when;
     }
-    return a.seq > b.seq;
+    return a.key > b.key;
   }
+
+  // Draws the next sequence number and packs it under `lane`.
+  uint64_t NextKey(int lane);
 
   // Drops cancelled entries from the front of the heap and recycles their
   // slab slots. Logically const: dead entries are unobservable, skimming
@@ -147,7 +161,7 @@ class EventQueue {
     return (static_cast<EventId>(index + 1) << 32) | generation;
   }
 
-  mutable std::vector<HeapEntry> heap_;  // binary min-heap by (when, seq)
+  mutable std::vector<HeapEntry> heap_;  // binary min-heap by (when, key)
   mutable std::vector<SlabEntry> slab_;
   mutable std::vector<uint32_t> free_;  // recycled slab indices
   std::vector<Slot> slots_;

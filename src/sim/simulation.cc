@@ -1,14 +1,8 @@
 #include "src/sim/simulation.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "src/sim/check.h"
-#include "src/sim/work_pool.h"
 
 namespace aql {
-
-thread_local Simulation::Tls Simulation::tls_;
 
 namespace {
 
@@ -28,226 +22,12 @@ class RunSection {
 
 }  // namespace
 
-Simulation::Simulation(uint64_t seed) : rng_(seed) {}
-
-Simulation::~Simulation() = default;
-
-void Simulation::ConfigureDomains(int islands) {
-  AQL_CHECK_MSG(extra_.empty(), "domains are configured at most once");
-  AQL_CHECK(islands >= 1);
-  AQL_CHECK_MSG(queue_.Empty() && queue_.Now() == 0,
-                "domains must be configured before any events");
-  extra_.reserve(static_cast<size_t>(islands));
-  groups_.reserve(static_cast<size_t>(islands));
-  group_of_.assign(static_cast<size_t>(islands) + 1, 0);
-  for (int d = 1; d <= islands; ++d) {
-    extra_.push_back(std::make_unique<EventQueue>());
-    groups_.push_back({d});
-    group_of_[static_cast<size_t>(d)] = d - 1;
-  }
-  group_counts_.assign(groups_.size(), 0);
-}
-
-EventQueue& Simulation::domain_queue(int domain) {
-  if (domain == 0) {
-    return queue_;
-  }
-  AQL_CHECK(domain >= 1 && domain < domains());
-  return *extra_[static_cast<size_t>(domain) - 1];
-}
-
-void Simulation::SetPartition(std::vector<std::vector<int>> groups) {
-  AQL_CHECK_MSG(OnCoordinator(), "SetPartition from inside an island phase");
-  const int islands = static_cast<int>(extra_.size());
-  AQL_CHECK(islands > 0);
-  std::vector<bool> seen(static_cast<size_t>(islands) + 1, false);
-  for (const std::vector<int>& group : groups) {
-    AQL_CHECK(!group.empty());
-    for (int d : group) {
-      AQL_CHECK(d >= 1 && d <= islands);
-      AQL_CHECK_MSG(!seen[static_cast<size_t>(d)], "domain in two groups");
-      seen[static_cast<size_t>(d)] = true;
-    }
-  }
-  for (int d = 1; d <= islands; ++d) {
-    AQL_CHECK_MSG(seen[static_cast<size_t>(d)], "partition must cover all domains");
-  }
-  groups_ = std::move(groups);
-  group_of_.assign(static_cast<size_t>(islands) + 1, 0);
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    for (int d : groups_[g]) {
-      group_of_[static_cast<size_t>(d)] = static_cast<int>(g);
-    }
-  }
-  group_counts_.assign(groups_.size(), 0);
-}
-
-void Simulation::SetWorkPool(WorkPool* pool) {
-  AQL_CHECK_MSG(!running_, "SetWorkPool only between run sections");
-  pool_ = pool;
-  SyncPoolProfile();
-}
-
-void Simulation::SetBarrierProfile(double* sink) {
-  barrier_profile_ = sink;
-  SyncPoolProfile();
-}
-
-void Simulation::SyncPoolProfile() {
-  if (pool_ != nullptr) {
-    pool_->set_wait_profile(barrier_profile_);
-  }
-}
-
-void Simulation::SetEventProfile(EventCoreProfile* sink) {
-  event_profile_ = sink;
-  if (extra_.empty()) {
-    queue_.set_profile(sink);
-    return;
-  }
-  if (sink == nullptr) {
-    queue_.set_profile(nullptr);
-    for (const std::unique_ptr<EventQueue>& q : extra_) {
-      q->set_profile(nullptr);
-    }
-    return;
-  }
-  // Attach each domain to its own sub-sink (pointers into the vector stay
-  // valid: it is sized here, once). FoldEventProfile sums them into `sink`.
-  domain_profiles_.assign(static_cast<size_t>(domains()), EventCoreProfile{});
-  queue_.set_profile(&domain_profiles_[0]);
-  for (size_t i = 0; i < extra_.size(); ++i) {
-    extra_[i]->set_profile(&domain_profiles_[i + 1]);
-  }
-}
-
-void Simulation::FoldEventProfile() {
-  if (event_profile_ == nullptr || extra_.empty()) {
-    return;
-  }
-  EventCoreProfile total;
-  for (const EventCoreProfile& p : domain_profiles_) {
-    total.seconds += p.seconds;
-    total.events += p.events;
-  }
-  // Overwrite (not accumulate): the per-domain profiles already carry the
-  // full history, so folding is idempotent across run sections.
-  *event_profile_ = total;
-}
-
-EventId Simulation::Tag(int domain, EventId id) {
-  if (domain == 0 || id == kInvalidEventId) {
-    return id;
-  }
-  AQL_CHECK_MSG((id >> kDomainShift) == 0, "event id overflows the domain tag");
-  return (static_cast<EventId>(static_cast<uint64_t>(domain)) << kDomainShift) | id;
-}
-
-EventId Simulation::After(TimeNs delay, EventQueue::Callback cb) {
-  EventQueue& q = ActiveQueue();
-  return Tag(ActiveDomain(), q.ScheduleAt(q.Now() + delay, std::move(cb)));
-}
-
-EventId Simulation::At(TimeNs when, EventQueue::Callback cb) {
-  EventQueue& q = ActiveQueue();
-  return Tag(ActiveDomain(), q.ScheduleAt(when, std::move(cb)));
-}
-
-EventId Simulation::AtDomain(int domain, TimeNs when, EventQueue::Callback cb) {
-  AQL_CHECK_MSG(ConfinedTo(domain), "AtDomain from a foreign island");
-  return Tag(domain, domain_queue(domain).ScheduleAt(when, std::move(cb)));
-}
-
-bool Simulation::Cancel(EventId id) {
-  const int domain = static_cast<int>(id >> kDomainShift);
-  if (domain == 0) {
-    return queue_.Cancel(id);
-  }
-  AQL_CHECK_MSG(ConfinedTo(domain), "Cancel from a foreign island");
-  return domain_queue(domain).Cancel(id & ((EventId{1} << kDomainShift) - 1));
-}
-
-uint64_t Simulation::RunGroup(size_t group, TimeNs h) {
-  // Save/restore instead of plain set/clear: a fleet worker advancing a
-  // partitioned host island nests contexts.
-  const Tls saved = tls_;
-  uint64_t count = 0;
-  const std::vector<int>& members = groups_[group];
-  if (members.size() == 1) {
-    const int d = members[0];
-    EventQueue& q = *extra_[static_cast<size_t>(d) - 1];
-    tls_ = Tls{this, &q, d};
-    while (q.RunNextIfBefore(h)) {
-      ++count;
-    }
-  } else {
-    // Merged group: interleave member domains by (time, domain index) —
-    // per-domain sequence numbers are incomparable across domains, and
-    // this order is deterministic for any thread count.
-    for (;;) {
-      int best = -1;
-      TimeNs best_when = kTimeInfinite;
-      for (int d : members) {
-        const TimeNs t = extra_[static_cast<size_t>(d) - 1]->NextTime();
-        if (t < best_when) {
-          best_when = t;
-          best = d;
-        }
-      }
-      if (best < 0 || best_when > h) {
-        break;
-      }
-      EventQueue& q = *extra_[static_cast<size_t>(best) - 1];
-      tls_ = Tls{this, &q, best};
-      if (!q.RunNextIfBefore(h)) {
-        break;
-      }
-      ++count;
-    }
-  }
-  tls_ = saved;
-  return count;
-}
-
-uint64_t Simulation::RunIslands(TimeNs h) {
-  const size_t n_groups = groups_.size();
-  const auto run_group = [this, h](size_t g) { group_counts_[g] = RunGroup(g, h); };
-  if (pool_ != nullptr && n_groups > 1) {
-    pool_->Run(n_groups, run_group);
-  } else {
-    for (size_t g = 0; g < n_groups; ++g) {
-      run_group(g);
-    }
-  }
-  uint64_t total = 0;
-  for (const uint64_t c : group_counts_) {
-    total += c;
-  }
-  return total;
-}
-
 uint64_t Simulation::RunUntilIdle() {
   RunSection section(running_);
   uint64_t n = 0;
-  if (extra_.empty()) {
-    while (queue_.RunNext()) {
-      ++n;
-    }
-    return n;
+  while (queue_.RunNext()) {
+    ++n;
   }
-  for (;;) {
-    const TimeNs h = queue_.NextTime();
-    n += RunIslands(h);
-    // Islands drained up to h; with no coordinator event left they drained
-    // completely (h was infinite), so everything is idle.
-    if (queue_.Empty()) {
-      break;
-    }
-    while (queue_.RunNextIfBefore(h)) {
-      ++n;
-    }
-  }
-  FoldEventProfile();
   return n;
 }
 
@@ -256,30 +36,9 @@ uint64_t Simulation::RunUntil(TimeNs deadline) {
   // of once for NextTime and again for RunNext.
   RunSection section(running_);
   uint64_t n = 0;
-  if (extra_.empty()) {
-    while (queue_.RunNextIfBefore(deadline)) {
-      ++n;
-    }
-    return n;
+  while (queue_.RunNextIfBefore(deadline)) {
+    ++n;
   }
-  for (;;) {
-    // Horizon: the earliest time a cross-island effect can happen. Island
-    // events schedule only into their own domain, so the next
-    // coordinator-domain event (accounting/monitor tick, sentinel) bounds
-    // every interaction.
-    const TimeNs h = std::min(deadline, queue_.NextTime());
-    n += RunIslands(h);
-    // The coordinator phase at h ran during the previous iteration; once
-    // nothing coordinator-side is due within the window, the trailing
-    // island phase above has finished the section.
-    if (queue_.NextTime() > deadline) {
-      break;
-    }
-    while (queue_.RunNextIfBefore(h)) {
-      ++n;
-    }
-  }
-  FoldEventProfile();
   return n;
 }
 

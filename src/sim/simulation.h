@@ -1,58 +1,31 @@
-// Simulation driver: owns the clock/event queue(s) and the root RNG.
+// Simulation driver: owns the clock/event queue and the root RNG.
 //
 // All simulator components hold a Simulation& and schedule work through it.
 // The driver supports running until the queue drains or until a deadline,
 // which is how experiments bound their simulated duration.
 //
-// Island domains: by default a Simulation owns one event queue and runs it
-// sequentially. ConfigureDomains(N) adds N extra queues ("island domains"
-// 1..N; the original queue is the coordinator domain 0), partitioning the
-// event stream so independent islands — one per socket inside a Machine —
-// can advance concurrently between synchronization horizons. RunUntil then
-// alternates two phases:
-//
-//   island phase      every island group runs its events up to the horizon
-//                     h = min(deadline, next coordinator-domain event time),
-//                     potentially on WorkPool worker threads;
-//   coordinator phase the calling thread runs coordinator-domain events at
-//                     h, applying every cross-island effect in fixed order.
-//
-// The horizon is provable lookahead: island events only ever schedule into
-// their own domain, so nothing can cross islands before the next
-// coordinator-domain event (accounting tick, monitor tick, sentinel). The
-// schedule — and therefore every output byte — depends only on the
-// partition, never on the worker-thread count; a pool is an execution
-// detail (see docs/ARCHITECTURE.md "Determinism contract for parallel
-// islands"). Within a merged group (SetPartition), member domains
-// interleave by (time, domain index): per-domain sequence numbers are
-// incomparable across domains, and the pair is still a deterministic total
-// order for any thread count.
-//
-// Scheduling calls route by thread-local context: inside an island phase,
-// At/After/Now target the executing island's queue; everywhere else they
-// target domain 0. AtDomain schedules into an explicit island — that is how
-// the coordinator feeds cross-island effects (timer migrations, wakes)
-// back into islands. EventIds carry the domain in their top 8 bits
-// (domain 0 ids are unchanged), so Cancel routes without extra state.
+// One event queue runs every event in (time, lane, sequence) order (see
+// src/sim/event_queue.h). The lane only orders events that share a
+// timestamp; every scheduling call defaults to lane 0, and only a
+// multi-socket Machine passes another (src/hv/machine.h).
 //
 // Thread confinement: a Simulation (and the whole object graph hanging off
 // it — Machine, schedulers, workload models, RNG) is single-thread-confined
 // *per run section*: exactly one thread may be inside RunUntil/RunUntilIdle
-// at a time for a given island, and hand-offs between threads happen-before
-// the next run section (the WorkPool epoch barrier provides this; see
-// src/sim/work_pool.h). There is deliberately no internal locking and
-// no process-global mutable state — all counters (event sequence numbers,
-// RNG streams, profile sinks) live inside the instance or per domain, which
-// is what makes parallel islands bit-identical to the sequential schedule.
-// The `running_` guard below turns reentrant (same-thread) misuse into a
-// hard abort; cross-thread misuse is caught by the ThreadSanitizer CI job.
+// at a time, and hand-offs between threads happen-before the next run
+// section (a fleet advances host Simulations on WorkPool worker threads;
+// the pool's epoch barrier provides this, see src/sim/work_pool.h). There
+// is deliberately no internal locking and no process-global mutable state —
+// all counters (event sequence numbers, RNG streams, profile sinks) live
+// inside the instance. The `running_` guard below turns reentrant
+// (same-thread) misuse into a hard abort; cross-thread misuse is caught by
+// the ThreadSanitizer CI job.
 
 #ifndef AQLSCHED_SRC_SIM_SIMULATION_H_
 #define AQLSCHED_SRC_SIM_SIMULATION_H_
 
 #include <cstdint>
-#include <memory>
-#include <vector>
+#include <utility>
 
 #include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
@@ -60,154 +33,44 @@
 
 namespace aql {
 
-class WorkPool;
-
 class Simulation {
  public:
-  explicit Simulation(uint64_t seed = 1);
-  ~Simulation();
+  explicit Simulation(uint64_t seed = 1) : rng_(seed) {}
 
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
-  // Current simulated time: the executing island's clock inside an island
-  // phase, the coordinator clock everywhere else.
-  TimeNs Now() const {
-    return tls_.sim == this ? tls_.queue->Now() : queue_.Now();
-  }
+  // Current simulated time (time of the last event run).
+  TimeNs Now() const { return queue_.Now(); }
 
-  // The coordinator (domain 0) queue.
   EventQueue& queue() { return queue_; }
   Rng& rng() { return rng_; }
 
-  // Splits the event stream into `islands` island domains (1..islands) next
-  // to the coordinator domain 0. Must be called at most once, before any
-  // events are scheduled. Islands start as singleton groups.
-  void ConfigureDomains(int islands);
+  // Attaches (nullptr detaches) the event-core profiling sink.
+  void SetEventProfile(EventCoreProfile* sink) { queue_.set_profile(sink); }
 
-  // Total domain count (1 + islands); 1 means the classic single-queue
-  // engine.
-  int domains() const { return 1 + static_cast<int>(extra_.size()); }
-  bool partitioned() const { return !extra_.empty(); }
-
-  // Queue of `domain` (0 = coordinator). Valid for the Simulation lifetime.
-  EventQueue& domain_queue(int domain);
-
-  // Regroups island domains. `groups` must cover every island domain index
-  // exactly once; islands in one group run on one thread, interleaved by
-  // (time, domain index). Callable from the coordinator only — between run
-  // sections or from a coordinator phase (where the coordinator merges
-  // islands whose state became coupled, e.g. a VM straddling sockets); the
-  // new grouping takes effect at the next island phase.
-  void SetPartition(std::vector<std::vector<int>> groups);
-
-  // Attaches (nullptr detaches) the worker pool used for island phases.
-  // Purely an execution detail: output bytes are identical with any pool
-  // size and with no pool (islands then run inline, in group index order).
-  void SetWorkPool(WorkPool* pool);
-
-  // Attaches (nullptr detaches) the event-core profiling sink. With island
-  // domains the per-domain cores are profiled separately and folded into
-  // `sink` (sum over domains, overwritten) at the end of each run section.
-  void SetEventProfile(EventCoreProfile* sink);
-
-  // Attaches (nullptr detaches) the sink for coordinator wall time spent
-  // blocked at island barriers (--profile's barrier_wait phase).
-  void SetBarrierProfile(double* sink);
-
-  // True when the calling thread may touch state owned by island `domain`:
-  // either no island phase of this Simulation is executing on this thread
-  // (coordinator phases included), or the executing island shares a group
-  // with `domain`. Confinement assertions in Machine use this.
-  bool ConfinedTo(int domain) const {
-    if (tls_.sim != this || tls_.domain == 0) {
-      return true;
-    }
-    return group_of_[static_cast<size_t>(tls_.domain)] ==
-           group_of_[static_cast<size_t>(domain)];
+  // Schedules `cb` to run `delay` ns from now, in `lane`.
+  EventId After(TimeNs delay, EventQueue::Callback cb, int lane = 0) {
+    return queue_.ScheduleAt(queue_.Now() + delay, std::move(cb), lane);
   }
 
-  // True when the calling thread is not inside an island phase of this
-  // Simulation (it is the coordinator, or outside run sections entirely).
-  bool OnCoordinator() const { return tls_.sim != this || tls_.domain == 0; }
+  // Schedules `cb` at an absolute timestamp, in `lane`.
+  EventId At(TimeNs when, EventQueue::Callback cb, int lane = 0) {
+    return queue_.ScheduleAt(when, std::move(cb), lane);
+  }
 
-  // Domain of the calling context: the executing island inside an island
-  // phase, 0 otherwise.
-  int ActiveDomain() const { return tls_.sim == this ? tls_.domain : 0; }
+  bool Cancel(EventId id) { return queue_.Cancel(id); }
 
-  // Schedules `cb` to run `delay` ns from now, in the calling context's
-  // domain (the executing island inside an island phase, domain 0
-  // otherwise).
-  EventId After(TimeNs delay, EventQueue::Callback cb);
-
-  // Schedules `cb` at an absolute timestamp, in the calling context's
-  // domain.
-  EventId At(TimeNs when, EventQueue::Callback cb);
-
-  // Schedules `cb` at an absolute timestamp in an explicit domain. From the
-  // coordinator, `when` must be at or after the current horizon (which is
-  // at or after every island clock); from an island phase, `domain` must be
-  // in the executing island's group.
-  EventId AtDomain(int domain, TimeNs when, EventQueue::Callback cb);
-
-  bool Cancel(EventId id);
-
-  // Runs events until every queue is empty. Returns number of events run.
+  // Runs events until the queue is empty. Returns number of events run.
   // Not reentrant (see the thread-confinement note above).
   uint64_t RunUntilIdle();
 
-  // Runs events with timestamp <= deadline. The coordinator clock is left
-  // at min(deadline, time of last coordinator event); island clocks trail
-  // at their own last event. Returns number of events run.
+  // Runs events with timestamp <= deadline. Returns number of events run.
   // Not reentrant (see the thread-confinement note above).
   uint64_t RunUntil(TimeNs deadline);
 
  private:
-  // Calling context for At/After/Now routing and confinement checks. One
-  // slot per thread: island phases save/restore it, so nested simulations
-  // (a partitioned host inside a fleet island) resolve correctly.
-  struct Tls {
-    const Simulation* sim = nullptr;
-    EventQueue* queue = nullptr;
-    int domain = 0;
-  };
-  static thread_local Tls tls_;
-
-  // EventIds carry the owning domain in their top bits; domain 0 ids are
-  // bit-identical to the single-queue engine's.
-  static constexpr int kDomainShift = 56;
-  static EventId Tag(int domain, EventId id);
-
-  EventQueue& ActiveQueue() {
-    return tls_.sim == this ? *tls_.queue : queue_;
-  }
-
-  // Runs one island group (inline) up to horizon `h`; returns events run.
-  uint64_t RunGroup(size_t group, TimeNs h);
-  // Runs every island group up to `h`, on the pool when attached.
-  uint64_t RunIslands(TimeNs h);
-  // Overwrites the event-profile sink with the sum over domains.
-  void FoldEventProfile();
-  void SyncPoolProfile();
-
-  EventQueue queue_;  // coordinator domain 0
-  // Island domains 1..N (unique_ptr: EventQueue is pinned by design — slot
-  // callbacks and profile sinks hold into it).
-  std::vector<std::unique_ptr<EventQueue>> extra_;
-  // groups_[g] = island domain indices advancing together on one thread;
-  // group_of_[d] = g for every island domain d (index 0 unused).
-  std::vector<std::vector<int>> groups_;
-  std::vector<int> group_of_;
-  // Per-group event counts for the last island phase. Each slot is written
-  // by exactly one thread per epoch; the pool barrier orders the writes
-  // before the coordinator's sum.
-  std::vector<uint64_t> group_counts_;
-  // Per-domain event-core profiles, folded into event_profile_ (domain d
-  // profiles live at index d).
-  std::vector<EventCoreProfile> domain_profiles_;
-  EventCoreProfile* event_profile_ = nullptr;
-  double* barrier_profile_ = nullptr;
-  WorkPool* pool_ = nullptr;
+  EventQueue queue_;
   Rng rng_;
   // True while a run section is active. Plain (non-atomic) on purpose: a
   // second thread entering concurrently is already a contract violation,

@@ -17,10 +17,9 @@ inline void CpuPause() {
 }
 
 // Spin budget before falling back to the condition variable, in pause
-// iterations (~tens of microseconds). Island phases arrive back-to-back at
-// the horizon cadence, so in steady state the next epoch lands inside the
-// budget and no syscall happens; an idle pool (between run sections, or
-// after the final phase) parks in the kernel.
+// iterations (~tens of microseconds). Epochs arrive back-to-back, so in
+// steady state the next one lands inside the budget and no syscall
+// happens; an idle pool (after the final epoch) parks in the kernel.
 constexpr int kSpinIters = 1 << 14;
 
 }  // namespace

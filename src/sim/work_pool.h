@@ -1,17 +1,14 @@
-// Shared worker pool for deterministic parallel islands.
+// Worker pool for deterministic parallel fleet islands.
 //
-// One pool serves both island flavors: fleet host islands (src/fleet/fleet.cc
-// advances each host's Simulation between cluster epochs) and socket islands
-// inside a single Machine (src/sim/simulation.cc advances each socket's
-// event-queue domain between synchronization horizons). Island runs touch
-// only island-local state, so *any* assignment of islands to threads produces
-// the same bytes; the pool therefore hands out island indices through an
+// A fleet advances each host's Simulation to the next cluster epoch
+// boundary on this pool (src/fleet/fleet.cc). Island runs touch only
+// host-local state, so *any* assignment of islands to threads produces the
+// same bytes; the pool therefore hands out island indices through an
 // atomic counter (dynamic load balancing, no deterministic schedule needed)
 // and the coordinating thread participates as a worker.
 //
 // Synchronization protocol (ThreadSanitizer-checked by
-// tests/fleet_parallel_test.cc, tests/machine_parallel_test.cc and the CI
-// TSan job):
+// tests/fleet_parallel_test.cc and the CI TSan job):
 //  * Run() publishes (task, n, busy, cursor) under the mutex and then bumps
 //    the epoch with a release store; workers observe the bump either by an
 //    acquire spin-read (hot path) or under the mutex (after the spin budget
@@ -22,17 +19,10 @@
 //    returns only once it reads zero (acquire), so all island writes
 //    happen-before the coordinator's cross-island merge phase.
 //
-// Latency: socket-island phases are short (tens of microseconds) and come at
-// the simulation's horizon cadence, so a futex sleep/wake per phase would
-// rival the work itself. Workers and the coordinator therefore spin briefly
-// (with a CPU pause) before sleeping on the condition variables; in steady
-// state a phase round-trip costs no syscalls. The spin budget is small
-// enough that an idle pool (between run sections) parks in the kernel.
-//
-// Thread budget: the two island levers never multiply. Fleet runs own the
-// pool for host islands and force their hosts' socket islands inline
-// (src/fleet/fleet.cc); single-machine runs own the pool for socket islands.
-// Either way one pool exists per run, sized min(requested, islands).
+// Latency: workers and the coordinator spin briefly (with a CPU pause)
+// before sleeping on the condition variables, so back-to-back epochs cost
+// no syscalls. The spin budget is small enough that an idle pool parks in
+// the kernel.
 //
 // The pool is scoped to one run: threads start in the constructor and join
 // in the destructor.

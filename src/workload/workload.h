@@ -88,9 +88,8 @@ class WorkloadHost {
   virtual TimeNs Now() const = 0;
 
   // Deterministic random stream for the model attached to `vcpu`. The
-  // stream's scope is per VM (vCPUs of one VM share it): that is what a
-  // guest OS's entropy looks like, and it keeps the stream island-local
-  // under socket parallelism — a VM's vCPUs always share an island.
+  // stream's scope is at most one VM's vCPUs (a multi-socket Machine keeps
+  // one stream per VM): that is what a guest OS's entropy looks like.
   virtual Rng& WorkloadRng(int vcpu) = 0;
 
   // Schedules `OnTimer(tag)` on the model attached to `vcpu` at time `when`.

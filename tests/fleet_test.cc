@@ -10,6 +10,8 @@
 //  3. Degeneracy: a 1-host, zero-migration fleet is bit-identical to the
 //     equivalent single-Machine scenario (same seed derivation, same event
 //     stream, same reports — no weighted-mean round-trip on the way out).
+//  4. Profiling: --profile's phase sinks see every host, multi-socket ones
+//     included.
 
 #include <string>
 #include <vector>
@@ -139,6 +141,27 @@ TEST(FleetDegeneracy, OneHostFleetMatchesSingleMachineBitForBit) {
   EXPECT_EQ(fleet.measure_window, single.measure_window);
   EXPECT_EQ(fleet.cpu_utilization, single.cpu_utilization);
   EXPECT_EQ(fleet.controller_overhead, single.controller_overhead);
+}
+
+// Multi-socket hosts report their LLC/bus time: each host's Machine adds
+// BeginStep's timing straight into its own sink, and the fleet sums the
+// sinks after the run.
+TEST(FleetProfile, MultiSocketHostsReportLlcTime) {
+  FleetSpec spec;
+  spec.host_template = DualSocketNumaMachine(/*seed=*/7);
+  for (const VmSpec& vm : FleetWorkloadMix(8)) {
+    spec.vms.push_back(FleetVmSpec{vm.app, vm.vcpus});
+  }
+  spec.config.hosts = 2;
+  spec.warmup = Ms(100);
+  spec.measure = Ms(300);
+  SimPhaseProfile profile;
+  spec.profile = &profile;
+
+  const FleetResult fr = RunFleet(spec);
+  ASSERT_EQ(fr.hosts.size(), 2u);
+  EXPECT_GT(profile.event_core.events, 0u);
+  EXPECT_GT(profile.llc_seconds, 0.0);
 }
 
 }  // namespace

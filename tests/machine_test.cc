@@ -1,10 +1,20 @@
 // Integration-level tests for the Machine dispatcher: quantum slicing,
-// blocking/wake, BOOST preemption, fairness, pools, migration.
+// blocking/wake, BOOST preemption, fairness, pools, migration, and the
+// multi-socket event order.
 
+#include <cstdint>
+#include <cstdio>
+#include <iterator>
 #include <memory>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/experiment/runner.h"
+#include "src/experiment/scenarios.h"
 #include "src/hv/machine.h"
 #include "src/workload/cpu_burn.h"
 #include "src/workload/io_server.h"
@@ -301,6 +311,137 @@ TEST(MachineTest, WeightedFairness) {
   // 768:256 = 3:1 nominal; allow scheduling slack.
   EXPECT_GT(ratio, 2.0);
   EXPECT_LT(ratio, 4.0);
+}
+
+// Generated multi-socket machines: 2-4 sockets of 2-4 cores, VMs of up to
+// 6 vCPUs drawn from LLC trashers, cache-friendly, I/O, spinlock, memory-
+// bandwidth and NUMA-remote apps, under Xen 30 ms / 1 ms, Microsliced and
+// AQL (whose pool plans re-home vCPUs across sockets, some with a pending
+// timer or wake, and make VMs straddle sockets). Seeded, so a failure
+// reproduces.
+std::vector<std::pair<ScenarioSpec, PolicySpec>> MultiSocketStressSpecs(int count) {
+  const std::vector<std::string> apps = {"libquantum", "bzip2",     "hmmer",
+                                         "mcf",        "pure_io",   "kernbench",
+                                         "stream_triad", "numa_mcf"};
+  const std::vector<PolicySpec> policies = {PolicySpec::Xen(), PolicySpec::Xen(Ms(1)),
+                                            PolicySpec::Microsliced(), PolicySpec::Aql()};
+  std::mt19937_64 gen(0x50c4e7157ULL);
+  const auto pick = [&gen](int lo, int hi) {
+    return lo + static_cast<int>(gen() % static_cast<uint64_t>(hi - lo + 1));
+  };
+  std::vector<std::pair<ScenarioSpec, PolicySpec>> out;
+  for (int i = 0; i < count; ++i) {
+    ScenarioSpec spec;
+    spec.name = "sock_stress" + std::to_string(i);
+    spec.machine = pick(0, 1) == 1 ? MultiSocketMachine(/*seed=*/gen())
+                                   : DualSocketNumaMachine(/*seed=*/gen());
+    spec.machine.topology.sockets = pick(2, 4);
+    spec.machine.topology.cores_per_socket = pick(2, 4);
+    // Oversubscribe so the scheduler time-slices: up to ~3 vCPUs per pCPU.
+    const int pcpus = spec.machine.topology.TotalPcpus();
+    int budget = pick(pcpus, pcpus * 3);
+    while (budget > 0) {
+      VmSpec vm;
+      vm.app = apps[gen() % apps.size()];
+      vm.vcpus = pick(1, budget < 6 ? budget : 6);
+      budget -= vm.vcpus;
+      spec.vms.push_back(vm);
+    }
+    spec.warmup = Ms(pick(2, 4) * 25);    // 50-100 ms
+    spec.measure = Ms(pick(8, 14) * 25);  // 200-350 ms
+    out.emplace_back(spec, policies[gen() % policies.size()]);
+  }
+  return out;
+}
+
+// FNV-1a over every deterministic result field; doubles enter as their
+// exact "%a" spelling.
+uint64_t ResultDigest(const ScenarioResult& r) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const std::string& s) {
+    for (const char c : s) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ULL;
+    }
+    h ^= 0xff;  // field separator
+    h *= 0x100000001b3ULL;
+  };
+  const auto num = [&mix](double d) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%a", d);
+    mix(buf);
+  };
+  const auto integer = [&mix](int64_t v) { mix(std::to_string(v)); };
+  for (const PerfReport& rep : r.reports) {
+    mix(rep.workload_name);
+    for (const auto& [k, v] : rep.metrics) {
+      mix(k);
+      num(v);
+    }
+  }
+  for (const GroupPerf& g : r.groups) {
+    mix(g.name);
+    integer(g.vcpus);
+    num(g.primary);
+    for (const auto& [k, v] : g.metrics) {
+      mix(k);
+      num(v);
+    }
+  }
+  integer(r.measure_window);
+  num(r.cpu_utilization);
+  integer(r.controller_overhead);
+  for (const auto& [id, type] : r.detected_types) {
+    integer(id);
+    integer(static_cast<int64_t>(type));
+  }
+  for (const ScenarioResult::PoolInfo& p : r.pools) {
+    mix(p.label);
+    integer(p.quantum);
+    for (const int c : p.pcpus) {
+      integer(c);
+    }
+    mix("|");
+    for (const int v : p.vcpus) {
+      integer(v);
+    }
+  }
+  integer(static_cast<int64_t>(r.plan_applications));
+  return h;
+}
+
+// Pins the multi-socket event order (per-socket lanes, machine lane last),
+// the per-VM RNG streams, least-loaded VM packing, socket-filtered wakes
+// and steals and the cross-socket footprint flush on generated machines.
+// The expected values come from the socket-island engine the single queue
+// replaced. These specs drive it through 13 island merges and 14
+// cross-socket re-homes of a vCPU with a pending timer or wake, the paths
+// where the two engines could have diverged.
+TEST(MultiSocketStress, MatchesParentDigests) {
+  struct Expected {
+    uint64_t events;
+    uint64_t digest;
+  };
+  const Expected expected[] = {
+      {6234u, 0x930e426e8d229fa4ULL},  {14063u, 0xb1a12da83f978e20ULL},
+      {17344u, 0x4d1ae062a545528fULL}, {11753u, 0xdc0cd1fb6334165cULL},
+      {15719u, 0x528ce86e589cc341ULL}, {7746u, 0xf3a4a44bde01959eULL},
+      {10929u, 0x2f8dcb4b29885f02ULL}, {22859u, 0x067a42f3195fae18ULL},
+      {14167u, 0x27ea029ad5d5535dULL}, {13458u, 0xf6b6fc766e2343c0ULL},
+      {3916u, 0x7d0c99edd3cb3c8aULL},  {16559u, 0x16ce725c353a2fb5ULL},
+      {15156u, 0xf27c1c3760981172ULL}, {13500u, 0x6ce1891b15a0e9b0ULL},
+      {9578u, 0x771d35e267b51c18ULL},  {15670u, 0x9d6f8f506e35c64dULL},
+  };
+  const auto specs = MultiSocketStressSpecs(16);
+  ASSERT_EQ(specs.size(), std::size(expected));
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const auto& [spec, policy] = specs[i];
+    const ScenarioResult r = RunScenario(spec, policy);
+    const std::string label = spec.name + " (" + policy.Label() + ", sockets=" +
+                              std::to_string(spec.machine.topology.sockets) + ")";
+    EXPECT_EQ(r.events_processed, expected[i].events) << label;
+    EXPECT_EQ(ResultDigest(r), expected[i].digest) << label;
+  }
 }
 
 }  // namespace

@@ -259,20 +259,19 @@ TEST(SweepEngineTest, ProfileNeverEntersStableJson) {
 }
 
 TEST(SweepEngineTest, BarrierWaitNeverEntersStableJson) {
-  // barrier_wait is the coordinator's wall time blocked at socket-island
+  // barrier_wait is the coordinator's wall time blocked at fleet host-island
   // barriers — a host-clock measurement like the rest of --profile, so it
-  // must ride with the timing fields only. Profiled at --socket-threads 4
-  // on a multi-socket sweep (the only configuration that can produce a
-  // nonzero value), the stable JSON must stay byte-identical to the
-  // unprofiled sequential run.
-  const SweepSpec* spec = SweepRegistry::Instance().Find("fig6_effectiveness");
+  // must ride with the timing fields only. Profiled at --island-threads 4
+  // on a fleet sweep (fleet cells are the only source of the key), the
+  // stable JSON must stay byte-identical to the unprofiled sequential run.
+  const SweepSpec* spec = SweepRegistry::Instance().Find("fleet_hotspot");
   ASSERT_NE(spec, nullptr);
   SweepOptions plain;
   plain.quick = true;
   plain.jobs = 1;
   SweepOptions profiled = plain;
   profiled.profile = true;
-  profiled.socket_threads = 4;
+  profiled.island_threads = 4;
 
   const SweepResult r_plain = RunSweep(*spec, plain);
   const SweepResult r_profiled = RunSweep(*spec, profiled);
@@ -286,11 +285,11 @@ TEST(SweepEngineTest, BarrierWaitNeverEntersStableJson) {
   // which is deterministic and belongs in stable JSON. Only the host-clock
   // profile phase is banned.
   EXPECT_EQ(stable_profiled.find("barrier_wait_seconds"), std::string::npos);
-  EXPECT_EQ(stable_profiled.find("socket_threads"), std::string::npos);
+  EXPECT_EQ(stable_profiled.find("island_threads"), std::string::npos);
 
   const std::string timed = SweepJson(r_profiled, /*include_timing=*/true).Dump();
   EXPECT_NE(timed.find("\"barrier_wait_seconds\""), std::string::npos);
-  EXPECT_NE(timed.find("\"socket_threads\""), std::string::npos);
+  EXPECT_NE(timed.find("\"island_threads\""), std::string::npos);
 }
 
 #ifdef AQL_GOLDEN_DIR
@@ -308,15 +307,13 @@ std::string Golden(const std::string& sweep) {
 // committed golden (tests/goldens/README.md records when each was last
 // re-baselined). CI's bench job covers all registered sweeps the same way;
 // here we pin the cheap representative ones into every ctest run.
-void ExpectMatchesGolden(const char* sweep, int island_threads = 1,
-                         int socket_threads = 1) {
+void ExpectMatchesGolden(const char* sweep, int island_threads = 1) {
   const SweepSpec* spec = SweepRegistry::Instance().Find(sweep);
   ASSERT_NE(spec, nullptr) << sweep;
   SweepOptions options;
   options.quick = true;
   options.jobs = 1;
   options.island_threads = island_threads;
-  options.socket_threads = socket_threads;
   const SweepResult result = RunSweep(*spec, options);
   EXPECT_EQ(SweepJson(result, /*include_timing=*/false).Dump(), Golden(sweep))
       << sweep << ": stable JSON diverged from the committed golden — the "
@@ -404,14 +401,14 @@ TEST(GoldenTest, FleetGoldensReproduceWithParallelIslands) {
   }
 }
 
-// Same pin one level down: the multi-socket goldens (re-baselined once for
-// the socket-island engine, tests/goldens/README.md) reproduce with socket
-// islands running on worker threads — --socket-threads is execution-only,
-// so no re-baselining is ever allowed for a thread-count change (see
-// tests/machine_parallel_test.cc for the full differential sweep).
-TEST(GoldenTest, MultiSocketGoldensReproduceWithSocketIslands) {
-  for (const char* sweep : {"fig6_effectiveness", "fig6x_numa"}) {
-    ExpectMatchesGolden(sweep, /*island_threads=*/1, /*socket_threads=*/4);
+// Every multi-socket sweep reproduces its golden: these bytes pin the
+// per-socket lane order, the per-VM RNG streams, socket-filtered wakes and
+// steals and the cross-socket footprint flush (src/hv/machine.h;
+// tests/machine_test.cc MultiSocketStress covers generated machines).
+TEST(GoldenTest, MultiSocketGoldensReproduce) {
+  for (const char* sweep : {"fig6_effectiveness", "fig6x_numa", "fig7_customization",
+                            "table3x_recognition"}) {
+    ExpectMatchesGolden(sweep);
   }
 }
 #endif  // AQL_GOLDEN_DIR

@@ -1,7 +1,8 @@
 // Stress tests for the timer core (src/sim/event_queue.h): the slab/heap
 // dynamic path and the per-slot one-outstanding-deadline path must pop in
 // exactly the order a plain priority queue over (when, seq) would — ties
-// included — under arbitrary schedule/cancel/arm/disarm interleavings.
+// included — under arbitrary schedule/cancel/arm/disarm interleavings. The
+// lane tests pin the (when, lane, seq) order multi-socket machines use.
 
 #include <algorithm>
 #include <cstdint>
@@ -250,6 +251,81 @@ TEST(TimerCoreTest, RunNextIfBeforeHonorsDeadline) {
   EXPECT_EQ(q.LiveCount(), 1u);
   EXPECT_TRUE(q.RunNextIfBefore(20));  // inclusive deadline
   EXPECT_EQ(runs, 2);
+}
+
+// Lanes order events that share a timestamp: ascending lane first, then
+// scheduling order within a lane.
+TEST(TimerLaneTest, SameTimestampRunsInAscendingLaneThenFifo) {
+  EventQueue q;
+  std::vector<int> order;
+  q.ScheduleAt(5, [&](TimeNs) { order.push_back(20); }, 2);
+  q.ScheduleAt(5, [&](TimeNs) { order.push_back(10); }, 1);
+  q.ScheduleAt(5, [&](TimeNs) { order.push_back(0); });
+  q.ScheduleAt(5, [&](TimeNs) { order.push_back(21); }, 2);
+  q.ScheduleAt(5, [&](TimeNs) { order.push_back(11); }, 1);
+  q.ScheduleAt(5, [&](TimeNs) { order.push_back(1); }, 0);
+  while (q.RunNext()) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11, 20, 21}));
+}
+
+// A slot keeps the lane it registered with for every arm.
+TEST(TimerLaneTest, SlotObeysItsRegisteredLane) {
+  EventQueue q;
+  std::vector<int> order;
+  const EventQueue::SlotId low = q.RegisterSlot([&](TimeNs) { order.push_back(0); });
+  const EventQueue::SlotId high = q.RegisterSlot([&](TimeNs) { order.push_back(3); }, 3);
+  q.ArmSlot(high, 5);
+  q.ScheduleAt(5, [&](TimeNs) { order.push_back(2); }, 2);
+  q.ScheduleAt(5, [&](TimeNs) { order.push_back(4); }, 4);
+  q.ArmSlot(low, 5);
+  while (q.RunNext()) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 3, 4}));
+
+  // Re-armed later, the high slot still runs after lane 2 and before lane 4.
+  order.clear();
+  q.ScheduleAt(9, [&](TimeNs) { order.push_back(4); }, 4);
+  q.ArmSlot(high, 9);
+  q.ScheduleAt(9, [&](TimeNs) { order.push_back(2); }, 2);
+  while (q.RunNext()) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{2, 3, 4}));
+}
+
+// The lane only breaks ties: an earlier timestamp runs first whatever its
+// lane.
+TEST(TimerLaneTest, LaneNeverReordersDifferentTimestamps) {
+  EventQueue q;
+  std::vector<TimeNs> fired;
+  const auto log = [&fired](TimeNs now) { fired.push_back(now); };
+  q.ScheduleAt(7, log, 0);
+  q.ScheduleAt(3, log, EventQueue::kLanes - 1);
+  q.ScheduleAt(5, log, 1);
+  const EventQueue::SlotId slot = q.RegisterSlot(log, 2);
+  q.ArmSlot(slot, 4);
+  EXPECT_EQ(q.NextTime(), 3);
+  while (q.RunNext()) {
+  }
+  EXPECT_EQ(fired, (std::vector<TimeNs>{3, 4, 5, 7}));
+}
+
+// Cancel is lane-blind: ids stay (slab index, generation), so a cancelled
+// event in any lane never runs and stale ids stay checked no-ops.
+TEST(TimerLaneTest, CancelIsUnaffectedByLanes) {
+  EventQueue q;
+  std::vector<int> order;
+  const EventId a = q.ScheduleAt(5, [&](TimeNs) { order.push_back(1); }, 1);
+  q.ScheduleAt(5, [&](TimeNs) { order.push_back(2); }, 2);
+  const EventId c = q.ScheduleAt(5, [&](TimeNs) { order.push_back(3); }, 3);
+  EXPECT_TRUE(q.Cancel(c));
+  EXPECT_FALSE(q.Cancel(c));
+  EXPECT_EQ(q.LiveCount(), 2u);
+  while (q.RunNext()) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_FALSE(q.Cancel(a));  // already fired
+  EXPECT_TRUE(q.Empty());
 }
 
 }  // namespace
