@@ -23,16 +23,20 @@
 //   --out DIR        output directory for BENCH_<name>.json (default ".")
 //   --stable-json    omit wall-clock timing from JSON (byte-comparable runs)
 //   --no-json        skip JSON emission entirely
-//   --profile        per-cell wall-clock phase breakdown (event-core / llc /
-//                    scheduler / render) under each cell's `profile` key;
-//                    timing data only, never part of --stable-json output
 //   --cell ID        run a single cell by id (render skipped); for CI perf
 //                    probes that time one full-mode cell without paying for
 //                    its siblings. --jobs is clamped to 1, so a --cell
 //                    --island-threads benchmark measures island parallelism
 //                    alone.
+//   --profile        accepted and ignored: every timed JSON already carries
+//                    each cell's time split and each sweep's render time,
+//                    and every cell carries its work counters
+//                    (docs/BENCH_FORMAT.md). Kept for callers that still
+//                    pass it.
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -50,8 +54,23 @@ void Usage(FILE* out) {
                "usage: aql_bench (--list | --all | --run <name>...) "
                "[--jobs N] [--island-threads N] "
                "[--quick] [--out DIR] "
-               "[--stable-json] [--no-json] "
-               "[--profile] [--cell ID]\n");
+               "[--stable-json] [--no-json] [--cell ID]\n"
+               "--profile is accepted and ignored (timing and counters are always "
+               "written)\n");
+}
+
+// Parses a thread count: a whole decimal number in [1, INT_MAX] with no
+// trailing characters. Exits with code 2 otherwise.
+int ParseThreads(const std::string& flag, const char* text) {
+  errno = 0;
+  char* end = nullptr;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || v < 1 || v > INT_MAX) {
+    std::fprintf(stderr, "aql_bench: %s must be an integer in [1, %d], got '%s'\n",
+                 flag.c_str(), INT_MAX, text);
+    std::exit(2);
+  }
+  return static_cast<int>(v);
 }
 
 int DefaultJobs() {
@@ -98,21 +117,13 @@ int Main(int argc, char** argv) {
     } else if (arg == "--run") {
       names.push_back(value());
     } else if (arg == "--jobs") {
-      options.jobs = std::atoi(value());
-      if (options.jobs < 1) {
-        std::fprintf(stderr, "aql_bench: --jobs must be >= 1\n");
-        return 2;
-      }
+      options.jobs = ParseThreads(arg, value());
     } else if (arg == "--island-threads") {
-      options.island_threads = std::atoi(value());
-      if (options.island_threads < 1) {
-        std::fprintf(stderr, "aql_bench: --island-threads must be >= 1\n");
-        return 2;
-      }
+      options.island_threads = ParseThreads(arg, value());
     } else if (arg == "--quick") {
       options.quick = true;
     } else if (arg == "--profile") {
-      options.profile = true;
+      // Ignored (see the header comment).
     } else if (arg == "--out") {
       out_dir = value();
     } else if (arg == "--stable-json") {

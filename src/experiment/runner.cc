@@ -86,11 +86,6 @@ ScenarioResult RunFleetScenario(const ScenarioSpec& spec, const PolicySpec& poli
     return MakeController(policy, io_vcpus, host_options);
   };
 
-  SimPhaseProfile phase_profile;
-  if (options.profile) {
-    fleet.profile = &phase_profile;
-  }
-
   const auto sim_wall_start = std::chrono::steady_clock::now();
   FleetResult fr = RunFleet(fleet);
   const auto sim_wall_end = std::chrono::steady_clock::now();
@@ -103,6 +98,8 @@ ScenarioResult RunFleetScenario(const ScenarioSpec& spec, const PolicySpec& poli
   result.cpu_utilization = fr.cpu_utilization;
   result.controller_overhead = fr.controller_overhead;
   result.events_processed = fr.events_processed;
+  result.counters = fr.counters;
+  result.fleet_epochs = fr.epochs;
 
   int drained_hosts = 0;
   for (size_t h = 0; h < fr.hosts.size(); ++h) {
@@ -158,14 +155,9 @@ ScenarioResult RunFleetScenario(const ScenarioSpec& spec, const PolicySpec& poli
   }
   result.groups.push_back(std::move(fleet_group));
 
-  if (options.profile) {
-    result.profile["sim_seconds"] =
-        std::chrono::duration<double>(sim_wall_end - sim_wall_start).count();
-    result.profile["event_core_seconds"] = phase_profile.event_core.seconds;
-    result.profile["llc_seconds"] = phase_profile.llc_seconds;
-    result.profile["scheduler_seconds"] = phase_profile.scheduler_seconds;
-    result.profile["barrier_wait_seconds"] = phase_profile.barrier_wait_seconds;
-  }
+  result.profile["sim_seconds"] =
+      std::chrono::duration<double>(sim_wall_end - sim_wall_start).count();
+  result.profile["barrier_wait_seconds"] = fr.barrier_wait_seconds;
 
   const auto wall_end = std::chrono::steady_clock::now();
   result.wall_seconds = std::chrono::duration<double>(wall_end - wall_start).count();
@@ -235,11 +227,6 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, const PolicySpec& policy,
     machine.SetController(std::move(controller));
   }
 
-  SimPhaseProfile phase_profile;
-  if (options.profile) {
-    machine.SetProfile(&phase_profile);
-  }
-
   const auto sim_wall_start = std::chrono::steady_clock::now();
   machine.Start();
 
@@ -262,6 +249,7 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, const PolicySpec& policy,
   result.measure_window = t_end - machine.measure_start();
   result.events_processed = events;
   result.controller_overhead = machine.controller_overhead();
+  result.counters = machine.counters();
 
   TimeNs busy = 0;
   for (int p = 0; p < mc.topology.TotalPcpus(); ++p) {
@@ -286,17 +274,8 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, const PolicySpec& policy,
     result.plan_applications = aql_controller->plan_applications();
   }
 
-  if (options.profile) {
-    // Phase attribution for the cell (aql_bench --profile): the simulation
-    // loop's wall time, split into event-core machinery, LLC/bus math and
-    // controller work; the unattributed remainder is workload-model and
-    // dispatch bookkeeping time.
-    result.profile["sim_seconds"] =
-        std::chrono::duration<double>(sim_wall_end - sim_wall_start).count();
-    result.profile["event_core_seconds"] = phase_profile.event_core.seconds;
-    result.profile["llc_seconds"] = phase_profile.llc_seconds;
-    result.profile["scheduler_seconds"] = phase_profile.scheduler_seconds;
-  }
+  result.profile["sim_seconds"] =
+      std::chrono::duration<double>(sim_wall_end - sim_wall_start).count();
 
   const auto wall_end = std::chrono::steady_clock::now();
   result.wall_seconds = std::chrono::duration<double>(wall_end - wall_start).count();

@@ -1,5 +1,11 @@
 // Experiment runner: builds a Machine from a ScenarioSpec + PolicySpec,
 // simulates warm-up and measurement windows, and collects grouped results.
+//
+// Counters, not clocks: the simulated results, the event count and the
+// work counters are a pure function of (spec, policy). The runner is one
+// of the three places in src/ that read the host clock (with sweep.cc and
+// the WorkPool); it times the whole cell and its simulation loop, and those
+// readings ride only in timed JSON.
 
 #ifndef AQLSCHED_SRC_EXPERIMENT_RUNNER_H_
 #define AQLSCHED_SRC_EXPERIMENT_RUNNER_H_
@@ -17,10 +23,6 @@ namespace aql {
 struct RunOptions {
   // Observes per-period vTRS cursors (AQL policy only).
   AqlController::TraceHook trace;
-  // Collects a wall-clock phase breakdown of the simulation (event-core /
-  // llc / scheduler) into ScenarioResult::profile. Observational only: the
-  // simulated results are bit-identical with or without it.
-  bool profile = false;
   // Fleet scenarios only: worker threads advancing host islands between
   // epoch boundaries (FleetSpec::island_threads). Execution-only: the
   // result is byte-identical at every setting (tests/fleet_parallel_test.cc
@@ -38,12 +40,15 @@ struct ScenarioResult {
   double cpu_utilization = 0.0;       // busy time / capacity over the window
   TimeNs controller_overhead = 0;     // simulated bookkeeping cost
   uint64_t events_processed = 0;
+  // Work counters over the whole cell, warm-up included, like
+  // events_processed; a fleet cell sums them over every host build.
+  WorkCounters counters;
+  uint64_t fleet_epochs = 0;  // fleet cells only: epoch boundaries run
+  // Host-clock timing: the whole cell, and its split ("sim_seconds", the
+  // simulation loop; fleet cells add "barrier_wait_seconds"). Emitted into
+  // cell JSON only alongside the other wall-clock fields, never into the
+  // --stable-json byte stream.
   double wall_seconds = 0.0;
-  // RunOptions::profile only: wall-clock phase breakdown of the simulation
-  // ("sim_seconds", "event_core_seconds", "llc_seconds",
-  // "scheduler_seconds"; fleet scenarios add "barrier_wait_seconds").
-  // Nondeterministic timing data — emitted into cell JSON only alongside
-  // the other wall-clock fields, never into the --stable-json byte stream.
   std::map<std::string, double> profile;
 
   // AQL policy only: final detected type per vCPU and the final pool layout.

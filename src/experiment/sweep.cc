@@ -110,7 +110,6 @@ void RunCell(CellResult* out, const SweepOptions& sweep_options) {
       }
     }
     RunOptions options;
-    options.profile = sweep_options.profile;
     options.island_threads = sweep_options.island_threads;
     if (out->cell.trace_cursors) {
       auto* trace = &out->cursor_trace;
@@ -191,11 +190,7 @@ SweepResult Finish(InFlight& sweep, const SweepOptions& options) {
   out.summary = std::move(ctx.summary);
   out.notes = std::move(ctx.notes);
   out.timings = std::move(ctx.timings);
-  if (options.profile) {
-    // Completes the --profile phase picture: compute phases live in the
-    // per-cell `profile` objects, the render step is sweep-level.
-    out.timings.emplace_back("render_seconds", render_seconds);
-  }
+  out.timings.emplace_back("render_seconds", render_seconds);
   return out;
 }
 
@@ -402,19 +397,26 @@ JsonValue CellJson(const CellResult& cell, bool include_timing) {
   if (r.plan_applications > 0) {
     out.Set("plan_applications", r.plan_applications);
   }
+  JsonValue counters = JsonValue::Object();
+  counters.Set("compute_steps", r.counters.compute_steps)
+      .Set("dispatches", r.counters.dispatches)
+      .Set("llc_commits", r.counters.llc_commits)
+      .Set("llc_evictions", r.counters.llc_evictions)
+      .Set("membus_updates", r.counters.membus_updates)
+      .Set("monitor_periods", r.counters.monitor_periods);
+  if (cell.cell.scenario.fleet.hosts > 0) {
+    counters.Set("fleet_epochs", r.fleet_epochs);
+  }
+  out.Set("counters", std::move(counters));
   if (include_timing) {
+    // Host-clock data rides with the timing fields only (std::map keys
+    // keep the profile's emission order deterministic).
     out.Set("wall_seconds", r.wall_seconds);
-    if (!r.profile.empty()) {
-      // --profile phase breakdown. Wall-clock data: rides with the timing
-      // fields only, so --stable-json output stays byte-comparable whether
-      // or not the run was profiled (std::map keys keep emission order
-      // deterministic).
-      JsonValue profile = JsonValue::Object();
-      for (const auto& [k, v] : r.profile) {
-        profile.Set(k, v);
-      }
-      out.Set("profile", std::move(profile));
+    JsonValue profile = JsonValue::Object();
+    for (const auto& [k, v] : r.profile) {
+      profile.Set(k, v);
     }
+    out.Set("profile", std::move(profile));
   }
   return out;
 }

@@ -10,6 +10,11 @@
 // a pre-sized slot indexed by cell order. A run with --jobs 1 and --jobs N
 // therefore produces identical metric values cell-for-cell
 // (tests/sweep_test.cc asserts this).
+//
+// Every cell reports deterministic work counters (ScenarioResult::counters)
+// in both JSON forms. Host-clock timing — each cell's wall_seconds and
+// profile split, each sweep's total and render time — is always measured
+// and appears only in timed JSON (docs/BENCH_FORMAT.md).
 
 #ifndef AQLSCHED_SRC_EXPERIMENT_SWEEP_H_
 #define AQLSCHED_SRC_EXPERIMENT_SWEEP_H_
@@ -42,10 +47,6 @@ struct SweepOptions {
   // cell's wall time without paying for its siblings; empty selects every
   // cell.
   std::string only_cell;
-  // Collect per-cell wall-clock phase breakdowns (`--profile`): each cell
-  // carries a `profile` object in timing-enabled JSON
-  // (docs/BENCH_FORMAT.md). Never present in --stable-json output.
-  bool profile = false;
   // Fleet cells only: worker threads advancing host islands inside one cell
   // (`--island-threads`). Orthogonal to `jobs` (which parallelizes across
   // cells): a 1024-host fleet cell is a single unit of `jobs` work, and

@@ -68,11 +68,6 @@ struct HostState {
   FleetHostStats stats;
   int64_t busy = 0;        // measured busy ns across segments
   TimeNs overhead = 0;     // measured controller overhead across segments
-  // Per-island wall-clock attribution sink (FleetSpec::profile != nullptr
-  // only). Private to this host so concurrent islands never share a sink;
-  // the coordinator sums all sinks after the run. Lives in HostState (not
-  // the Machine) so it survives migration rebuilds.
-  SimPhaseProfile profile;
 };
 
 class FleetRun {
@@ -237,9 +232,6 @@ void FleetRun::BuildHost(int h, TimeNs now) {
       host.machine->SetController(std::move(controller));
     }
   }
-  if (spec_.profile != nullptr) {
-    host.machine->SetProfile(&host.profile);
-  }
   host.machine->Start();
   // The same window sentinels the single-Machine runner plants, in host-
   // local time: they pin the clock to the exact warm-up/end boundaries so
@@ -294,6 +286,7 @@ void FleetRun::TeardownHost(int h, TimeNs now) {
         }
       }
     }
+    result_.counters += host.machine->counters();
   }
   host.machine.reset();
   host.sim.reset();
@@ -856,6 +849,9 @@ void FleetRun::Finalize(FleetResult& out) {
     pcpus_total += host.pcpus;
     out.controller_overhead += host.overhead;
     out.events_processed += host.stats.events;
+    if (host.machine != nullptr) {
+      out.counters += host.machine->counters();
+    }
     host.stats.cpu_utilization =
         static_cast<double>(host.busy) /
         (static_cast<double>(out.measure_window) * static_cast<double>(host.pcpus));
@@ -930,12 +926,6 @@ FleetResult FleetRun::Run() {
   // metric resets, drains, rebalances, migrations — runs on this
   // (coordinating) thread only.
   WorkPool pool(std::min(spec_.island_threads, cfg_.hosts));
-  if (spec_.profile != nullptr) {
-    // Coordinator wait at the fleet's island barriers (--profile's
-    // barrier_wait phase; hosts have no pool of their own, so this is the
-    // only barrier in a fleet run).
-    pool.set_wait_profile(&spec_.profile->barrier_wait_seconds);
-  }
   const auto advance_island = [this](TimeNs b) {
     return [this, b](size_t h) {
       HostState& host = hosts_[h];
@@ -947,6 +937,7 @@ FleetResult FleetRun::Run() {
 
   for (const TimeNs b : boundaries) {
     pool.Run(hosts_.size(), advance_island(b));
+    ++result_.epochs;
     if (b == t_warm_) {
       for (HostState& host : hosts_) {
         if (host.machine != nullptr) {
@@ -975,16 +966,8 @@ FleetResult FleetRun::Run() {
   for (HostState& host : hosts_) {
     SnapshotHost(host, t_end_);
   }
-  if (spec_.profile != nullptr) {
-    // Merge the per-island attribution sinks in host index order. Wall-clock
-    // data only — it rides with the timing fields, never in stable JSON.
-    for (const HostState& host : hosts_) {
-      spec_.profile->event_core.seconds += host.profile.event_core.seconds;
-      spec_.profile->event_core.events += host.profile.event_core.events;
-      spec_.profile->llc_seconds += host.profile.llc_seconds;
-      spec_.profile->scheduler_seconds += host.profile.scheduler_seconds;
-    }
-  }
+  // The barrier wait is the one host-clock reading of a fleet run.
+  result_.barrier_wait_seconds = pool.wait_seconds();
   Finalize(result_);
   return std::move(result_);
 }

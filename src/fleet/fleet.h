@@ -45,6 +45,12 @@
 // thread at epoch boundaries, in fixed order, from pre-drawn schedules, so
 // they inherit the byte-identity contract above. An inactive plan (the
 // default) leaves every code path and RNG stream untouched.
+//
+// Counters and timing: each host's Machine counts its own work
+// (WorkCounters); the coordinator adds a build's counters when it tears the
+// machine down and the survivors' at the end, so the sums cover every
+// build and are identical at any island_threads. The only host clock in a
+// fleet run is the WorkPool's barrier-wait reading.
 
 #ifndef AQLSCHED_SRC_FLEET_FLEET_H_
 #define AQLSCHED_SRC_FLEET_FLEET_H_
@@ -130,11 +136,6 @@ struct FleetSpec {
   // applications — the manual configuration vSlicer/vTurbo need.
   std::function<std::unique_ptr<SchedController>(const std::vector<int>& io_vcpus)>
       controller_factory;
-  // Wall-clock phase attribution sink (observational only, like
-  // Machine::SetProfile). Each host accumulates into a private per-island
-  // sink; the coordinator sums them here after the run, so attaching a
-  // profile is race-free at any island_threads.
-  SimPhaseProfile* profile = nullptr;
   // Worker threads advancing host islands between epoch boundaries
   // (values < 1 mean "one"). Execution-only knob: the result is byte-
   // identical at every setting, so it is deliberately NOT part of
@@ -181,6 +182,14 @@ struct FleetResult {
   uint64_t migration_bytes = 0;    // dirty-page bytes transferred
   TimeNs migration_charge = 0;     // executed occupancy charged fleet-wide
   int vcpus_total = 0;
+  // Machine work counters summed over every host build, torn-down ones
+  // included, and the epoch boundaries run (warm-up included, like
+  // events_processed).
+  WorkCounters counters;
+  uint64_t epochs = 0;
+  // Host seconds the coordinator spent waiting at island barriers
+  // (WorkPool::wait_seconds). Timing, not a result: never compared.
+  double barrier_wait_seconds = 0.0;
   // --- fault bookkeeping (all zero/1.0 unless FleetConfig::fault is
   // active; see docs/ARCHITECTURE.md "Fault model & recovery contract") ---
   int crashes = 0;                // fail-stop host crashes

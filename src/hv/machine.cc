@@ -1,7 +1,6 @@
 #include "src/hv/machine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <utility>
 
@@ -43,9 +42,14 @@ Machine::Machine(Simulation& sim, const MachineConfig& config)
   }
 }
 
-void Machine::SetProfile(SimPhaseProfile* profile) {
-  profile_ = profile;
-  sim_.SetEventProfile(profile != nullptr ? &profile->event_core : nullptr);
+WorkCounters& WorkCounters::operator+=(const WorkCounters& other) {
+  compute_steps += other.compute_steps;
+  dispatches += other.dispatches;
+  llc_commits += other.llc_commits;
+  llc_evictions += other.llc_evictions;
+  membus_updates += other.membus_updates;
+  monitor_periods += other.monitor_periods;
+  return *this;
 }
 
 Machine::~Machine() = default;
@@ -257,7 +261,7 @@ void Machine::Dispatch(int pcpu, Vcpu* v, bool switched) {
   v->running_pcpu = pcpu;
   s.current = v;
   s.dispatch_start = now;
-  s.dispatches += 1;
+  ++counters_.dispatches;
   s.quantum_end = now + sched_.QuantumFor(pcpu, *v);
   s.pending_overhead = switched ? config_.hw.context_switch_cost : 0;
 
@@ -291,9 +295,7 @@ void Machine::BeginStep(int pcpu) {
 
   switch (s.step.kind) {
     case Step::Kind::kCompute: {
-      const auto llc_start = profile_ != nullptr
-                                 ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point();
+      ++counters_.compute_steps;
       const MemProfile& mem = s.step.mem;
       const TimeNs work = std::max<TimeNs>(s.step.work, 1);
       const double refs_d = static_cast<double>(work) * mem.llc_refs_per_ns;
@@ -326,11 +328,6 @@ void Machine::BeginStep(int pcpu) {
       const double factor = mem_bus_.StallFactor(socket, demand);
       stall = static_cast<TimeNs>(static_cast<double>(stall) * factor);
       mem_bus_.SetDemand(socket, pcpu, demand);
-      if (profile_ != nullptr) {
-        profile_->llc_seconds +=
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - llc_start)
-                .count();
-      }
       s.step_work = work;
       s.step_refs = refs;
       s.step_misses = misses;
@@ -428,6 +425,7 @@ void Machine::EndStep(int pcpu, bool completed) {
       v->pmu.llc_misses += misses;
       v->pmu.remote_accesses += remote;
       if (misses > 0) {
+        ++counters_.llc_commits;
         llc_.CommitAccesses(s.socket, v->id(), s.step.mem.wss_bytes, misses);
       }
       v->workload()->OnStepEnd(now, s.step, work_done, completed);
@@ -618,16 +616,9 @@ void Machine::OnAccounting(TimeNs now) {
 }
 
 void Machine::OnMonitor(TimeNs now) {
+  ++counters_.monitor_periods;
   if (controller_ != nullptr) {
-    const auto sched_start = profile_ != nullptr
-                                 ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point();
     controller_->OnMonitorPeriod(*this, now);
-    if (profile_ != nullptr) {
-      profile_->scheduler_seconds +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - sched_start)
-              .count();
-    }
   }
   sim_.After(config_.monitor_period, [this](TimeNs t) { OnMonitor(t); }, machine_lane_);
 }
@@ -745,7 +736,6 @@ void Machine::ResetAllMetrics() {
       ChargeRuntime(static_cast<int>(p), pcpus_[p].current);
     }
     pcpus_[p].busy = 0;
-    pcpus_[p].dispatches = 0;
   }
   for (Vcpu* v : vcpus_) {
     v->total_runtime = 0;
@@ -775,12 +765,11 @@ TimeNs Machine::BusyTime(int pcpu) const {
   return pcpus_[static_cast<size_t>(pcpu)].busy;
 }
 
-uint64_t Machine::total_dispatches() const {
-  uint64_t n = 0;
-  for (const auto& p : pcpus_) {
-    n += p.dispatches;
-  }
-  return n;
+WorkCounters Machine::counters() const {
+  WorkCounters c = counters_;
+  c.llc_evictions = llc_.evictions();
+  c.membus_updates = mem_bus_.updates();
+  return c;
 }
 
 // ---------------------------------------------------------------------------

@@ -71,17 +71,20 @@ struct MachineConfig {
   uint64_t seed = 42;
 };
 
-// Wall-clock attribution of simulation phases (aql_bench --profile): where
-// the engine spends host time while producing a cell. Purely observational —
-// attaching a sink never changes simulation results, only adds host-clock
-// reads around the instrumented sections.
-struct SimPhaseProfile {
-  EventCoreProfile event_core;  // pop machinery, excluding callbacks
-  double llc_seconds = 0.0;     // LLC/bus math in BeginStep
-  double scheduler_seconds = 0.0;  // controller monitor-period work
-  // Fleet runs only: wall time the coordinating thread spends blocked at
-  // host-island barriers waiting for straggler workers (WorkPool).
-  double barrier_wait_seconds = 0.0;
+// Deterministic work counters of one machine: how often each layer of the
+// engine ran, warm-up included (ResetAllMetrics leaves them alone). Like an
+// event count they are a pure function of the spec — results, not timing —
+// so they explain a cell's cost without reading the host clock
+// (docs/BENCH_FORMAT.md, "Timing and work counters").
+struct WorkCounters {
+  uint64_t compute_steps = 0;    // compute steps begun
+  uint64_t dispatches = 0;       // vCPUs put on a pCPU
+  uint64_t llc_commits = 0;      // LlcModel::CommitAccesses calls
+  uint64_t llc_evictions = 0;    // commits that ran the eviction walk
+  uint64_t membus_updates = 0;   // MemBus::SetDemand calls that changed a demand
+  uint64_t monitor_periods = 0;  // monitor-period callbacks
+
+  WorkCounters& operator+=(const WorkCounters& other);
 };
 
 class Machine : public WorkloadHost {
@@ -135,10 +138,6 @@ class Machine : public WorkloadHost {
   // for reporting.
   void ChargeControllerOverhead(TimeNs cost);
 
-  // Attaches the phase-profile sink (nullptr detaches). Observational only;
-  // results are bit-identical with or without it.
-  void SetProfile(SimPhaseProfile* profile);
-
   // --- observability ---
   Simulation& sim() { return sim_; }
   const Topology& topology() const { return config_.topology; }
@@ -162,7 +161,7 @@ class Machine : public WorkloadHost {
   TimeNs BusyTime(int pcpu) const;
   TimeNs measure_start() const { return measure_start_; }
   TimeNs controller_overhead() const { return controller_overhead_; }
-  uint64_t total_dispatches() const;
+  WorkCounters counters() const;
   bool started() const { return started_; }
 
   // Running vCPU on `pcpu`, nullptr if idle.
@@ -197,7 +196,6 @@ class Machine : public WorkloadHost {
     int socket = 0;
     // Accounting.
     TimeNs busy = 0;
-    uint64_t dispatches = 0;
   };
 
   // Dispatch path.
@@ -268,7 +266,8 @@ class Machine : public WorkloadHost {
   // Wake-path idle-flag scratch.
   std::vector<bool> idle_scratch_;
 
-  SimPhaseProfile* profile_ = nullptr;
+  // The machine's own counters; counters() adds the LLC's and the bus's.
+  WorkCounters counters_;
 
   TimeNs measure_start_ = 0;
   TimeNs controller_overhead_ = 0;

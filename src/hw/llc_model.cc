@@ -83,6 +83,7 @@ void LlcModel::CommitAccesses(int socket, int vcpu, uint64_t wss_bytes, uint64_t
   if (s.total <= capacity_) {
     return;
   }
+  ++evictions_;
   // Socket overflow: evict from co-resident vCPUs proportionally to a
   // recency-weighted occupancy (the rule is documented on the declaration).
   // The fetching vCPU keeps what it just brought in; vCPUs currently on-CPU
@@ -210,6 +211,7 @@ void MemBus::SetDemand(int socket, int pcpu, double bytes_per_ns) {
   total_[static_cast<size_t>(socket)] += bytes_per_ns - slot;
   slot = bytes_per_ns;
   ++epoch_[static_cast<size_t>(socket)];
+  ++updates_;
 }
 
 double MemBus::TotalDemand(int socket) const {

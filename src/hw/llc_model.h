@@ -67,6 +67,9 @@ class LlcModel {
   uint64_t Occupancy(int socket, int vcpu) const;
   uint64_t TotalOccupancy(int socket) const;
   uint64_t capacity() const { return capacity_; }
+  // CommitAccesses calls that overflowed their socket and ran the eviction
+  // walk, over the model's lifetime (a work counter, see WorkCounters).
+  uint64_t evictions() const { return evictions_; }
 
  private:
   struct MissMemo {
@@ -98,6 +101,7 @@ class LlcModel {
   uint64_t capacity_;
   HwParams params_;
   std::vector<SocketState> sockets_;
+  uint64_t evictions_ = 0;
 };
 
 // Per-socket memory-bus (DRAM bandwidth) contention model.
@@ -132,6 +136,9 @@ class MemBus {
   double StallFactor(int socket, double extra_demand) const;
 
   double bandwidth() const { return bw_; }
+  // SetDemand calls that changed a pCPU's demand, over the bus's lifetime
+  // (a work counter, see WorkCounters).
+  uint64_t updates() const { return updates_; }
 
  private:
   struct StallMemo {
@@ -146,6 +153,7 @@ class MemBus {
   std::vector<double> total_;
   std::vector<uint64_t> epoch_;
   mutable std::vector<StallMemo> memo_;  // logically-const cache
+  uint64_t updates_ = 0;
 };
 
 }  // namespace aql

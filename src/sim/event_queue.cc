@@ -1,7 +1,6 @@
 #include "src/sim/event_queue.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "src/sim/check.h"
@@ -132,19 +131,6 @@ TimeNs EventQueue::NextTime() const {
 }
 
 bool EventQueue::RunBest(TimeNs deadline) {
-  const auto profile_start = profile_ != nullptr
-                                 ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point();
-  // Flushes the pop-machinery time into the profile sink; called right
-  // before the callback runs, so callback execution stays unattributed here.
-  auto flush_profile = [&] {
-    if (profile_ != nullptr) {
-      profile_->seconds +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - profile_start)
-              .count();
-      ++profile_->events;
-    }
-  };
   const Best best = FindBest();
   if (!best.any || best.when > deadline) {
     return false;
@@ -156,7 +142,6 @@ bool EventQueue::RunBest(TimeNs deadline) {
   if (best.slot >= 0) {
     Slot& s = slots_[static_cast<size_t>(best.slot)];
     s.armed = false;
-    flush_profile();
     // The slot callback is stable storage (RegisterSlot is barred while it
     // runs), and the slot is disarmed, so it may freely re-arm itself.
     slot_callback_active_ = true;
@@ -174,7 +159,6 @@ bool EventQueue::RunBest(TimeNs deadline) {
     entry.cb = nullptr;
     ++entry.generation;
     free_.push_back(index);
-    flush_profile();
     cb(now_);
   }
   return true;

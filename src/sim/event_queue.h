@@ -43,14 +43,6 @@ namespace aql {
 using EventId = uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
-// Wall-clock cost of the pop machinery itself (entry selection and slab /
-// heap bookkeeping, excluding callback execution), accumulated only when a
-// profile sink is attached (aql_bench --profile).
-struct EventCoreProfile {
-  double seconds = 0.0;
-  uint64_t events = 0;
-};
-
 class EventQueue {
  public:
   using Callback = std::function<void(TimeNs now)>;
@@ -104,9 +96,6 @@ class EventQueue {
 
   // Current simulated time (time of the last event run).
   TimeNs Now() const { return now_; }
-
-  // Attaches (or detaches, with nullptr) the profiling sink.
-  void set_profile(EventCoreProfile* profile) { profile_ = profile; }
 
  private:
   // Order key of an event: the lane in the top bits, the sequence number
@@ -171,7 +160,6 @@ class EventQueue {
   // Guards RegisterSlot against growing `slots_` while a slot callback is
   // executing from inside it.
   bool slot_callback_active_ = false;
-  EventCoreProfile* profile_ = nullptr;
 };
 
 }  // namespace aql

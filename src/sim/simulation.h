@@ -16,10 +16,11 @@
 // section (a fleet advances host Simulations on WorkPool worker threads;
 // the pool's epoch barrier provides this, see src/sim/work_pool.h). There
 // is deliberately no internal locking and no process-global mutable state —
-// all counters (event sequence numbers, RNG streams, profile sinks) live
-// inside the instance. The `running_` guard below turns reentrant
-// (same-thread) misuse into a hard abort; cross-thread misuse is caught by
-// the ThreadSanitizer CI job.
+// all counters (event sequence numbers, RNG streams) live inside the
+// instance, and nothing below the experiment layer reads the host clock
+// (docs/ARCHITECTURE.md, "Counters, not clocks"). The `running_` guard
+// below turns reentrant (same-thread) misuse into a hard abort;
+// cross-thread misuse is caught by the ThreadSanitizer CI job.
 
 #ifndef AQLSCHED_SRC_SIM_SIMULATION_H_
 #define AQLSCHED_SRC_SIM_SIMULATION_H_
@@ -45,9 +46,6 @@ class Simulation {
 
   EventQueue& queue() { return queue_; }
   Rng& rng() { return rng_; }
-
-  // Attaches (nullptr detaches) the event-core profiling sink.
-  void SetEventProfile(EventCoreProfile* sink) { queue_.set_profile(sink); }
 
   // Schedules `cb` to run `delay` ns from now, in `lane`.
   EventId After(TimeNs delay, EventQueue::Callback cb, int lane = 0) {

@@ -118,23 +118,17 @@ void WorkPool::Run(size_t n, const std::function<void(size_t)>& task) {
 
   Drain();
 
-  if (busy_.load(std::memory_order_acquire) == 0 && wait_profile_ == nullptr) {
-    task_ = nullptr;
-    return;
-  }
-  const auto wait_start = wait_profile_ != nullptr
-                              ? std::chrono::steady_clock::now()
-                              : std::chrono::steady_clock::time_point();
-  for (int spins = spin_iters_;
-       busy_.load(std::memory_order_acquire) != 0 && spins > 0; --spins) {
-    CpuPause();
-  }
   if (busy_.load(std::memory_order_acquire) != 0) {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] { return busy_.load(std::memory_order_acquire) == 0; });
-  }
-  if (wait_profile_ != nullptr) {
-    *wait_profile_ +=
+    const auto wait_start = std::chrono::steady_clock::now();
+    for (int spins = spin_iters_;
+         busy_.load(std::memory_order_acquire) != 0 && spins > 0; --spins) {
+      CpuPause();
+    }
+    if (busy_.load(std::memory_order_acquire) != 0) {
+      std::unique_lock<std::mutex> lock(mu_);
+      done_cv_.wait(lock, [this] { return busy_.load(std::memory_order_acquire) == 0; });
+    }
+    wait_seconds_ +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wait_start)
             .count();
   }

@@ -24,6 +24,9 @@
 // no syscalls. The spin budget is small enough that an idle pool parks in
 // the kernel.
 //
+// wait_seconds() is the only host-clock reading in src/sim; nothing
+// simulated depends on it.
+//
 // The pool is scoped to one run: threads start in the constructor and join
 // in the destructor.
 
@@ -58,12 +61,13 @@ class WorkPool {
 
   int threads() const { return static_cast<int>(workers_.size()) + 1; }
 
-  // Attaches (nullptr detaches) a barrier-wait sink: Run() adds the wall
-  // time the coordinator spends blocked waiting for straggler workers after
-  // finishing its own share — the parallel-efficiency loss --profile reports
-  // as barrier_wait. Written by the coordinating thread only, after all
-  // workers checked in, so reads between Run() calls are race-free.
-  void set_wait_profile(double* sink) { wait_profile_ = sink; }
+  // Host seconds the coordinator has spent blocked waiting for straggler
+  // workers after finishing its own share of each Run(): the parallel-
+  // efficiency loss a fleet cell reports as barrier_wait_seconds. One clock
+  // pair per Run() that has to wait, none otherwise. Written by the
+  // coordinating thread only, after all workers checked in, so reads
+  // between Run() calls are race-free.
+  double wait_seconds() const { return wait_seconds_; }
 
  private:
   void WorkerLoop();
@@ -92,7 +96,7 @@ class WorkPool {
   // the working thread needs); such hosts fall straight through to the
   // condition variables. Does not affect bytes, only latency.
   int spin_iters_ = 0;
-  double* wait_profile_ = nullptr;
+  double wait_seconds_ = 0.0;
 };
 
 }  // namespace aql

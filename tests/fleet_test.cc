@@ -9,9 +9,8 @@
 //     up as controller overhead, not just a counter.
 //  3. Degeneracy: a 1-host, zero-migration fleet is bit-identical to the
 //     equivalent single-Machine scenario (same seed derivation, same event
-//     stream, same reports — no weighted-mean round-trip on the way out).
-//  4. Profiling: --profile's phase sinks see every host, multi-socket ones
-//     included.
+//     stream, same reports, same work counters — no weighted-mean
+//     round-trip on the way out).
 
 #include <string>
 #include <vector>
@@ -141,27 +140,15 @@ TEST(FleetDegeneracy, OneHostFleetMatchesSingleMachineBitForBit) {
   EXPECT_EQ(fleet.measure_window, single.measure_window);
   EXPECT_EQ(fleet.cpu_utilization, single.cpu_utilization);
   EXPECT_EQ(fleet.controller_overhead, single.controller_overhead);
-}
 
-// Multi-socket hosts report their LLC/bus time: each host's Machine adds
-// BeginStep's timing straight into its own sink, and the fleet sums the
-// sinks after the run.
-TEST(FleetProfile, MultiSocketHostsReportLlcTime) {
-  FleetSpec spec;
-  spec.host_template = DualSocketNumaMachine(/*seed=*/7);
-  for (const VmSpec& vm : FleetWorkloadMix(8)) {
-    spec.vms.push_back(FleetVmSpec{vm.app, vm.vcpus});
-  }
-  spec.config.hosts = 2;
-  spec.warmup = Ms(100);
-  spec.measure = Ms(300);
-  SimPhaseProfile profile;
-  spec.profile = &profile;
-
-  const FleetResult fr = RunFleet(spec);
-  ASSERT_EQ(fr.hosts.size(), 2u);
-  EXPECT_GT(profile.event_core.events, 0u);
-  EXPECT_GT(profile.llc_seconds, 0.0);
+  // The fleet adds up the work of its one host build, warm-up included.
+  EXPECT_EQ(fleet.counters.compute_steps, single.counters.compute_steps);
+  EXPECT_EQ(fleet.counters.dispatches, single.counters.dispatches);
+  EXPECT_EQ(fleet.counters.llc_commits, single.counters.llc_commits);
+  EXPECT_EQ(fleet.counters.llc_evictions, single.counters.llc_evictions);
+  EXPECT_EQ(fleet.counters.membus_updates, single.counters.membus_updates);
+  EXPECT_EQ(fleet.counters.monitor_periods, single.counters.monitor_periods);
+  EXPECT_GT(fleet.counters.compute_steps, 0u);
 }
 
 }  // namespace

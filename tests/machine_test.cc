@@ -1,6 +1,6 @@
 // Integration-level tests for the Machine dispatcher: quantum slicing,
-// blocking/wake, BOOST preemption, fairness, pools, migration, and the
-// multi-socket event order.
+// blocking/wake, BOOST preemption, fairness, pools, migration, the work
+// counters' closed forms, and the multi-socket event order.
 
 #include <cstdint>
 #include <cstdio>
@@ -295,6 +295,74 @@ TEST(MachineTest, FairnessAcrossManyVcpus) {
   for (Vcpu* v : vcpus) {
     EXPECT_NEAR(ToSec(v->total_runtime), 1.0, 0.15);
   }
+}
+
+constexpr TimeNs kOracleRun = Sec(3);
+
+// Runs `burners` CPU burners with memory behaviour `mem` on a 1-pCPU i7
+// machine (8 MiB LLC) for kOracleRun and returns its work counters.
+WorkCounters BurnerCounters(int burners, const MemProfile& mem,
+                            TimeNs quantum = CreditParams().default_quantum) {
+  Simulation sim;
+  MachineConfig mc = SmallConfig();
+  mc.credit.default_quantum = quantum;
+  Machine m(sim, mc);
+  Vm* vm = m.AddVm("vm");
+  for (int i = 0; i < burners; ++i) {
+    CpuBurnConfig cfg = Burner("b" + std::to_string(i));
+    cfg.mem = mem;
+    m.AddVcpu(vm, std::make_unique<CpuBurnModel>(cfg));
+  }
+  m.Start();
+  sim.RunUntil(kOracleRun);
+  return m.counters();
+}
+
+uint64_t Periods(TimeNs period) { return static_cast<uint64_t>(kOracleRun / period); }
+
+// Register-only burners keep the pCPU busy in fixed CPU-burn phases, so the
+// counters have closed forms: one step per phase plus the one in flight at
+// the end, one dispatch per quantum plus the first, one callback per
+// monitor period. A second burner only changes who runs each quantum.
+TEST(WorkCounterTest, RegisterOnlyBurnersHaveClosedForms) {
+  const TimeNs phase = CpuBurnConfig().phase;
+  const TimeNs quantum = CreditParams().default_quantum;
+  for (const int burners : {1, 2}) {
+    const WorkCounters c = BurnerCounters(burners, MemProfile{});
+    EXPECT_EQ(c.compute_steps, Periods(phase) + 1) << burners;
+    EXPECT_EQ(c.dispatches, Periods(quantum) + 1) << burners;
+    EXPECT_EQ(c.monitor_periods, Periods(MachineConfig().monitor_period)) << burners;
+    EXPECT_EQ(c.llc_commits, 0u) << burners;
+    EXPECT_EQ(c.llc_evictions, 0u) << burners;
+    EXPECT_EQ(c.membus_updates, 0u) << burners;
+  }
+  EXPECT_EQ(BurnerCounters(2, MemProfile{}, Ms(10)).dispatches, Periods(Ms(10)) + 1);
+}
+
+// A working set that fits the LLC misses on every step (the miss ratio
+// never drops below its floor) but never overflows the socket. Each ended
+// step commits once and sets and clears its bus demand; the step in flight
+// at the end has set its demand only.
+TEST(WorkCounterTest, FittingWorkingSetCommitsEveryStepAndNeverEvicts) {
+  MemProfile mem;
+  mem.wss_bytes = 4ull << 20;
+  mem.llc_refs_per_ns = 0.01;
+  ASSERT_LT(mem.wss_bytes, SmallConfig().topology.llc_bytes);
+  const WorkCounters c = BurnerCounters(1, mem);
+  EXPECT_EQ(c.llc_commits, c.compute_steps - 1);
+  EXPECT_EQ(c.llc_evictions, 0u);
+  EXPECT_EQ(c.membus_updates, 2 * c.llc_commits + 1);
+}
+
+// Two working sets that each overflow the LLC run the eviction walk on
+// most commits, and never more often than they commit.
+TEST(WorkCounterTest, OverflowingWorkingSetsEvict) {
+  MemProfile mem;
+  mem.wss_bytes = 32ull << 20;
+  mem.llc_refs_per_ns = 0.01;
+  const WorkCounters c = BurnerCounters(2, mem);
+  EXPECT_GT(c.llc_evictions, 0u);
+  EXPECT_LE(c.llc_evictions, c.llc_commits);
 }
 
 TEST(MachineTest, WeightedFairness) {

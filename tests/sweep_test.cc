@@ -1,7 +1,8 @@
 // Tests for the sweep engine: thread-count invariance of results (per-cell
 // RNG seeding), the shared pool's emission order and failure containment,
-// the sweep registry, JSON emission, quick-mode scaling, --profile
-// containment, and byte-compares against the committed goldens.
+// the sweep registry, JSON emission, quick-mode scaling, the split between
+// host-clock timing (timed JSON only) and work counters (every JSON), and
+// byte-compares against the committed goldens.
 
 #include <fstream>
 #include <sstream>
@@ -230,66 +231,34 @@ TEST(SweepEngineTest, Table3xQuickRunIsThreadCountInvariant) {
             SweepJson(r4, /*include_timing=*/false).Dump());
 }
 
-TEST(SweepEngineTest, ProfileNeverEntersStableJson) {
-  // --profile collects wall-clock phase breakdowns, which are inherently
-  // nondeterministic; they must ride with the timing fields only, so a
-  // profiled run's --stable-json output is byte-identical to an unprofiled
-  // one.
-  SweepOptions plain;
-  plain.jobs = 1;
-  SweepOptions profiled = plain;
-  profiled.profile = true;
-
-  const SweepResult r_plain = RunSweep(TinySpec(), plain);
-  const SweepResult r_profiled = RunSweep(TinySpec(), profiled);
-
-  for (const CellResult& cell : r_profiled.cells) {
-    EXPECT_FALSE(cell.result.profile.empty()) << cell.cell.id;
-  }
-  const std::string stable_plain = SweepJson(r_plain, /*include_timing=*/false).Dump();
-  const std::string stable_profiled =
-      SweepJson(r_profiled, /*include_timing=*/false).Dump();
-  EXPECT_EQ(stable_plain, stable_profiled);
-  EXPECT_EQ(stable_profiled.find("\"profile\""), std::string::npos);
-  // With timing enabled the breakdown is present.
-  const std::string timed = SweepJson(r_profiled, /*include_timing=*/true).Dump();
-  EXPECT_NE(timed.find("\"profile\""), std::string::npos);
-  EXPECT_NE(timed.find("\"event_core_seconds\""), std::string::npos);
-  EXPECT_NE(timed.find("\"render_seconds\""), std::string::npos);
-}
-
-TEST(SweepEngineTest, BarrierWaitNeverEntersStableJson) {
-  // barrier_wait is the coordinator's wall time blocked at fleet host-island
-  // barriers — a host-clock measurement like the rest of --profile, so it
-  // must ride with the timing fields only. Profiled at --island-threads 4
-  // on a fleet sweep (fleet cells are the only source of the key), the
-  // stable JSON must stay byte-identical to the unprofiled sequential run.
+TEST(SweepEngineTest, TimingStaysOutOfStableJsonAndCountersStayIn) {
+  // Host-clock readings (each cell's profile split, the fleet barrier wait,
+  // the sweep's render time) and thread counts are always measured but
+  // ride with the timing fields only; the work counters are results and
+  // appear in both forms. Run on a fleet sweep (the only source of
+  // barrier_wait_seconds) at one and four island threads. Quoted keys: the
+  // workloads emit a *simulated* barrier_wait_ms metric, which belongs in
+  // stable JSON.
   const SweepSpec* spec = SweepRegistry::Instance().Find("fleet_hotspot");
   ASSERT_NE(spec, nullptr);
-  SweepOptions plain;
-  plain.quick = true;
-  plain.jobs = 1;
-  SweepOptions profiled = plain;
-  profiled.profile = true;
-  profiled.island_threads = 4;
+  SweepOptions sequential;
+  sequential.quick = true;
+  sequential.jobs = 1;
+  SweepOptions islands = sequential;
+  islands.island_threads = 4;
 
-  const SweepResult r_plain = RunSweep(*spec, plain);
-  const SweepResult r_profiled = RunSweep(*spec, profiled);
+  const SweepResult r_sequential = RunSweep(*spec, sequential);
+  const SweepResult r_islands = RunSweep(*spec, islands);
+  const std::string stable = SweepJson(r_islands, /*include_timing=*/false).Dump();
+  EXPECT_EQ(SweepJson(r_sequential, /*include_timing=*/false).Dump(), stable);
+  EXPECT_NE(stable.find("\"counters\""), std::string::npos);
 
-  const std::string stable_plain = SweepJson(r_plain, /*include_timing=*/false).Dump();
-  const std::string stable_profiled =
-      SweepJson(r_profiled, /*include_timing=*/false).Dump();
-  EXPECT_EQ(stable_plain, stable_profiled);
-  // Note "barrier_wait_seconds", not "barrier_wait": the workloads emit a
-  // *simulated* barrier_wait_ms metric (ConSpin guests stalled at barriers),
-  // which is deterministic and belongs in stable JSON. Only the host-clock
-  // profile phase is banned.
-  EXPECT_EQ(stable_profiled.find("barrier_wait_seconds"), std::string::npos);
-  EXPECT_EQ(stable_profiled.find("island_threads"), std::string::npos);
-
-  const std::string timed = SweepJson(r_profiled, /*include_timing=*/true).Dump();
-  EXPECT_NE(timed.find("\"barrier_wait_seconds\""), std::string::npos);
-  EXPECT_NE(timed.find("\"island_threads\""), std::string::npos);
+  const std::string timed = SweepJson(r_islands, /*include_timing=*/true).Dump();
+  for (const char* key : {"\"profile\"", "\"sim_seconds\"", "\"render_seconds\"",
+                          "\"barrier_wait_seconds\"", "\"island_threads\""}) {
+    EXPECT_EQ(stable.find(key), std::string::npos) << key;
+    EXPECT_NE(timed.find(key), std::string::npos) << key;
+  }
 }
 
 #ifdef AQL_GOLDEN_DIR
