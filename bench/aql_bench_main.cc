@@ -20,9 +20,9 @@
 //                    --stable-json comparisons never depend on it.
 //                    Single-machine cells are unaffected.
 //   --quick          scaled-down simulated durations (CI smoke)
-//   --out DIR        output directory for BENCH_<name>.json (default ".")
+//   --out DIR        output directory for BENCH_<name>.json (default ".";
+//                    created if missing)
 //   --stable-json    omit wall-clock timing from JSON (byte-comparable runs)
-//   --no-json        skip JSON emission entirely
 //   --cell ID        run a single cell by id (render skipped); for CI perf
 //                    probes that time one full-mode cell without paying for
 //                    its siblings. --jobs is clamped to 1, so a --cell
@@ -39,6 +39,7 @@
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,7 +55,7 @@ void Usage(FILE* out) {
                "usage: aql_bench (--list | --all | --run <name>...) "
                "[--jobs N] [--island-threads N] "
                "[--quick] [--out DIR] "
-               "[--stable-json] [--no-json] [--cell ID]\n"
+               "[--stable-json] [--cell ID]\n"
                "--profile is accepted and ignored (timing and counters are always "
                "written)\n");
 }
@@ -96,7 +97,6 @@ int Main(int argc, char** argv) {
 
   bool list = false;
   bool all = false;
-  bool write_json = true;
   bool stable_json = false;
   std::string out_dir = ".";
   std::vector<std::string> names;
@@ -128,8 +128,6 @@ int Main(int argc, char** argv) {
       out_dir = value();
     } else if (arg == "--stable-json") {
       stable_json = true;
-    } else if (arg == "--no-json") {
-      write_json = false;
     } else if (arg == "--cell") {
       options.only_cell = value();
     } else if (arg == "--help" || arg == "-h") {
@@ -178,6 +176,26 @@ int Main(int argc, char** argv) {
     }
     specs.push_back(spec);
   }
+  // Argument errors end the run here, before any cell runs, with exit code 2.
+  if (!options.only_cell.empty()) {
+    bool found = false;
+    for (const SweepCell& cell : specs.front()->build(options)) {
+      found = found || cell.id == options.only_cell;
+    }
+    if (!found) {
+      std::fprintf(stderr, "aql_bench: no cell '%s' in sweep %s\n",
+                   options.only_cell.c_str(), specs.front()->name.c_str());
+      return 2;
+    }
+  }
+  std::error_code out_error;
+  std::filesystem::create_directories(out_dir, out_error);
+  if (out_error || !std::filesystem::is_directory(out_dir)) {
+    std::fprintf(stderr, "aql_bench: --out '%s' is not a usable directory%s%s\n",
+                 out_dir.c_str(), out_error ? ": " : "",
+                 out_error ? out_error.message().c_str() : "");
+    return 2;
+  }
 
   char islands[32] = "";
   if (options.island_threads > 1) {
@@ -200,13 +218,11 @@ int Main(int argc, char** argv) {
                    name, result.failed_cells);
       failed_cells += result.failed_cells;
     }
-    if (write_json) {
-      // --stable-json writes the deterministic projection (no wall-clock
-      // fields), byte-comparable across runs and thread counts.
-      const std::string path =
-          WriteSweepJson(result, out_dir, /*include_timing=*/!stable_json);
-      std::printf("[%s] wrote %s\n", name, path.c_str());
-    }
+    // --stable-json writes the deterministic projection (no wall-clock
+    // fields), byte-comparable across runs and thread counts.
+    const std::string path =
+        WriteSweepJson(result, out_dir, /*include_timing=*/!stable_json);
+    std::printf("[%s] wrote %s\n", name, path.c_str());
     std::printf("\n");
     std::fflush(stdout);
   });

@@ -1,28 +1,18 @@
 // §4.3 sweep: AQL_Sched's overhead.
 //
-// Two complementary measurements:
-//  1. In-simulation: the controller's bookkeeping charge (recognition +
-//     clustering, O(max(#pCPUs, #vCPUs)) per decision) is *executed* — it
-//     occupies pCPU 0 (Machine::ChargeControllerOverhead) — so a homogeneous
-//     workload that gains nothing from AQL pays a measurable end-to-end
-//     price. The sweep scales the per-element charge from zero (provably
-//     bit-identical to Xen, normalized perf exactly 1.0) through the default
-//     50 ns to deliberately exaggerated values, and reports normalized
-//     performance (Xen cost / AQL cost: < 1.0 means the charge costs
-//     throughput; the paper reports < 1% degradation at its real footprint).
-//  2. Wall-clock micro-measurements of the controller's hot paths: cursor
-//     computation, vTRS observation, two-level clustering. These are timing
-//     data (chrono loops), so they land in the JSON `timing` section and
-//     never affect result determinism.
+// The controller's bookkeeping charge (recognition + clustering,
+// O(max(#pCPUs, #vCPUs)) per decision) is *executed* — it occupies pCPU 0
+// (Machine::ChargeControllerOverhead) — so a homogeneous workload that gains
+// nothing from AQL pays a measurable end-to-end price. The sweep scales the
+// per-element charge from zero (provably bit-identical to Xen, normalized
+// perf exactly 1.0) through the default 50 ns to deliberately exaggerated
+// values, and reports normalized performance (Xen cost / AQL cost: < 1.0
+// means the charge costs throughput; the paper reports < 1% degradation at
+// its real footprint).
 
-#include <chrono>
 #include <string>
 #include <vector>
 
-#include "src/core/aql_controller.h"
-#include "src/core/clustering.h"
-#include "src/core/cursors.h"
-#include "src/core/vtrs.h"
 #include "src/experiment/registry.h"
 #include "src/metrics/table.h"
 
@@ -71,17 +61,6 @@ std::vector<SweepCell> Build(const SweepOptions& opts) {
     cells.push_back(ProbeCell(opts, v.tag, policy));
   }
   return cells;
-}
-
-// Times `fn` over `iters` calls; returns nanoseconds per call.
-template <typename Fn>
-double NsPerCall(int iters, Fn&& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) {
-    fn(i);
-  }
-  const auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(end - start).count() / iters;
 }
 
 void Render(SweepContext& ctx) {
@@ -135,62 +114,12 @@ void Render(SweepContext& ctx) {
       "Section 4.3: executed AQL_Sched overhead vs per-element charge "
       "(paper: < 1% degradation at the real footprint)",
       table);
-
-  // Hot-path micro-measurements (wall clock; kept out of the deterministic
-  // result sections).
-  const int iters = ctx.quick() ? 20000 : 200000;
-  volatile double sink = 0;
-
-  VtrsConfig config;
-  const Levels levels{4.0, 12.0, 2.5, 22.0};
-  const double cursors_ns = NsPerCall(iters, [&](int) {
-    sink = sink + ComputeCursors(levels, config).io;
-  });
-
-  Vtrs vtrs((VtrsConfig()));
-  const double observe_ns = NsPerCall(iters, [&](int i) {
-    vtrs.Observe(i % 64, levels);
-  });
-
-  TextTable micro({"hot path", "ns/op"});
-  micro.AddRow({"ComputeCursors", TextTable::Num(cursors_ns, 1)});
-  micro.AddRow({"Vtrs::Observe", TextTable::Num(observe_ns, 1)});
-  ctx.Timing("compute_cursors_ns_per_op", cursors_ns);
-  ctx.Timing("vtrs_observe_ns_per_op", observe_ns);
-
-  const Topology topo = MakeE54603Topology();
-  const CalibrationTable calib = PaperCalibration();
-  for (int n : {16, 64, 256}) {
-    std::vector<VcpuClass> classes;
-    for (int i = 0; i < n; ++i) {
-      VcpuClass c;
-      c.vcpu = i;
-      c.vm = i / 4;
-      // Paper types only: keeps this micro-benchmark's input (and its ns/op
-      // trajectory across commits) stable as the extended type list grows,
-      // and aligned with the i % 5 llco pattern below.
-      c.type = static_cast<VcpuType>(i % kNumPaperVcpuTypes);
-      c.avg.llco = (i % 5 == 4) ? 90.0 : 10.0;
-      c.avg.llcf = 100.0 - c.avg.llco;
-      classes.push_back(c);
-    }
-    const int cluster_iters = (ctx.quick() ? 200 : 2000) * 256 / n;
-    const double ns = NsPerCall(cluster_iters, [&](int) {
-      sink = sink + static_cast<double>(BuildTwoLevelPlan(classes, topo, calib).pools.size());
-    });
-    micro.AddRow({"BuildTwoLevelPlan n=" + std::to_string(n), TextTable::Num(ns, 1)});
-    ctx.Timing("two_level_clustering_n" + std::to_string(n) + "_ns_per_op", ns);
-  }
-
-  // Wall-clock table: printed for humans, excluded from the JSON tables so
-  // deterministic output stays byte-comparable across runs.
-  ctx.Print("Controller hot paths (wall clock)\n" + micro.ToString() + "\n");
 }
 
 SweepSpec Spec() {
   SweepSpec spec;
   spec.name = "overhead";
-  spec.description = "§4.3: AQL overhead probe + controller hot-path micro timings";
+  spec.description = "§4.3: AQL overhead probe (executed bookkeeping charge ladder)";
   spec.build = Build;
   spec.render = Render;
   return spec;

@@ -70,7 +70,8 @@ class AqlController : public SchedController {
   using TraceHook = std::function<void(TimeNs, int, const CursorSet&, const CursorSet&)>;
   void set_trace_hook(TraceHook hook) { trace_hook_ = std::move(hook); }
 
-  // NUMA page-migration progress for one vCPU (observability).
+ private:
+  // NUMA page-migration progress for one vCPU.
   struct MigrationState {
     // Remote-access scale currently applied (1.0 = never migrated).
     double scale = 1.0;
@@ -79,9 +80,7 @@ class AqlController : public SchedController {
     // The memory node the pages were migrated toward (-1 = none).
     int socket = -1;
   };
-  const std::unordered_map<int, MigrationState>& migrations() const { return migration_; }
 
- private:
   static bool PlansEquivalent(const PoolPlan& a, const PoolPlan& b);
 
   // The per-decision NUMA response: starts/advances page migrations and

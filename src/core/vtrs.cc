@@ -67,18 +67,9 @@ CursorSet Vtrs::Latest(int vcpu) const {
 
 VcpuType Vtrs::TypeOf(int vcpu) const { return Classify(Average(vcpu)); }
 
-bool Vtrs::WindowFull(int vcpu) const {
-  const WindowState* ws = Find(vcpu);
-  return ws != nullptr && static_cast<int>(ws->window.size()) >= config_.window;
-}
-
-bool Vtrs::IsTrashingVcpu(int vcpu) const { return IsTrashing(Average(vcpu)); }
-
 int Vtrs::SampleCount(int vcpu) const {
   const WindowState* ws = Find(vcpu);
   return ws == nullptr ? 0 : static_cast<int>(ws->window.size());
 }
-
-void Vtrs::Forget(int vcpu) { state_.erase(vcpu); }
 
 }  // namespace aql

@@ -21,8 +21,6 @@ class Vtrs {
  public:
   explicit Vtrs(const VtrsConfig& config);
 
-  const VtrsConfig& config() const { return config_; }
-
   // Records one monitoring-period sample for `vcpu`.
   void Observe(int vcpu, const Levels& levels);
 
@@ -35,16 +33,8 @@ class Vtrs {
   // Current classification from the window average.
   VcpuType TypeOf(int vcpu) const;
 
-  // True once a full window of n samples has been observed.
-  bool WindowFull(int vcpu) const;
-
-  // Trashing test on the window average (Algorithm 1).
-  bool IsTrashingVcpu(int vcpu) const;
-
   // Number of samples observed for `vcpu`.
   int SampleCount(int vcpu) const;
-
-  void Forget(int vcpu);
 
  private:
   struct WindowState {

@@ -50,7 +50,6 @@ class JsonValue {
   bool IsObject() const { return type_ == Type::kObject; }
   bool IsArray() const { return type_ == Type::kArray; }
   bool IsString() const { return type_ == Type::kString; }
-  bool IsBool() const { return type_ == Type::kBool; }
   bool IsNumber() const {
     return type_ == Type::kInt || type_ == Type::kUint || type_ == Type::kDouble;
   }

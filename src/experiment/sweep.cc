@@ -48,15 +48,6 @@ int SweepOptions::Repeats(int full) const { return quick ? 1 : full; }
 SweepContext::SweepContext(const SweepOptions& options, std::vector<CellResult> cells)
     : options_(options), cells_(std::move(cells)) {}
 
-bool SweepContext::HasCell(const std::string& id) const {
-  for (const CellResult& c : cells_) {
-    if (c.cell.id == id) {
-      return true;
-    }
-  }
-  return false;
-}
-
 const CellResult& SweepContext::Cell(const std::string& id) const {
   for (const CellResult& c : cells_) {
     if (c.cell.id == id) {
@@ -87,10 +78,6 @@ void SweepContext::Summary(const std::string& key, double value) {
 
 void SweepContext::Note(const std::string& key, const std::string& value) {
   notes.emplace_back(key, value);
-}
-
-void SweepContext::Timing(const std::string& key, double value) {
-  timings.emplace_back(key, value);
 }
 
 namespace {
@@ -172,25 +159,22 @@ SweepResult Finish(InFlight& sweep, const SweepOptions& options) {
     out.failed_cells += c.error.empty() ? 0 : 1;
   }
   SweepContext ctx(options, std::move(sweep.cells));
-  double render_seconds = 0.0;
   if (out.failed_cells > 0) {
     ctx.Print("render skipped: " + std::to_string(out.failed_cells) +
               " cell(s) failed (see per-cell error entries)\n");
   } else if (options.only_cell.empty() && sweep.spec->render) {
     const auto render_start = std::chrono::steady_clock::now();
     sweep.spec->render(ctx);
-    render_seconds =
+    out.render_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - render_start)
             .count();
   }
-  out.wall_seconds += render_seconds;
+  out.wall_seconds += out.render_seconds;
   out.cells = ctx.TakeCells();
   out.text = std::move(ctx.text);
   out.tables = std::move(ctx.tables);
   out.summary = std::move(ctx.summary);
   out.notes = std::move(ctx.notes);
-  out.timings = std::move(ctx.timings);
-  out.timings.emplace_back("render_seconds", render_seconds);
   return out;
 }
 
@@ -491,10 +475,8 @@ JsonValue SweepJson(const SweepResult& result, bool include_timing) {
 
   if (include_timing) {
     JsonValue timing = JsonValue::Object();
-    timing.Set("total_wall_seconds", result.wall_seconds);
-    for (const auto& [k, v] : result.timings) {
-      timing.Set(k, v);
-    }
+    timing.Set("total_wall_seconds", result.wall_seconds)
+        .Set("render_seconds", result.render_seconds);
     doc.Set("timing", std::move(timing));
   }
   return doc;

@@ -85,17 +85,13 @@ struct CellResult {
 };
 
 // Render-time view over the finished cells plus output collection. Tables
-// and summary metrics are deterministic and go into BENCH_<name>.json;
-// Timing() values (wall-clock measurements) are segregated so JSON output
-// stays byte-comparable across runs and thread counts.
+// and summary metrics are deterministic and go into BENCH_<name>.json.
 class SweepContext {
  public:
   SweepContext(const SweepOptions& options, std::vector<CellResult> cells);
 
   const SweepOptions& options() const { return options_; }
-  bool quick() const { return options_.quick; }
   const std::vector<CellResult>& cells() const { return cells_; }
-  bool HasCell(const std::string& id) const;
   const CellResult& Cell(const std::string& id) const;  // aborts if missing
   const ScenarioResult& Result(const std::string& id) const;
   // Primary metric of `group` in cell `id` (paper's smaller-is-better cost).
@@ -106,16 +102,12 @@ class SweepContext {
   void AddTable(const std::string& title, const TextTable& table);
   void Summary(const std::string& key, double value);
   void Note(const std::string& key, const std::string& value);
-  // Wall-clock measurement; units are carried by the key (e.g. "_seconds",
-  // "_ns_per_op" suffixes).
-  void Timing(const std::string& key, double value);
 
   // Collected output, consumed by the engine.
   std::string text;
   std::vector<std::pair<std::string, TextTable>> tables;
   std::vector<std::pair<std::string, double>> summary;
   std::vector<std::pair<std::string, std::string>> notes;
-  std::vector<std::pair<std::string, double>> timings;
 
   std::vector<CellResult> TakeCells() { return std::move(cells_); }
 
@@ -143,7 +135,8 @@ struct SweepResult {
   std::vector<std::pair<std::string, TextTable>> tables;
   std::vector<std::pair<std::string, double>> summary;
   std::vector<std::pair<std::string, std::string>> notes;
-  std::vector<std::pair<std::string, double>> timings;
+  // Host time of the render step (0 when it was skipped).
+  double render_seconds = 0.0;
   // The sweep's compute time: the sum of its cells' wall_seconds plus its
   // render time. Sweeps share one worker pool and overlap, so this is work,
   // not an interval of the run.

@@ -98,8 +98,6 @@ class FaultInjector {
   // stream is consumed in proposal order, which is itself deterministic.
   bool MigrationAttemptFails();
 
-  const FleetFaultPlan& plan() const { return plan_; }
-
  private:
   FleetFaultPlan plan_;
   std::map<TimeNs, std::vector<int>> crashes_;

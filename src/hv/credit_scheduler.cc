@@ -16,7 +16,6 @@ CreditScheduler::CreditScheduler(int num_pcpus, const CreditParams& params)
   AQL_CHECK(params_.accounting_period > 0);
   AQL_CHECK(params_.default_quantum > 0);
   PoolState all;
-  all.label = "default";
   all.quantum = params_.default_quantum;
   for (int p = 0; p < num_pcpus; ++p) {
     all.pcpus.push_back(p);
@@ -33,7 +32,6 @@ void CreditScheduler::SetPools(const std::vector<PoolSpec>& pools) {
     AQL_CHECK(!spec.pcpus.empty());
     const int idx = static_cast<int>(fresh.size());
     PoolState st;
-    st.label = spec.label;
     st.quantum = spec.quantum;
     st.pcpus = spec.pcpus;
     for (int pc : spec.pcpus) {
@@ -63,11 +61,6 @@ TimeNs CreditScheduler::PoolQuantum(int pool) const {
 const std::vector<int>& CreditScheduler::PoolPcpus(int pool) const {
   AQL_CHECK(pool >= 0 && pool < NumPools());
   return pools_[static_cast<size_t>(pool)].pcpus;
-}
-
-const std::string& CreditScheduler::PoolLabel(int pool) const {
-  AQL_CHECK(pool >= 0 && pool < NumPools());
-  return pools_[static_cast<size_t>(pool)].label;
 }
 
 void CreditScheduler::SetSocketFilter(std::vector<int> socket_of_pcpu) {

@@ -17,7 +17,6 @@
 #ifndef AQLSCHED_SRC_HV_CREDIT_SCHEDULER_H_
 #define AQLSCHED_SRC_HV_CREDIT_SCHEDULER_H_
 
-#include <string>
 #include <vector>
 
 #include "src/hv/cpu_pool.h"
@@ -57,7 +56,6 @@ class CreditScheduler {
   int PoolOf(int pcpu) const;
   TimeNs PoolQuantum(int pool) const;
   const std::vector<int>& PoolPcpus(int pool) const;
-  const std::string& PoolLabel(int pool) const;
 
   // Quantum to grant `v` when dispatched on `pcpu`: the pool quantum, unless
   // the vCPU carries a smaller per-vCPU override (vSlicer-style).
@@ -101,7 +99,6 @@ class CreditScheduler {
 
  private:
   struct PoolState {
-    std::string label;
     std::vector<int> pcpus;
     TimeNs quantum;
   };

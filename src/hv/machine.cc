@@ -79,7 +79,6 @@ void Machine::Start() {
   AQL_CHECK_MSG(!vcpus_.empty(), "machine has no vCPUs");
   started_ = true;
   processing_ = true;
-  channel_.Resize(static_cast<int>(vcpus_.size()));
 
   const int n_pcpus = config_.topology.TotalPcpus();
   std::vector<std::vector<Vcpu*>> per_pcpu(static_cast<size_t>(n_pcpus));
@@ -206,19 +205,13 @@ void Machine::ScheduleTimer(TimeNs when, int vcpu_id, int tag) {
 
 void Machine::NotifyIoEvent(int vcpu_id) {
   Vcpu* v = vcpu(vcpu_id);
-  channel_.Notify(vcpu_id);
   v->pmu.io_events += 1;
-  RunOrDefer([this, v] { WakeImpl(v, /*io_event=*/true); });
+  RunOrDefer([this, v] { WakeImpl(v); });
 }
 
 void Machine::KickVcpu(int vcpu_id) {
   Vcpu* v = vcpu(vcpu_id);
   RunOrDefer([this, v] { KickImpl(v); });
-}
-
-void Machine::WakeVcpu(int vcpu_id) {
-  Vcpu* v = vcpu(vcpu_id);
-  RunOrDefer([this, v] { WakeImpl(v, /*io_event=*/false); });
 }
 
 void Machine::CountPauseExits(int vcpu_id, uint64_t n) {
@@ -227,11 +220,6 @@ void Machine::CountPauseExits(int vcpu_id, uint64_t n) {
 
 // ---------------------------------------------------------------------------
 // Dispatch path
-
-Vcpu* Machine::RunningOn(int pcpu) const {
-  AQL_CHECK(pcpu >= 0 && pcpu < static_cast<int>(pcpus_.size()));
-  return pcpus_[static_cast<size_t>(pcpu)].current;
-}
 
 void Machine::Resched(int pcpu) {
   if (pcpus_[static_cast<size_t>(pcpu)].current == nullptr) {
@@ -260,7 +248,6 @@ void Machine::Dispatch(int pcpu, Vcpu* v, bool switched) {
   v->dispatches += 1;
   v->running_pcpu = pcpu;
   s.current = v;
-  s.dispatch_start = now;
   ++counters_.dispatches;
   s.quantum_end = now + sched_.QuantumFor(pcpu, *v);
   s.pending_overhead = switched ? config_.hw.context_switch_cost : 0;
@@ -487,7 +474,6 @@ void Machine::PreemptCurrent(int pcpu, bool front) {
   AQL_CHECK(v != nullptr);
   DescheduleCurrent(pcpu);
   v->state = RunState::kRunnable;
-  v->preemptions += 1;
   // Re-enqueue on the home pCPU (load balance is anchored there); fall back
   // to the local queue if the home moved to another pool.
   int target = pcpu;
@@ -513,13 +499,12 @@ void Machine::BlockCurrent(int pcpu, TimeNs wake_at) {
   v->state = RunState::kBlocked;
   if (wake_at < kTimeInfinite) {
     AQL_CHECK(wake_at >= sim_.Now());
-    v->wake_at = wake_at;
     v->wake_event = sim_.At(
         wake_at,
         [this, v](TimeNs) {
           v->wake_event = kInvalidEventId;
           processing_ = true;
-          WakeImpl(v, /*io_event=*/false);
+          WakeImpl(v);
           processing_ = false;
           Drain();
         },
@@ -541,8 +526,7 @@ const std::vector<bool>& Machine::IdleFlags() {
   return idle_scratch_;
 }
 
-void Machine::WakeImpl(Vcpu* v, bool io_event) {
-  (void)io_event;
+void Machine::WakeImpl(Vcpu* v) {
   if (v->state != RunState::kBlocked) {
     return;  // already runnable/running: the event was delivered to the model
   }
@@ -585,7 +569,6 @@ void Machine::MaybePreempt(int pcpu) {
     Vcpu* v = s.current;
     DescheduleCurrent(pcpu);
     v->state = RunState::kRunnable;
-    v->preemptions += 1;
     sched_.Enqueue(v, pcpu, /*front=*/true);
     TryDispatch(pcpu);
   }
@@ -740,7 +723,6 @@ void Machine::ResetAllMetrics() {
   for (Vcpu* v : vcpus_) {
     v->total_runtime = 0;
     v->dispatches = 0;
-    v->preemptions = 0;
     v->migrations = 0;
     v->workload()->ResetMetrics(now);
   }

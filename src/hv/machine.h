@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "src/hv/credit_scheduler.h"
-#include "src/hv/event_channel.h"
 #include "src/hv/vm.h"
 #include "src/hw/llc_model.h"
 #include "src/hw/topology.h"
@@ -109,7 +108,6 @@ class Machine : public WorkloadHost {
   void ScheduleTimer(TimeNs when, int vcpu, int tag) override;
   void NotifyIoEvent(int vcpu) override;
   void KickVcpu(int vcpu) override;
-  void WakeVcpu(int vcpu) override;
   void CountPauseExits(int vcpu, uint64_t n) override;
 
   // --- controller interface ---
@@ -139,18 +137,15 @@ class Machine : public WorkloadHost {
   void ChargeControllerOverhead(TimeNs cost);
 
   // --- observability ---
-  Simulation& sim() { return sim_; }
   const Topology& topology() const { return config_.topology; }
   const HwParams& hw_params() const { return config_.hw; }
   CreditScheduler& scheduler() { return sched_; }
   const CreditScheduler& scheduler() const { return sched_; }
   LlcModel& llc() { return llc_; }
   const MemBus& mem_bus() const { return mem_bus_; }
-  EventChannel& event_channel() { return channel_; }
 
   const std::vector<Vcpu*>& vcpus() const { return vcpus_; }
   Vcpu* vcpu(int id) const;
-  const std::vector<std::unique_ptr<Vm>>& vms() const { return vms_; }
 
   // Zeroes workload metrics and machine counters; marks the start of the
   // measurement window (call after warm-up).
@@ -162,15 +157,10 @@ class Machine : public WorkloadHost {
   TimeNs measure_start() const { return measure_start_; }
   TimeNs controller_overhead() const { return controller_overhead_; }
   WorkCounters counters() const;
-  bool started() const { return started_; }
-
-  // Running vCPU on `pcpu`, nullptr if idle.
-  Vcpu* RunningOn(int pcpu) const;
 
  private:
   struct PcpuState {
     Vcpu* current = nullptr;
-    TimeNs dispatch_start = 0;
     TimeNs quantum_end = 0;
     // In-flight step.
     Step step;
@@ -213,7 +203,7 @@ class Machine : public WorkloadHost {
   void OnVcpuTimer(int vcpu_id, int tag, TimeNs now);
 
   // Wake path.
-  void WakeImpl(Vcpu* v, bool io_event);
+  void WakeImpl(Vcpu* v);
   void KickImpl(Vcpu* v);
   void MaybePreempt(int pcpu);
   // Fills and returns the idle flags the wake path feeds to ChooseWakePcpu
@@ -242,7 +232,6 @@ class Machine : public WorkloadHost {
   MemBus mem_bus_;
   TimeNs remote_miss_extra_;  // per-remote-access stall from the NUMA model
   CreditScheduler sched_;
-  EventChannel channel_;
   Rng workload_rng_;
 
   std::vector<std::unique_ptr<Vm>> vms_;

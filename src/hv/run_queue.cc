@@ -111,15 +111,4 @@ void RunQueue::Rebucket() {
   AQL_CHECK(size_ == expected);
 }
 
-std::vector<Vcpu*> RunQueue::Snapshot() const {
-  std::vector<Vcpu*> out;
-  out.reserve(size_);
-  for (const List& list : classes_) {
-    for (Vcpu* v = list.head; v != nullptr; v = v->rq_next) {
-      out.push_back(v);
-    }
-  }
-  return out;
-}
-
 }  // namespace aql

@@ -15,7 +15,6 @@
 #define AQLSCHED_SRC_HV_RUN_QUEUE_H_
 
 #include <array>
-#include <vector>
 
 #include "src/hv/vcpu.h"
 
@@ -46,9 +45,6 @@ class RunQueue {
   // accounting flips UNDER/OVER states). Relative order within the resulting
   // classes is preserved.
   void Rebucket();
-
-  // All queued vCPUs, best-priority first (for inspection/tests).
-  std::vector<Vcpu*> Snapshot() const;
 
  private:
   static constexpr int kClasses = 3;

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/hv/vm.h"
 #include "src/sim/check.h"
 
 namespace aql {
@@ -11,10 +10,6 @@ Vcpu::Vcpu(int id, Vm* vm, std::unique_ptr<WorkloadModel> workload)
     : id_(id), vm_(vm), workload_(std::move(workload)) {
   AQL_CHECK(vm_ != nullptr);
   AQL_CHECK(workload_ != nullptr);
-}
-
-std::string VcpuLabel(const Vcpu& v) {
-  return v.vm()->name() + "." + std::to_string(v.id());
 }
 
 }  // namespace aql

@@ -9,7 +9,6 @@
 #define AQLSCHED_SRC_HV_VCPU_H_
 
 #include <memory>
-#include <string>
 
 #include "src/hw/pmu.h"
 #include "src/sim/event_queue.h"
@@ -85,10 +84,8 @@ class Vcpu {
   // the Machine dispatch path; makes kicks O(1).
   int running_pcpu = -1;
 
-  // Pending self-wake timer event (kBlock with finite wake_at) and its
-  // absolute deadline.
+  // Pending self-wake timer event (kBlock with finite wake_at).
   EventId wake_event = kInvalidEventId;
-  TimeNs wake_at = 0;
 
   // --- run-queue linkage (owned by RunQueue) ---
   // Intrusive list pointers: a runnable vCPU sits on exactly one queue, so
@@ -101,7 +98,6 @@ class Vcpu {
   // --- observability ---
   PmuCounters pmu;
   uint64_t dispatches = 0;
-  uint64_t preemptions = 0;
   uint64_t migrations = 0;
 
  private:
@@ -109,9 +105,6 @@ class Vcpu {
   Vm* vm_;
   std::unique_ptr<WorkloadModel> workload_;
 };
-
-// Short label such as "vm2.1" for diagnostics.
-std::string VcpuLabel(const Vcpu& v);
 
 }  // namespace aql
 

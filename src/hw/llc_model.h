@@ -66,7 +66,6 @@ class LlcModel {
 
   uint64_t Occupancy(int socket, int vcpu) const;
   uint64_t TotalOccupancy(int socket) const;
-  uint64_t capacity() const { return capacity_; }
   // CommitAccesses calls that overflowed their socket and ran the eviction
   // walk, over the model's lifetime (a work counter, see WorkCounters).
   uint64_t evictions() const { return evictions_; }
@@ -135,7 +134,6 @@ class MemBus {
   // already registered.
   double StallFactor(int socket, double extra_demand) const;
 
-  double bandwidth() const { return bw_; }
   // SetDemand calls that changed a pCPU's demand, over the bus's lifetime
   // (a work counter, see WorkCounters).
   uint64_t updates() const { return updates_; }

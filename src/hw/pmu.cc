@@ -27,8 +27,4 @@ PmuCounters& PmuCounters::operator+=(const PmuCounters& rhs) {
   return *this;
 }
 
-PmuCounters PmuDelta(const PmuCounters& newer, const PmuCounters& older) {
-  return newer - older;
-}
-
 }  // namespace aql

@@ -26,9 +26,6 @@ struct PmuCounters {
   PmuCounters& operator+=(const PmuCounters& rhs);
 };
 
-// Convenience: delta between two snapshots (newer - older).
-PmuCounters PmuDelta(const PmuCounters& newer, const PmuCounters& older);
-
 }  // namespace aql
 
 #endif  // AQLSCHED_SRC_HW_PMU_H_

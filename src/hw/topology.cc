@@ -9,12 +9,6 @@ int Topology::SocketOf(int pcpu) const {
   return pcpu / cores_per_socket;
 }
 
-int Topology::NumaDistance(int from_socket, int to_socket) const {
-  AQL_CHECK(from_socket >= 0 && from_socket < sockets);
-  AQL_CHECK(to_socket >= 0 && to_socket < sockets);
-  return from_socket == to_socket ? numa_local_distance : numa_remote_distance;
-}
-
 TimeNs Topology::RemoteMissExtra(TimeNs llc_miss_penalty) const {
   AQL_CHECK(numa_local_distance > 0);
   AQL_CHECK(numa_remote_distance >= numa_local_distance);
@@ -38,8 +32,6 @@ Topology MakeI73770Topology(int cores) {
   Topology t;
   t.sockets = 1;
   t.cores_per_socket = cores;
-  t.l1_bytes = 32 * 1024;
-  t.l2_bytes = 256 * 1024;
   t.llc_bytes = 8ull * 1024 * 1024;
   return t;
 }
@@ -48,8 +40,6 @@ Topology MakeE54603Topology() {
   Topology t;
   t.sockets = 4;
   t.cores_per_socket = 4;
-  t.l1_bytes = 32 * 1024;
-  t.l2_bytes = 256 * 1024;
   t.llc_bytes = 10ull * 1024 * 1024;
   // Sustainable per-socket DRAM bandwidth. Calibrated against the miss
   // penalty (64 B per 80 ns ≈ 0.8 B/ns asymptotic single-core demand): one

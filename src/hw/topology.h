@@ -41,8 +41,6 @@ struct HwParams {
 struct Topology {
   int sockets = 1;
   int cores_per_socket = 4;
-  uint64_t l1_bytes = 32 * 1024;
-  uint64_t l2_bytes = 256 * 1024;
   uint64_t llc_bytes = 8ull * 1024 * 1024;
   // SLIT-style NUMA distances: local is the diagonal, remote everything
   // else (all remote nodes are equidistant, as on the E5-4603's ring).
@@ -61,8 +59,6 @@ struct Topology {
   // pCPU ids belonging to `socket`.
   std::vector<int> PcpusOfSocket(int socket) const;
 
-  // SLIT distance between two sockets.
-  int NumaDistance(int from_socket, int to_socket) const;
   // Extra stall per LLC miss served by a remote node, derived from the SLIT
   // ratio: a remote access costs distance_remote/distance_local times the
   // local DRAM penalty.

@@ -1,7 +1,6 @@
 #include "src/metrics/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/sim/check.h"
 
@@ -9,28 +8,10 @@ namespace aql {
 
 void StatAccumulator::Add(double x) {
   ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-  if (count_ == 1) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
+  mean_ += (x - mean_) / static_cast<double>(count_);
 }
 
 void StatAccumulator::Reset() { *this = StatAccumulator(); }
-
-double StatAccumulator::variance() const {
-  if (count_ < 2) {
-    return 0.0;
-  }
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double StatAccumulator::stddev() const { return std::sqrt(variance()); }
 
 SampleStats::SampleStats(size_t max_samples) : max_samples_(max_samples) {
   AQL_CHECK(max_samples_ >= 16);
@@ -82,39 +63,6 @@ double SampleStats::Percentile(double p) const {
   const size_t hi = std::min(lo + 1, samples_.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  AQL_CHECK(hi > lo);
-  AQL_CHECK(buckets >= 1);
-}
-
-void Histogram::Add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  size_t idx = static_cast<size_t>((x - lo_) / width);
-  idx = std::min(idx, counts_.size() - 1);
-  ++counts_[idx];
-}
-
-void Histogram::Reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  underflow_ = overflow_ = total_ = 0;
-}
-
-double Histogram::BucketLow(size_t i) const {
-  AQL_CHECK(i < counts_.size());
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
 }
 
 }  // namespace aql

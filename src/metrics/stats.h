@@ -9,7 +9,7 @@
 
 namespace aql {
 
-// Scalar accumulator: count / mean / variance (Welford) / min / max.
+// Scalar accumulator: count and running (Welford) mean.
 class StatAccumulator {
  public:
   void Add(double x);
@@ -17,19 +17,10 @@ class StatAccumulator {
 
   uint64_t count() const { return count_; }
   double mean() const { return count_ == 0 ? 0.0 : mean_; }
-  double variance() const;
-  double stddev() const;
-  double min() const { return count_ == 0 ? 0.0 : min_; }
-  double max() const { return count_ == 0 ? 0.0 : max_; }
-  double sum() const { return sum_; }
 
  private:
   uint64_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
 };
 
 // Sample collector with percentile queries. To bound memory on long runs it
@@ -45,9 +36,6 @@ class SampleStats {
 
   uint64_t count() const { return total_count_; }
   double mean() const { return acc_.mean(); }
-  double min() const { return acc_.min(); }
-  double max() const { return acc_.max(); }
-  double stddev() const { return acc_.stddev(); }
 
   // p in [0, 100]. Returns 0 if empty.
   double Percentile(double p) const;
@@ -60,31 +48,6 @@ class SampleStats {
   StatAccumulator acc_;
   std::vector<double> samples_;
   mutable bool sorted_ = true;
-};
-
-// Fixed-bucket histogram over [lo, hi) with linear buckets, plus overflow /
-// underflow counters. Used by benches to render latency distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t buckets);
-
-  void Add(double x);
-  void Reset();
-
-  size_t buckets() const { return counts_.size(); }
-  uint64_t BucketCount(size_t i) const { return counts_[i]; }
-  double BucketLow(size_t i) const;
-  uint64_t underflow() const { return underflow_; }
-  uint64_t overflow() const { return overflow_; }
-  uint64_t total() const { return total_; }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<uint64_t> counts_;
-  uint64_t underflow_ = 0;
-  uint64_t overflow_ = 0;
-  uint64_t total_ = 0;
 };
 
 }  // namespace aql

@@ -58,10 +58,4 @@ std::string TextTable::Num(double v, int precision) {
   return buf;
 }
 
-std::string TextTable::Ms(double ns, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*fms", precision, ns / 1e6);
-  return buf;
-}
-
 }  // namespace aql

@@ -15,15 +15,12 @@ class TextTable {
   void AddRow(std::vector<std::string> row);
   std::string ToString() const;
 
-  size_t rows() const { return rows_.size(); }
-
   // Structured access for machine-readable (JSON) emission.
   const std::vector<std::string>& header() const { return header_; }
   const std::vector<std::vector<std::string>>& row_data() const { return rows_; }
 
   // Numeric formatting helpers.
   static std::string Num(double v, int precision = 2);
-  static std::string Ms(double ns, int precision = 1);
 
  private:
   std::vector<std::string> header_;

@@ -76,11 +76,6 @@ TimeNs Rng::ExponentialNs(TimeNs mean) {
 
 bool Rng::Bernoulli(double p) { return NextDouble() < p; }
 
-Rng Rng::Fork(uint64_t tag) {
-  const uint64_t a = NextU64();
-  return Rng(a ^ (tag * 0x9e3779b97f4a7c15ULL) ^ 0xa02bdbf7bb3c0a7ULL);
-}
-
 uint64_t Rng::DeriveSeed(uint64_t base, uint64_t tag) {
   uint64_t x = base ^ Rotl(tag, 29) ^ 0x6c62272e07bb0142ULL;
   // Two SplitMix64 rounds decorrelate nearby (base, tag) pairs.

@@ -39,9 +39,6 @@ class Rng {
   // Bernoulli trial with success probability p in [0, 1].
   bool Bernoulli(double p);
 
-  // Derive an independent child stream; deterministic in (this, tag).
-  Rng Fork(uint64_t tag);
-
   // Stateless seed derivation: mixes `base` and `tag` into a well-spread
   // seed, deterministic in its inputs. Used by the sweep engine to give every
   // (scenario, policy) cell its own reproducible stream regardless of how

@@ -59,8 +59,6 @@ class WorkPool {
   // time. `task` must not touch state shared across indices.
   void Run(size_t n, const std::function<void(size_t)>& task);
 
-  int threads() const { return static_cast<int>(workers_.size()) + 1; }
-
   // Host seconds the coordinator has spent blocked waiting for straggler
   // workers after finishing its own share of each Run(): the parallel-
   // efficiency loss a fleet cell reports as barrier_wait_seconds. One clock

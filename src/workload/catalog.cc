@@ -58,58 +58,6 @@ SpinSyncConfig Spin(const std::string& name, TimeNs compute, TimeNs critical, ui
   return c;
 }
 
-// --- nominal op descriptors (the catalog backend's NextOp view) ---
-//
-// Each overload condenses a generator config into the steady-state op its
-// stream repeats. These are descriptive summaries only: simulation behaviour
-// still comes from the model factories below.
-
-NominalOp Nominal(bool io, TimeNs period, TimeNs burst, const MemProfile& mem) {
-  NominalOp n;
-  n.io = io;
-  n.period = period;
-  n.burst = burst;
-  n.mem = mem;
-  return n;
-}
-
-NominalOp NominalOf(const CpuBurnConfig& c) {
-  return Nominal(false, 0, c.phase, c.mem);
-}
-
-NominalOp NominalOf(const IoServerConfig& c) {
-  const TimeNs period = static_cast<TimeNs>(1e9 / c.arrival_rate_hz);
-  return Nominal(true, period, c.service_work + c.cgi_work, c.mem);
-}
-
-NominalOp NominalOf(const SpinSyncConfig& c) {
-  return Nominal(false, 0, c.compute + c.critical, c.mem);
-}
-
-NominalOp NominalOf(const MemStreamConfig& c) {
-  return Nominal(false, 0, c.burst, c.mem);
-}
-
-NominalOp NominalOf(const BurstyIoConfig& c) {
-  // Mean spacing across one on/off cycle: arrivals only land in ON phases.
-  const double ops_per_cycle = c.on_arrival_rate_hz * ToSec(c.on_duration);
-  const TimeNs period = static_cast<TimeNs>(
-      static_cast<double>(c.on_duration + c.off_duration) / ops_per_cycle);
-  return Nominal(true, period, c.service_work, c.mem);
-}
-
-NominalOp NominalOf(const DiurnalWebConfig& c) {
-  // The day/night triangle wave is zero-mean, so the nominal op is the base
-  // bursty stream's.
-  return NominalOf(c.bursty);
-}
-
-NominalOp NominalOf(const CheckpointRestartConfig& c) {
-  // The compute phase dominates (checkpoint duty cycle is a few percent),
-  // so the nominal op is the solver's.
-  return Nominal(false, 0, c.phase, c.mem);
-}
-
 using Factory =
     std::function<std::vector<std::unique_ptr<WorkloadModel>>(int count,
                                                               const AppOptions& options)>;
@@ -198,36 +146,36 @@ Factory MakeSpinFactory(SpinSyncConfig cfg) {
 const std::vector<Entry>& Entries() {
   static const std::vector<Entry>* entries = [] {
     auto* e = new std::vector<Entry>;
-    // Typed registration helpers: each derives the nominal op descriptor
-    // from the same config the model factory captures.
+    // Typed registration helpers: each takes the nominal descriptor from the
+    // same config the model factory captures.
     auto add_io = [e](const std::string& suite, const IoServerConfig& cfg) {
       e->push_back(Entry{AppProfile{cfg.name, VcpuType::kIoInt, suite,
                                     /*extended=*/false},
-                         MakeIoFactory(cfg), NominalOf(cfg)});
+                         MakeIoFactory(cfg), NominalOp{cfg.mem}});
     };
     auto add_spin = [e](const std::string& suite, const SpinSyncConfig& cfg) {
       e->push_back(Entry{AppProfile{cfg.name, VcpuType::kConSpin, suite,
                                     /*extended=*/false},
-                         MakeSpinFactory(cfg), NominalOf(cfg)});
+                         MakeSpinFactory(cfg), NominalOp{cfg.mem}});
     };
     auto add_burn = [e](VcpuType t, const std::string& suite, const CpuBurnConfig& cfg) {
       e->push_back(Entry{AppProfile{cfg.name, t, suite, /*extended=*/false},
-                         MakeBurnFactory(cfg), NominalOf(cfg)});
+                         MakeBurnFactory(cfg), NominalOp{cfg.mem}});
     };
     auto add_stream = [e](VcpuType t, const std::string& suite,
                           const MemStreamConfig& cfg) {
       e->push_back(Entry{AppProfile{cfg.name, t, suite, /*extended=*/true},
-                         MakeStreamFactory(cfg), NominalOf(cfg)});
+                         MakeStreamFactory(cfg), NominalOp{cfg.mem}});
     };
     auto add_bursty = [e](const std::string& suite, const BurstyIoConfig& cfg) {
       e->push_back(Entry{AppProfile{cfg.name, VcpuType::kBurstyIo, suite,
                                     /*extended=*/true},
-                         MakeBurstyFactory(cfg), NominalOf(cfg)});
+                         MakeBurstyFactory(cfg), NominalOp{cfg.mem}});
     };
     auto add_diurnal = [e](const std::string& suite, const DiurnalWebConfig& cfg) {
       e->push_back(Entry{AppProfile{cfg.bursty.name, VcpuType::kBurstyIo, suite,
                                     /*extended=*/true},
-                         MakeDiurnalFactory(cfg), NominalOf(cfg)});
+                         MakeDiurnalFactory(cfg), NominalOp{cfg.bursty.mem}});
     };
 
     // --- I/O intensive (reference suites + Table 1 micro-benchmarks) ---
@@ -383,7 +331,7 @@ const std::vector<Entry>& Entries() {
       c.checkpoint_interval = Ms(80);
       c.checkpoint_work = Ms(2);
       e->push_back(Entry{AppProfile{c.name, VcpuType::kLlcf, "HPC", /*extended=*/true},
-                         MakeCheckpointFactory(c), NominalOf(c)});
+                         MakeCheckpointFactory(c), NominalOp{c.mem}});
     }
 
     return e;
@@ -443,11 +391,6 @@ std::vector<std::unique_ptr<WorkloadModel>> MakeApp(const std::string& name, int
                                                     const AppOptions& options) {
   AQL_CHECK(count >= 1);
   return FindEntry(name).make(count, options);
-}
-
-std::unique_ptr<WorkloadModel> MakeSingleApp(const std::string& name) {
-  auto v = MakeApp(name, 1);
-  return std::move(v.front());
 }
 
 std::vector<std::string> AppsOfType(VcpuType type) {

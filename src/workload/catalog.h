@@ -50,23 +50,14 @@ struct AppOptions {
   bool fifo_lock = false;
 };
 
-// Nominal steady-state op descriptor of a catalog application: what one
-// operation of its op stream looks like (the catalog backend of the
-// workload-source API synthesizes its NextOp view from this). Purely
-// descriptive — simulation behaviour comes from the WorkloadModel
-// instances, which keep their stochastic processes.
+// Nominal descriptor of a catalog application: the memory behaviour of its
+// steady-state compute. Purely descriptive — simulation behaviour comes from
+// the WorkloadModel instances.
 struct NominalOp {
-  // True for request-serving applications (ops are I/O arrivals).
-  bool io = false;
-  // Mean arrival spacing; 0 = back-to-back compute (always-runnable).
-  TimeNs period = 0;
-  // Pure work per op.
-  TimeNs burst = 0;
-  // Memory behaviour of the op's burst.
   MemProfile mem;
 };
 
-// Nominal op descriptor lookup; aborts on unknown names.
+// Nominal descriptor lookup; aborts on unknown names.
 const NominalOp& NominalOpFor(const std::string& name);
 
 // Instantiates `count` vCPU workload models for `name`. For ConSpin
@@ -74,9 +65,6 @@ const NominalOp& NominalOpFor(const std::string& name);
 // other types the models are independent replicas.
 std::vector<std::unique_ptr<WorkloadModel>> MakeApp(const std::string& name, int count = 1,
                                                     const AppOptions& options = {});
-
-// Convenience: single-vCPU instantiation.
-std::unique_ptr<WorkloadModel> MakeSingleApp(const std::string& name);
 
 // Names of all applications of a given expected type, searching the
 // extended catalog (the only home of the post-paper types).

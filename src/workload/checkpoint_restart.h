@@ -52,9 +52,6 @@ class CheckpointRestartModel : public WorkloadModel {
   double SaveDurableState() const override { return static_cast<double>(checkpointed_); }
   void RestoreDurableState(double state) override;
 
-  TimeNs useful_total() const { return useful_total_; }
-  TimeNs checkpointed() const { return checkpointed_; }
-
  private:
   CheckpointRestartConfig config_;
   TimeNs useful_total_ = 0;   // useful work done, restored position included

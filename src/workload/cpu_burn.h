@@ -40,7 +40,6 @@ class CpuBurnModel : public WorkloadModel {
 
   TimeNs work_done_total() const { return done_total_; }
   bool finished() const { return finished_; }
-  TimeNs finish_time() const { return finish_time_; }
 
  private:
   CpuBurnConfig config_;

@@ -10,45 +10,26 @@ namespace {
 
 // The catalog backend: models come from the registered factories (exactly
 // what MakeApp built before the workload-source layer existed — catalog
-// scenarios keep their committed goldens), the op stream is the nominal
-// steady-state view synthesized from the application's NominalOp descriptor.
+// scenarios keep their committed goldens).
 class CatalogSource : public WorkloadSource {
  public:
   explicit CatalogSource(const WorkloadSourceSpec& spec)
       : app_(spec.app),
         vcpus_(spec.vcpus),
         options_(spec.options),
-        nominal_(NominalOpFor(spec.app)),
-        io_int_(FindApp(spec.app).expected_type == VcpuType::kIoInt),
-        counts_(static_cast<size_t>(spec.vcpus), 0) {
+        io_int_(FindApp(spec.app).expected_type == VcpuType::kIoInt) {
     AQL_CHECK(vcpus_ >= 1);
   }
 
-  std::string Name() const override { return app_; }
   int Streams() const override { return vcpus_; }
-
-  WorkloadOp NextOp(int stream) override {
-    AQL_CHECK(stream >= 0 && stream < vcpus_);
-    const uint64_t k = counts_[static_cast<size_t>(stream)]++;
-    WorkloadOp op;
-    op.kind = nominal_.io ? WorkloadOp::Kind::kIo : WorkloadOp::Kind::kCompute;
-    // Request streams arrive on the mean spacing; always-runnable compute
-    // packs ops back to back (the k-th op arrives when the previous one
-    // nominally completes).
-    op.arrival =
-        static_cast<TimeNs>(k) * (nominal_.io ? nominal_.period : nominal_.burst);
-    op.burst = nominal_.burst;
-    op.mem = nominal_.mem;
-    return op;
-  }
 
   std::vector<std::unique_ptr<WorkloadModel>> MakeModels() override {
     return MakeApp(app_, vcpus_, options_);
   }
 
   // vSlicer/vTurbo's manual I/O list predates the source layer and covers
-  // only the steady IoInt type (BurstyIo streams carry "io" ops in NextOp
-  // but were never hand-configured as I/O vCPUs) — keep that contract.
+  // only the steady IoInt type (BurstyIo applications serve requests too but
+  // were never hand-configured as I/O vCPUs) — keep that contract.
   bool StreamHasIo(int stream) const override {
     AQL_CHECK(stream >= 0 && stream < vcpus_);
     return io_int_;
@@ -58,9 +39,7 @@ class CatalogSource : public WorkloadSource {
   std::string app_;
   int vcpus_;
   AppOptions options_;
-  NominalOp nominal_;
   bool io_int_;
-  std::vector<uint64_t> counts_;  // ops pulled per stream
 };
 
 }  // namespace

@@ -44,7 +44,6 @@ class SpinBarrier {
   uint64_t Arrive(int vcpu, WorkloadHost* host);
 
   uint64_t generation() const { return generation_; }
-  int parties() const { return parties_; }
   uint64_t trips() const { return trips_; }
 
  private:
@@ -75,7 +74,6 @@ class SpinLock {
   bool ContendedBy(int vcpu) const;
   int owner() const { return owner_; }
   size_t waiters() const { return waiters_.size(); }
-  bool fifo() const { return fifo_; }
 
   const SampleStats& hold_us() const { return hold_us_; }
   const SampleStats& wait_us() const { return wait_us_; }

@@ -180,11 +180,11 @@ bool ParseTrace(const std::string& text, TraceData* out, std::string* error) {
     TraceOp op;
     const std::string& kind = opv->AsString();
     if (kind == "compute") {
-      op.kind = WorkloadOp::Kind::kCompute;
+      op.kind = TraceOp::Kind::kCompute;
     } else if (kind == "io") {
-      op.kind = WorkloadOp::Kind::kIo;
+      op.kind = TraceOp::Kind::kIo;
     } else if (kind == "end") {
-      op.kind = WorkloadOp::Kind::kEnd;
+      op.kind = TraceOp::Kind::kEnd;
     } else {
       return fail("unknown op kind \"" + kind +
                   "\" (expected \"compute\", \"io\" or \"end\")");
@@ -200,7 +200,7 @@ bool ParseTrace(const std::string& text, TraceData* out, std::string* error) {
                   " after " + std::to_string(st.ops.back().at) + ")");
     }
 
-    if (op.kind == WorkloadOp::Kind::kEnd) {
+    if (op.kind == TraceOp::Kind::kEnd) {
       if (v.Find("burst_ns") != nullptr) {
         return fail("\"end\" must not carry \"burst_ns\"");
       }
@@ -220,7 +220,7 @@ bool ParseTrace(const std::string& text, TraceData* out, std::string* error) {
       if (!ParseMemFields(v, &op.mem, &msg)) {
         return fail(msg);
       }
-      if (op.kind == WorkloadOp::Kind::kIo) {
+      if (op.kind == TraceOp::Kind::kIo) {
         st.has_io = true;
       }
     }
@@ -297,7 +297,7 @@ void TraceReplayModel::ScheduleNextIoNotification() {
       io_idx_ = 0;
       ++io_cycle_;
     }
-    if (v[io_idx_].kind == WorkloadOp::Kind::kIo) {
+    if (v[io_idx_].kind == TraceOp::Kind::kIo) {
       host_->ScheduleTimer(Effective(v[io_idx_].at, io_cycle_), vcpu_,
                            kIoArrivalTimer);
       return;
@@ -335,7 +335,7 @@ Step TraceReplayModel::NextStep(TimeNs now) {
         return Step::Finished();
       }
       const TraceOp& op = v[idx_];
-      if (op.kind == WorkloadOp::Kind::kEnd) {
+      if (op.kind == TraceOp::Kind::kEnd) {
         finished_ = true;
         return Step::Finished();
       }
@@ -397,7 +397,7 @@ void TraceReplayModel::ResetMetrics(TimeNs now) {
 // --- TraceSource ------------------------------------------------------------
 
 TraceSource::TraceSource(std::shared_ptr<const TraceData> data)
-    : data_(std::move(data)), cursors_(data_->streams.size()) {
+    : data_(std::move(data)) {
   AQL_CHECK(data_ != nullptr);
 }
 
@@ -408,35 +408,6 @@ std::unique_ptr<TraceSource> TraceSource::Load(const std::string& path,
     return nullptr;
   }
   return std::make_unique<TraceSource>(std::move(data));
-}
-
-WorkloadOp TraceSource::NextOp(int stream) {
-  AQL_CHECK(stream >= 0 && stream < Streams());
-  Cursor& c = cursors_[static_cast<size_t>(stream)];
-  const std::vector<TraceOp>& v = data_->streams[static_cast<size_t>(stream)].ops;
-  while (true) {
-    if (c.idx >= v.size()) {
-      if (data_->wrap > 0 && !v.empty()) {
-        c.idx = 0;
-        ++c.cycle;
-        continue;
-      }
-      WorkloadOp end;  // exhausted finite stream
-      end.kind = WorkloadOp::Kind::kEnd;
-      end.arrival = v.empty() ? 0 : v.back().at;
-      return end;
-    }
-    const TraceOp& op = v[c.idx];
-    WorkloadOp out;
-    out.arrival = op.at + static_cast<TimeNs>(c.cycle) * data_->wrap;
-    out.burst = op.burst;
-    out.mem = op.mem;
-    out.kind = op.kind;
-    if (op.kind != WorkloadOp::Kind::kEnd) {
-      ++c.idx;  // an explicit "end" is terminal: keep returning it
-    }
-    return out;
-  }
 }
 
 std::vector<std::unique_ptr<WorkloadModel>> TraceSource::MakeModels() {

@@ -42,7 +42,13 @@ inline constexpr int kTraceFormatVersion = 1;
 
 // One parsed op record.
 struct TraceOp {
-  WorkloadOp::Kind kind = WorkloadOp::Kind::kCompute;
+  enum class Kind {
+    kCompute,  // CPU burst with the op's memory behaviour
+    kIo,       // request arrival: event-channel notification, then a burst
+    kEnd,      // stream closed (finite traces only)
+  };
+
+  Kind kind = Kind::kCompute;
   TimeNs at = 0;       // arrival, absolute ns from trace start
   TimeNs burst = 0;    // pure work (0 for "end" ops)
   MemProfile mem;
@@ -83,8 +89,6 @@ class TraceReplayModel : public WorkloadModel {
   PerfReport Report(TimeNs now) const override;
   void ResetMetrics(TimeNs now) override;
 
-  uint64_t completed_ops() const { return completed_; }
-
  private:
   TimeNs Effective(TimeNs at, uint64_t cycle) const {
     return at + static_cast<TimeNs>(cycle) * data_->wrap;
@@ -117,8 +121,8 @@ class TraceReplayModel : public WorkloadModel {
   TimeNs window_start_ = 0;
 };
 
-// The "trace" backend of the workload-source API: the op stream is the
-// file, models are TraceReplayModel instances.
+// The "trace" backend of the workload-source API: models are
+// TraceReplayModel instances, one per stream of the file.
 class TraceSource : public WorkloadSource {
  public:
   explicit TraceSource(std::shared_ptr<const TraceData> data);
@@ -126,22 +130,12 @@ class TraceSource : public WorkloadSource {
   // Loads `path`; returns nullptr and sets `error` on validation failure.
   static std::unique_ptr<TraceSource> Load(const std::string& path, std::string* error);
 
-  std::string Name() const override { return data_->name; }
   int Streams() const override { return static_cast<int>(data_->streams.size()); }
-  WorkloadOp NextOp(int stream) override;
   std::vector<std::unique_ptr<WorkloadModel>> MakeModels() override;
   bool StreamHasIo(int stream) const override;
 
-  const TraceData& data() const { return *data_; }
-
  private:
-  struct Cursor {
-    size_t idx = 0;
-    uint64_t cycle = 0;
-  };
-
   std::shared_ptr<const TraceData> data_;
-  std::vector<Cursor> cursors_;
 };
 
 }  // namespace aql

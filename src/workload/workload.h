@@ -106,9 +106,6 @@ class WorkloadHost {
   // spin-lock release so a spinning waiter acquires immediately).
   virtual void KickVcpu(int vcpu) = 0;
 
-  // Wakes `vcpu` if it is blocked, without the I/O boost path (plain wake).
-  virtual void WakeVcpu(int vcpu) = 0;
-
   // Records `n` Pause-Loop-Exiting traps for `vcpu`. Used by workload models
   // for short in-guest kernel spins whose performance cost is negligible but
   // which the hypervisor's PLE monitoring observes (the ConSpin signal).

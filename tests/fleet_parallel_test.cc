@@ -52,7 +52,8 @@ std::string StableJsonFor(const std::string& sweep, int island_threads) {
 // and "pool larger than some fleets" (the quick drain sweep has 8 hosts, so
 // 8 threads also covers threads == hosts and the min(threads, hosts) clamp).
 TEST(FleetParallel, SweepStableJsonIsByteIdenticalAcrossIslandThreads) {
-  for (const char* sweep : {"fleet_hotspot", "fleet_consolidation", "fleet_drain"}) {
+  for (const char* sweep :
+       {"fleet_hotspot", "fleet_consolidation", "fleet_drain", "fleet_failover"}) {
     const std::string sequential = StableJsonFor(sweep, 1);
     EXPECT_EQ(sequential, StableJsonFor(sweep, 2)) << sweep << " @2 threads";
     EXPECT_EQ(sequential, StableJsonFor(sweep, 8)) << sweep << " @8 threads";

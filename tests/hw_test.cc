@@ -37,15 +37,6 @@ TEST(TopologyTest, I73770Preset) {
   EXPECT_EQ(t.sockets, 1);
   EXPECT_EQ(t.TotalPcpus(), 4);
   EXPECT_EQ(t.llc_bytes, 8ull * kMiB);
-  EXPECT_EQ(t.l2_bytes, 256ull * 1024);
-}
-
-TEST(TopologyTest, NumaDistancesAreSlitStyle) {
-  Topology t = MakeE54603Topology();
-  EXPECT_EQ(t.NumaDistance(0, 0), 10);
-  EXPECT_EQ(t.NumaDistance(1, 1), 10);
-  EXPECT_EQ(t.NumaDistance(0, 3), 21);
-  EXPECT_EQ(t.NumaDistance(2, 1), 21);
 }
 
 TEST(TopologyTest, RemoteMissExtraFromDistanceRatio) {

@@ -19,7 +19,6 @@ class FakeHost : public WorkloadHost {
   }
   void NotifyIoEvent(int vcpu) override { io_events.push_back(vcpu); }
   void KickVcpu(int vcpu) override { kicks.push_back(vcpu); }
-  void WakeVcpu(int vcpu) override { wakes.push_back(vcpu); }
   void CountPauseExits(int vcpu, uint64_t n) override { pause_exits += n * (vcpu >= 0); }
 
   struct Timer {
@@ -32,7 +31,6 @@ class FakeHost : public WorkloadHost {
   std::vector<Timer> timers;
   std::vector<int> io_events;
   std::vector<int> kicks;
-  std::vector<int> wakes;
   uint64_t pause_exits = 0;
 
   // Fires the oldest pending timer into `model`.

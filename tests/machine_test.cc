@@ -154,13 +154,24 @@ TEST(MachineTest, BoostEligibilityGating) {
   // A boosted wake preempts the hog and dispatches immediately (the vCPU
   // then re-blocks on its empty queue, clearing the flag — so the observable
   // effect is the immediate dispatch). A non-boosted wake leaves the vCPU
-  // queued behind the hog's quantum.
+  // queued behind the hog's quantum. Every notification, whatever the
+  // vCPU's state, adds exactly one to its PMU I/O count (the count vTRS
+  // reads).
 
   // Case 1: consumed its full previous quantum -> no boost, no dispatch.
   v->consumed_full_quantum = true;
   v->credits = 1e6;
   uint64_t dispatches = v->dispatches;
+  uint64_t io_events = v->pmu.io_events;
   m.NotifyIoEvent(v->id());
+  EXPECT_EQ(v->pmu.io_events, io_events + 1);
+  EXPECT_EQ(v->dispatches, dispatches);
+  EXPECT_EQ(v->state, RunState::kRunnable);
+  EXPECT_FALSE(v->boosted);
+
+  // A notification to the already-runnable vCPU is counted but wakes nothing.
+  m.NotifyIoEvent(v->id());
+  EXPECT_EQ(v->pmu.io_events, io_events + 2);
   EXPECT_EQ(v->dispatches, dispatches);
   EXPECT_EQ(v->state, RunState::kRunnable);
   EXPECT_FALSE(v->boosted);
@@ -173,7 +184,9 @@ TEST(MachineTest, BoostEligibilityGating) {
   v->consumed_full_quantum = false;
   v->credits = 1e6;
   dispatches = v->dispatches;
+  io_events = v->pmu.io_events;
   m.NotifyIoEvent(v->id());
+  EXPECT_EQ(v->pmu.io_events, io_events + 1);
   EXPECT_EQ(v->dispatches, dispatches + 1);
 
   sim.RunUntil(sim.Now() + Ms(200));
@@ -183,7 +196,9 @@ TEST(MachineTest, BoostEligibilityGating) {
   v->consumed_full_quantum = false;
   v->credits = -1e6;
   dispatches = v->dispatches;
+  io_events = v->pmu.io_events;
   m.NotifyIoEvent(v->id());
+  EXPECT_EQ(v->pmu.io_events, io_events + 1);
   EXPECT_EQ(v->dispatches, dispatches);
   EXPECT_FALSE(v->boosted);
 }

@@ -19,13 +19,11 @@ class FakeHost : public WorkloadHost {
   void ScheduleTimer(TimeNs, int, int) override {}
   void NotifyIoEvent(int) override {}
   void KickVcpu(int vcpu) override { kicks.push_back(vcpu); }
-  void WakeVcpu(int vcpu) override { wakes.push_back(vcpu); }
   void CountPauseExits(int, uint64_t n) override { pause_exits += n; }
 
   TimeNs now = 0;
   Rng rng{1};
   std::vector<int> kicks;
-  std::vector<int> wakes;
   uint64_t pause_exits = 0;
 };
 

@@ -1,5 +1,5 @@
 // Tests for the trace-driven workload backend: strict schema validation
-// (docs/TRACE_FORMAT.md), the op-stream view and replay models of
+// (docs/TRACE_FORMAT.md), the stream view and replay models of
 // TraceSource, the workload-source dispatch, the registered trace_replay
 // sweep's determinism contract (jobs / island-threads), and the
 // byte-level round trip against the reference emitter scripts/trace_gen.py.
@@ -211,49 +211,23 @@ TEST(TraceParseTest, LoadPrefixesErrorsWithPath) {
   EXPECT_NE(error.find("nonexistent_trace.jsonl"), std::string::npos) << error;
 }
 
-// --- op-stream view ---------------------------------------------------------
+// --- source view ------------------------------------------------------------
 
-TEST(TraceSourceTest, NextOpReplaysAndWraps) {
+TEST(TraceSourceTest, ReportsStreamsIoAndModels) {
   TraceData data;
   std::string error;
   ASSERT_TRUE(ParseTrace(
-      "{\"aql_trace\": 1, \"streams\": 1, \"wrap_ns\": 1000}\n"
+      "{\"aql_trace\": 1, \"streams\": 2, \"wrap_ns\": 1000}\n"
       "{\"stream\": 0, \"op\": \"io\", \"at\": 100, \"burst_ns\": 10}\n"
-      "{\"stream\": 0, \"op\": \"compute\", \"at\": 600, \"burst_ns\": 20}\n",
+      "{\"stream\": 0, \"op\": \"compute\", \"at\": 600, \"burst_ns\": 20}\n"
+      "{\"stream\": 1, \"op\": \"compute\", \"at\": 0, \"burst_ns\": 5}\n",
       &data, &error))
       << error;
   TraceSource source(std::make_shared<TraceData>(std::move(data)));
-  ASSERT_EQ(source.Streams(), 1);
+  ASSERT_EQ(source.Streams(), 2);
   EXPECT_TRUE(source.StreamHasIo(0));
-
-  WorkloadOp op = source.NextOp(0);
-  EXPECT_EQ(op.kind, WorkloadOp::Kind::kIo);
-  EXPECT_EQ(op.arrival, 100);
-  EXPECT_EQ(op.burst, 10);
-  op = source.NextOp(0);
-  EXPECT_EQ(op.kind, WorkloadOp::Kind::kCompute);
-  EXPECT_EQ(op.arrival, 600);
-  // Second cycle: same ops shifted by wrap_ns.
-  op = source.NextOp(0);
-  EXPECT_EQ(op.kind, WorkloadOp::Kind::kIo);
-  EXPECT_EQ(op.arrival, 1100);
-  op = source.NextOp(0);
-  EXPECT_EQ(op.arrival, 1600);
-}
-
-TEST(TraceSourceTest, FiniteStreamEndsAndStaysEnded) {
-  TraceData data;
-  std::string error;
-  ASSERT_TRUE(ParseTrace(
-      "{\"aql_trace\": 1, \"streams\": 1}\n"
-      "{\"stream\": 0, \"op\": \"compute\", \"at\": 0, \"burst_ns\": 5}\n",
-      &data, &error))
-      << error;
-  TraceSource source(std::make_shared<TraceData>(std::move(data)));
-  EXPECT_EQ(source.NextOp(0).kind, WorkloadOp::Kind::kCompute);
-  EXPECT_EQ(source.NextOp(0).kind, WorkloadOp::Kind::kEnd);
-  EXPECT_EQ(source.NextOp(0).kind, WorkloadOp::Kind::kEnd);
-  EXPECT_EQ(source.MakeModels().size(), 1u);
+  EXPECT_FALSE(source.StreamHasIo(1));
+  EXPECT_EQ(source.MakeModels().size(), 2u);
 }
 
 // --- backend dispatch -------------------------------------------------------
@@ -277,7 +251,7 @@ TEST(WorkloadSourceTest, DispatchErrorsAreDescriptive) {
   EXPECT_NE(error.find("nonexistent_trace.jsonl"), std::string::npos) << error;
 }
 
-TEST(WorkloadSourceTest, CatalogBackendSynthesizesNominalOps) {
+TEST(WorkloadSourceTest, CatalogBackendReportsStreamsIoAndModels) {
   WorkloadSourceSpec spec;
   spec.backend = "catalog";
   spec.app = "pure_io";
@@ -287,36 +261,18 @@ TEST(WorkloadSourceTest, CatalogBackendSynthesizesNominalOps) {
   ASSERT_NE(source, nullptr) << error;
   EXPECT_EQ(source->Streams(), 2);
   EXPECT_TRUE(source->StreamHasIo(0));
-  const WorkloadOp first = source->NextOp(0);
-  const WorkloadOp second = source->NextOp(0);
-  EXPECT_EQ(first.kind, WorkloadOp::Kind::kIo);
-  EXPECT_EQ(first.arrival, 0);
-  EXPECT_EQ(second.arrival, NominalOpFor("pure_io").period);
-  EXPECT_EQ(first.burst, NominalOpFor("pure_io").burst);
-  // Streams advance independently.
-  EXPECT_EQ(source->NextOp(1).arrival, 0);
+  EXPECT_TRUE(source->StreamHasIo(1));
   EXPECT_EQ(source->MakeModels().size(), 2u);
 
-  // Compute applications pack ops back to back.
   WorkloadSourceSpec burn;
   burn.backend = "catalog";
   burn.app = "llco_list";
   std::string burn_error;
   auto burn_source = MakeWorkloadSource(burn, &burn_error);
   ASSERT_NE(burn_source, nullptr) << burn_error;
+  EXPECT_EQ(burn_source->Streams(), 1);
   EXPECT_FALSE(burn_source->StreamHasIo(0));
-  EXPECT_EQ(burn_source->NextOp(0).arrival, 0);
-  EXPECT_EQ(burn_source->NextOp(0).arrival, NominalOpFor("llco_list").burst);
-}
-
-TEST(WorkloadSourceTest, EveryCatalogAppHasANominalOp) {
-  for (const AppProfile& app : ExtendedCatalog()) {
-    const NominalOp& n = NominalOpFor(app.name);
-    EXPECT_GT(n.burst, 0) << app.name;
-    if (n.io) {
-      EXPECT_GT(n.period, 0) << app.name;
-    }
-  }
+  EXPECT_EQ(burn_source->MakeModels().size(), 1u);
 }
 
 // --- end-to-end replay ------------------------------------------------------

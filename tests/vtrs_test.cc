@@ -60,7 +60,6 @@ TEST(VtrsTest, UnobservedVcpuHasZeroCursors) {
   const CursorSet avg = vtrs.Average(42);
   EXPECT_DOUBLE_EQ(avg.io, 0.0);
   EXPECT_EQ(vtrs.SampleCount(42), 0);
-  EXPECT_FALSE(vtrs.WindowFull(42));
 }
 
 TEST(VtrsTest, WindowFillsToConfiguredLength) {
@@ -70,9 +69,8 @@ TEST(VtrsTest, WindowFillsToConfiguredLength) {
   for (int i = 0; i < 3; ++i) {
     vtrs.Observe(0, LlcfLevels());
   }
-  EXPECT_FALSE(vtrs.WindowFull(0));
+  EXPECT_EQ(vtrs.SampleCount(0), 3);
   vtrs.Observe(0, LlcfLevels());
-  EXPECT_TRUE(vtrs.WindowFull(0));
   EXPECT_EQ(vtrs.SampleCount(0), 4);
   vtrs.Observe(0, LlcfLevels());
   EXPECT_EQ(vtrs.SampleCount(0), 4);  // slides, does not grow
@@ -88,8 +86,8 @@ TEST(VtrsTest, SteadySignalClassifies) {
   EXPECT_EQ(vtrs.TypeOf(0), VcpuType::kIoInt);
   EXPECT_EQ(vtrs.TypeOf(1), VcpuType::kLlcf);
   EXPECT_EQ(vtrs.TypeOf(2), VcpuType::kLlco);
-  EXPECT_TRUE(vtrs.IsTrashingVcpu(2));
-  EXPECT_FALSE(vtrs.IsTrashingVcpu(1));
+  EXPECT_TRUE(IsTrashing(vtrs.Average(2)));
+  EXPECT_FALSE(IsTrashing(vtrs.Average(1)));
 }
 
 TEST(VtrsTest, WindowSmoothsTransients) {
@@ -131,7 +129,7 @@ TEST(VtrsTest, ExtendedMemoryTypesClassify) {
   EXPECT_EQ(vtrs.TypeOf(0), VcpuType::kMemBw);
   EXPECT_EQ(vtrs.TypeOf(1), VcpuType::kNumaRemote);
   // Streaming trashes co-residents; remote-bound misses mostly do not.
-  EXPECT_TRUE(vtrs.IsTrashingVcpu(0));
+  EXPECT_TRUE(IsTrashing(vtrs.Average(0)));
 }
 
 TEST(VtrsTest, DiurnalIoReadsBursty) {
@@ -177,13 +175,6 @@ TEST(VtrsTest, SingleSampleWindowHasNoBurstyCursor) {
   Vtrs vtrs{VtrsConfig{}};
   vtrs.Observe(0, IoLevels(10));
   EXPECT_DOUBLE_EQ(vtrs.Average(0).bursty, 0.0);
-}
-
-TEST(VtrsTest, ForgetDropsState) {
-  Vtrs vtrs{VtrsConfig{}};
-  vtrs.Observe(0, LlcfLevels());
-  vtrs.Forget(0);
-  EXPECT_EQ(vtrs.SampleCount(0), 0);
 }
 
 TEST(VtrsTest, AverageIsMeanOfWindow) {

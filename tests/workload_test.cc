@@ -28,7 +28,6 @@ class FakeHost : public WorkloadHost {
   }
   void NotifyIoEvent(int vcpu) override { io_events.push_back(vcpu); }
   void KickVcpu(int) override {}
-  void WakeVcpu(int) override {}
   void CountPauseExits(int, uint64_t) override {}
 
   struct Timer {
@@ -348,8 +347,8 @@ TEST(CatalogTest, ExtendedAppsAreLookupable) {
   EXPECT_EQ(FindApp("diurnal_web").expected_type, VcpuType::kBurstyIo);
   EXPECT_TRUE(FindApp("membw_scan").extended);
   // NumaRemote profiles carry a remote fraction; MemBw ones do not.
-  EXPECT_GT(MakeSingleApp("numa_mcf")->NextStep(0).mem.remote_fraction, 0.0);
-  EXPECT_DOUBLE_EQ(MakeSingleApp("stream_triad")->NextStep(0).mem.remote_fraction, 0.0);
+  EXPECT_GT(MakeApp("numa_mcf").front()->NextStep(0).mem.remote_fraction, 0.0);
+  EXPECT_DOUBLE_EQ(MakeApp("stream_triad").front()->NextStep(0).mem.remote_fraction, 0.0);
 }
 
 TEST(CatalogTest, SpinAppsShareOneLock) {
@@ -383,7 +382,7 @@ TEST(CatalogTest, WssMatchesExpectedType) {
   const uint64_t l2 = 256 * 1024;
   const uint64_t llc = 8ull * 1024 * 1024;
   for (const AppProfile& app : Catalog()) {
-    auto model = MakeSingleApp(app.name);
+    auto model = std::move(MakeApp(app.name).front());
     const Step s = model->NextStep(0);
     if (s.kind != Step::Kind::kCompute) {
       continue;  // I/O apps start blocked or with arrivals
