@@ -11,7 +11,8 @@
 // Options:
 //   --jobs N         worker threads for (scenario, policy) cells
 //                    (default: hardware concurrency; results are identical
-//                    for every N — cells are seeded per-cell)
+//                    for every N — cells are seeded per-cell). Clamped to
+//                    the number of cells the selected sweeps expand to.
 //   --island-threads N
 //                    worker threads advancing host islands INSIDE a fleet
 //                    cell (default 1 = sequential). Orthogonal to --jobs;
@@ -20,6 +21,9 @@
 //                    --stable-json comparisons never depend on it.
 //                    Single-machine cells are unaffected.
 //   --quick          scaled-down simulated durations (CI smoke)
+//   --seed-salt N    decimal uint64 mixed into every cell's declared seed
+//                    (default 21993736721); recorded in the JSON options.
+//                    Another salt draws another sample of every cell.
 //   --out DIR        output directory for BENCH_<name>.json (default ".";
 //                    created if missing)
 //   --stable-json    omit wall-clock timing from JSON (byte-comparable runs)
@@ -35,8 +39,11 @@
 //                    pass it.
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
+#include <cinttypes>
 #include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -54,7 +61,7 @@ void Usage(FILE* out) {
   std::fprintf(out,
                "usage: aql_bench (--list | --all | --run <name>...) "
                "[--jobs N] [--island-threads N] "
-               "[--quick] [--out DIR] "
+               "[--quick] [--seed-salt N] [--out DIR] "
                "[--stable-json] [--cell ID]\n"
                "--profile is accepted and ignored (timing and counters are always "
                "written)\n");
@@ -72,6 +79,22 @@ int ParseThreads(const std::string& flag, const char* text) {
     std::exit(2);
   }
   return static_cast<int>(v);
+}
+
+// Parses a seed salt: a whole decimal number in [0, UINT64_MAX], digits only
+// (no sign, no space, no trailing characters). Exits with code 2 otherwise.
+uint64_t ParseSalt(const std::string& flag, const char* text) {
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+      errno == ERANGE) {
+    std::fprintf(stderr,
+                 "aql_bench: %s must be an integer in [0, %" PRIu64 "], got '%s'\n",
+                 flag.c_str(), UINT64_MAX, text);
+    std::exit(2);
+  }
+  return static_cast<uint64_t>(v);
 }
 
 int DefaultJobs() {
@@ -122,6 +145,8 @@ int Main(int argc, char** argv) {
       options.island_threads = ParseThreads(arg, value());
     } else if (arg == "--quick") {
       options.quick = true;
+    } else if (arg == "--seed-salt") {
+      options.seed_salt = ParseSalt(arg, value());
     } else if (arg == "--profile") {
       // Ignored (see the header comment).
     } else if (arg == "--out") {
@@ -186,6 +211,17 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "aql_bench: no cell '%s' in sweep %s\n",
                    options.only_cell.c_str(), specs.front()->name.c_str());
       return 2;
+    }
+  } else {
+    // A worker beyond the cell count would only idle, so --jobs starts no
+    // more threads than there are cells (a typo like --jobs 40000 would
+    // otherwise try to start that many).
+    size_t cells = 0;
+    for (const SweepSpec* spec : specs) {
+      cells += spec->build(options).size();
+    }
+    if (cells < static_cast<size_t>(options.jobs)) {
+      options.jobs = static_cast<int>(std::max<size_t>(cells, 1));
     }
   }
   std::error_code out_error;

@@ -269,7 +269,14 @@ void Machine::BeginStep(int pcpu) {
   AQL_CHECK(v != nullptr);
   const TimeNs now = sim_.Now();
 
-  s.step = v->workload()->NextStep(now);
+  // Copied field by field: a whole-Step copy reads `kind` and `work` with one
+  // 16-byte load, which the CPU cannot forward from the callee's separate
+  // 4- and 8-byte stores, and stalls on every step.
+  const Step next = v->workload()->NextStep(now);
+  s.step.kind = next.kind;
+  s.step.work = next.work;
+  s.step.mem = next.mem;
+  s.step.wake_at = next.wake_at;
   s.step_start = now;
   s.step_refs = 0;
   s.step_misses = 0;
@@ -391,21 +398,22 @@ void Machine::EndStep(int pcpu, bool completed) {
       const TimeNs guest_elapsed = elapsed - debt_served;
       const TimeNs guest_planned = s.step_planned - s.step_debt;
       s.step_debt = 0;
-      double frac = 1.0;
+      // A completed step keeps its planned counts. (Each was truncated from a
+      // double or is far below 2^53, so the pro-rating below would return it
+      // unchanged at a fraction of 1.)
+      TimeNs work_done = s.step_work;
+      uint64_t refs = s.step_refs;
+      uint64_t misses = s.step_misses;
+      uint64_t remote = s.step_remote;
       if (!completed && guest_planned > 0) {
-        frac = std::clamp(
+        const double frac = std::clamp(
             static_cast<double>(guest_elapsed) / static_cast<double>(guest_planned), 0.0,
             1.0);
+        work_done = static_cast<TimeNs>(static_cast<double>(s.step_work) * frac);
+        refs = static_cast<uint64_t>(static_cast<double>(s.step_refs) * frac);
+        misses = static_cast<uint64_t>(static_cast<double>(s.step_misses) * frac);
+        remote = static_cast<uint64_t>(static_cast<double>(s.step_remote) * frac);
       }
-      const TimeNs work_done =
-          completed ? s.step_work
-                    : static_cast<TimeNs>(static_cast<double>(s.step_work) * frac);
-      const uint64_t refs =
-          static_cast<uint64_t>(static_cast<double>(s.step_refs) * frac);
-      const uint64_t misses =
-          static_cast<uint64_t>(static_cast<double>(s.step_misses) * frac);
-      const uint64_t remote =
-          static_cast<uint64_t>(static_cast<double>(s.step_remote) * frac);
       v->pmu.instructions += static_cast<uint64_t>(
           static_cast<double>(work_done) * s.step.mem.instructions_per_ns);
       v->pmu.llc_references += refs;

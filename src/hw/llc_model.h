@@ -12,13 +12,16 @@
 //      - LoLCF (WSS <= L2): makes almost no LLC references at all.
 //
 // Occupancy is tracked per (socket, vcpu) in bytes; the per-socket total
-// never exceeds the LLC capacity. Every result is a function of the call
-// sequence alone: eviction visits victims in ascending vCPU id, so no
-// container layout or insertion history can reorder it.
+// never exceeds the LLC capacity. Each socket keeps its residents (vCPUs with
+// nonzero occupancy) in ascending id in parallel arrays, which the eviction
+// walk reads front to back. Every result is a function of the call sequence
+// alone: eviction visits victims in ascending vCPU id, so no container layout
+// or insertion history can reorder it.
 
 #ifndef AQLSCHED_SRC_HW_LLC_MODEL_H_
 #define AQLSCHED_SRC_HW_LLC_MODEL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -28,6 +31,8 @@ namespace aql {
 
 class LlcModel {
  public:
+  // `capacity_bytes` must be below 2^53, so every byte count converts to a
+  // double exactly.
   LlcModel(int sockets, uint64_t capacity_bytes, const HwParams& params);
 
   // Expected miss ratio if `vcpu` issues LLC references over a working set of
@@ -79,14 +84,18 @@ class LlcModel {
   struct SocketState {
     // Per-vCPU state, indexed by vcpu id (grown on demand; ids are small and
     // dense).
-    std::vector<uint64_t> occupancy;  // vcpu -> resident bytes
-    std::vector<uint8_t> running;     // vcpu -> on-CPU now
-    std::vector<uint64_t> wss;        // vcpu -> last seen WSS
-    // Ids with nonzero occupancy, ascending: the eviction walk visits victims
-    // and drains the residue in this order.
-    std::vector<int> resident;
-    // Eviction scratch: the weight of resident[i]. Reused across calls.
-    std::vector<double> weights;
+    std::vector<int32_t> pos;      // vcpu -> its index in `resident`, or -1
+    std::vector<uint8_t> running;  // vcpu -> on-CPU now
+    std::vector<uint64_t> wss;     // vcpu -> last seen WSS
+    // The residents, ids with nonzero occupancy in ascending id, as parallel
+    // arrays: resident[i] holds bytes[i] and is evicted with weight
+    // bytes[i] x scale[i]. scale[i] is running_eviction_weight while the vCPU
+    // runs with a WSS <= capacity, else 1; it is refreshed whenever `running`
+    // or `wss` changes for a resident. The eviction walk visits victims and
+    // drains the residue in this order.
+    std::vector<int32_t> resident;
+    std::vector<uint64_t> bytes;
+    std::vector<double> scale;
     uint64_t total = 0;
     // Bumped whenever any occupancy on the socket changes; validates memo.
     uint64_t epoch = 1;
@@ -95,7 +104,18 @@ class LlcModel {
     mutable std::vector<MissMemo> memo;
   };
 
+  // `vcpu`'s occupancy on `s`: its resident bytes, or 0.
+  static uint64_t BytesOf(const SocketState& s, std::size_t vcpu);
+  // Grows the by-id tables to hold `vcpu`, which lies beyond them (callers
+  // check first, which keeps the check inline on the hot path).
   void GrowTables(SocketState& s, int vcpu);
+  // `vcpu`'s eviction weight per byte from its `running` and `wss` entries.
+  double EvictionScale(const SocketState& s, std::size_t vcpu) const;
+  // Adds `vcpu` as a resident with 0 bytes, in ascending id, and returns its
+  // index. DropEmpty removes the residents from index `from` on whose bytes
+  // are 0. Both keep `pos` in step.
+  std::size_t Insert(SocketState& s, int vcpu);
+  static void DropEmpty(SocketState& s, std::size_t from);
 
   uint64_t capacity_;
   HwParams params_;

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <ostream>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/hw/llc_model.h"
@@ -327,66 +329,134 @@ class ReferenceLlc {
   std::vector<Socket> sockets_;
 };
 
+// The shape of one randomized differential run.
+struct LlcShape {
+  int sockets;
+  int vcpus;
+  uint64_t capacity;
+  int ops;
+  // false: every operation picks its socket at random. true: the ids are
+  // dealt to home sockets in blocks, as the four-socket scenario packs its
+  // VMs, and ~90% of an id's operations land on its home socket.
+  bool homed;
+};
+
+void PrintTo(const LlcShape& shape, std::ostream* os) {
+  *os << shape.sockets << " sockets x " << shape.vcpus << " ids";
+  *os << (shape.homed ? ", homed" : ", random sockets");
+}
+
 // Randomized differential test: after every operation, every occupancy, every
 // socket total and a miss ratio equal the naive reference, the total equals
 // the sum of the occupancies, and no socket exceeds its capacity.
-class LlcDifferentialTest : public ::testing::TestWithParam<int> {};
+class LlcDifferentialTest : public ::testing::TestWithParam<std::tuple<LlcShape, int>> {};
 
 TEST_P(LlcDifferentialTest, MatchesNaiveReference) {
-  constexpr int kSockets = 2;
-  constexpr int kVcpus = 10;
-  constexpr uint64_t kCapacity = 8 * kMiB;
+  const auto& [shape, seed] = GetParam();
+  const int sockets = shape.sockets;
+  const int vcpus = shape.vcpus;
+  const uint64_t capacity = shape.capacity;
   // Friendly working sets up to exactly the capacity, then streaming ones.
-  const uint64_t kWssKiB[] = {256, 1024, 3072, 6144, 8192, 12288, 32768};
-  std::mt19937_64 rng(static_cast<uint64_t>(GetParam()));
+  const uint64_t cap_kib = capacity / 1024;
+  const uint64_t wss_kib[] = {256, 1024, 3072, 6144, cap_kib, cap_kib + 4096, 32768};
+  std::mt19937_64 rng(static_cast<uint64_t>(seed));
   const auto pick = [&rng](uint64_t n) { return rng() % n; };
-  const auto pick_wss = [&] { return kWssKiB[pick(std::size(kWssKiB))] * 1024; };
+  const auto pick_wss = [&] { return wss_kib[pick(std::size(wss_kib))] * 1024; };
 
-  LlcModel llc(kSockets, kCapacity, HwParams{});
-  ReferenceLlc ref(kSockets, kCapacity);
-  std::vector<uint64_t> wss(kVcpus);
+  LlcModel llc(sockets, capacity, HwParams{});
+  ReferenceLlc ref(static_cast<size_t>(sockets), capacity);
+  const auto commit = [&](int socket, int vcpu, uint64_t wss) {
+    const uint64_t misses = pick(40000);
+    llc.CommitAccesses(socket, vcpu, wss, misses);
+    ref.CommitAccesses(socket, vcpu, wss, misses);
+  };
+  const auto set_running = [&](int socket, int vcpu, bool running) {
+    llc.SetRunning(socket, vcpu, running);
+    ref.SetRunning(socket, vcpu, running);
+  };
+  const auto remove = [&](int socket, int vcpu) {
+    llc.Remove(socket, vcpu);
+    ref.Remove(socket, vcpu);
+  };
+  const auto other_socket = [&](int socket) {
+    const int step = 1 + static_cast<int>(pick(static_cast<uint64_t>(sockets - 1)));
+    return (socket + step) % sockets;
+  };
+  std::vector<uint64_t> wss(static_cast<size_t>(vcpus));
   for (uint64_t& w : wss) {
     w = pick_wss();
   }
-  for (int op = 0; op < 600; ++op) {
+  const auto query = [&](int socket, int vcpu, uint64_t vcpu_wss) {
+    const uint64_t q = pick(2) == 0 ? vcpu_wss : pick(3) * kMiB;
+    ASSERT_EQ(llc.MissRatio(socket, vcpu, q), ref.MissRatio(socket, vcpu, q));
+  };
+  for (int op = 0; op < shape.ops; ++op) {
     SCOPED_TRACE("op " + std::to_string(op));
-    const int socket = static_cast<int>(pick(kSockets));
-    const int vcpu = static_cast<int>(pick(kVcpus));
-    uint64_t& vcpu_wss = wss[static_cast<size_t>(vcpu)];
-    const uint64_t roll = pick(20);
-    if (roll < 12) {
-      if (pick(8) == 0) {
-        vcpu_wss = pick_wss();
+    if (!shape.homed) {
+      const int socket = static_cast<int>(pick(static_cast<uint64_t>(sockets)));
+      const int vcpu = static_cast<int>(pick(static_cast<uint64_t>(vcpus)));
+      uint64_t& vcpu_wss = wss[static_cast<size_t>(vcpu)];
+      const uint64_t roll = pick(20);
+      if (roll < 12) {
+        if (pick(8) == 0) {
+          vcpu_wss = pick_wss();
+        }
+        commit(socket, vcpu, vcpu_wss);
+      } else if (roll < 16) {
+        set_running(socket, vcpu, pick(2) == 0);
+      } else if (roll < 18) {
+        // A migration: drop the footprint, then refill on either socket.
+        remove(socket, vcpu);
+        commit(static_cast<int>(pick(static_cast<uint64_t>(sockets))), vcpu, vcpu_wss);
+      } else {
+        query(socket, vcpu, vcpu_wss);
       }
-      const uint64_t misses = pick(40000);
-      llc.CommitAccesses(socket, vcpu, vcpu_wss, misses);
-      ref.CommitAccesses(socket, vcpu, vcpu_wss, misses);
-    } else if (roll < 16) {
-      const bool running = pick(2) == 0;
-      llc.SetRunning(socket, vcpu, running);
-      ref.SetRunning(socket, vcpu, running);
-    } else if (roll < 18) {
-      // A migration: drop the footprint, then refill on either socket.
-      llc.Remove(socket, vcpu);
-      ref.Remove(socket, vcpu);
-      const int to = static_cast<int>(pick(kSockets));
-      const uint64_t misses = pick(40000);
-      llc.CommitAccesses(to, vcpu, vcpu_wss, misses);
-      ref.CommitAccesses(to, vcpu, vcpu_wss, misses);
     } else {
-      const uint64_t query = pick(2) == 0 ? vcpu_wss : pick(3) * kMiB;
-      ASSERT_EQ(llc.MissRatio(socket, vcpu, query), ref.MissRatio(socket, vcpu, query));
+      const int vcpu = static_cast<int>(pick(static_cast<uint64_t>(vcpus)));
+      const int home = vcpu / (vcpus / sockets);
+      uint64_t& vcpu_wss = wss[static_cast<size_t>(vcpu)];
+      const uint64_t roll = pick(20);
+      if (roll < 2) {
+        // A migration (~10% of operations, the only ones off the home
+        // socket): drop the footprint on one socket, refill on another.
+        const int from = static_cast<int>(pick(static_cast<uint64_t>(sockets)));
+        remove(from, vcpu);
+        commit(other_socket(from), vcpu, vcpu_wss);
+      } else if (roll < 4) {
+        // Churn: the id leaves the home socket's residents and re-enters.
+        remove(home, vcpu);
+        commit(home, vcpu, vcpu_wss);
+      } else if (roll < 5) {
+        // A running vCPU's WSS crosses the capacity (checkpoint_restart's
+        // solver and write-out phases), flipping its recency protection
+        // while it is resident.
+        vcpu_wss = vcpu_wss <= capacity ? capacity + 6 * kMiB : 3 * kMiB;
+        set_running(home, vcpu, true);
+        commit(home, vcpu, vcpu_wss);
+      } else if (roll < 12) {
+        if (pick(8) == 0) {
+          vcpu_wss = pick_wss();
+        }
+        commit(home, vcpu, vcpu_wss);
+      } else if (roll < 16) {
+        set_running(home, vcpu, pick(2) == 0);
+      } else {
+        query(home, vcpu, vcpu_wss);
+      }
     }
-    for (int s = 0; s < kSockets; ++s) {
+    if (HasFatalFailure()) {
+      return;
+    }
+    for (int s = 0; s < sockets; ++s) {
       SCOPED_TRACE("socket " + std::to_string(s));
       uint64_t sum = 0;
-      for (int v = 0; v < kVcpus; ++v) {
+      for (int v = 0; v < vcpus; ++v) {
         ASSERT_EQ(llc.Occupancy(s, v), ref.Occupancy(s, v)) << "vcpu " << v;
         sum += llc.Occupancy(s, v);
       }
       ASSERT_EQ(llc.TotalOccupancy(s), ref.Total(s));
       ASSERT_EQ(llc.TotalOccupancy(s), sum);
-      ASSERT_LE(llc.TotalOccupancy(s), kCapacity);
+      ASSERT_LE(llc.TotalOccupancy(s), capacity);
     }
   }
   // The run must have exercised eviction and the residue drain.
@@ -394,7 +464,26 @@ TEST_P(LlcDifferentialTest, MatchesNaiveReference) {
   EXPECT_GT(ref.residue_drains, 10);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, LlcDifferentialTest, ::testing::Range(1, 13));
+using ::testing::ValuesIn;
+
+// Seeds 1-12 of one shape.
+std::vector<std::tuple<LlcShape, int>> SeedsOf(const LlcShape& shape) {
+  std::vector<std::tuple<LlcShape, int>> runs;
+  for (int seed = 1; seed <= 12; ++seed) {
+    runs.emplace_back(shape, seed);
+  }
+  return runs;
+}
+
+// Two sockets and ten ids, every operation on a random socket.
+constexpr LlcShape kRandomSockets = {2, 10, 8 * kMiB, 600, false};
+// The four-socket scenario's machine: three application sockets with a
+// 10 MiB LLC each and 48 vCPU ids, 16 per socket.
+constexpr LlcShape kMachineShape = {3, 48, 10 * kMiB, 2000, true};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LlcDifferentialTest, ValuesIn(SeedsOf(kRandomSockets)));
+INSTANTIATE_TEST_SUITE_P(MachineShape, LlcDifferentialTest,
+                         ValuesIn(SeedsOf(kMachineShape)));
 
 }  // namespace
 }  // namespace aql
