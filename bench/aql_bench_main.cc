@@ -1,7 +1,7 @@
 // aql_bench: unified driver for the paper-figure sweeps.
 //
 //   aql_bench --list                     enumerate registered sweeps
-//   aql_bench --run <name> [--run ...]   run selected sweeps
+//   aql_bench --run <name> [--run ...]   run selected sweeps (each once)
 //   aql_bench --all                      run every registered sweep
 //
 // The selected sweeps share one pool of --jobs worker threads: workers take
@@ -27,11 +27,10 @@
 //   --out DIR        output directory for BENCH_<name>.json (default ".";
 //                    created if missing)
 //   --stable-json    omit wall-clock timing from JSON (byte-comparable runs)
-//   --cell ID        run a single cell by id (render skipped); for CI perf
-//                    probes that time one full-mode cell without paying for
-//                    its siblings. --jobs is clamped to 1, so a --cell
-//                    --island-threads benchmark measures island parallelism
-//                    alone.
+//   --cell ID        run a single cell by id (render skipped), to time one
+//                    full-mode cell without paying for its siblings. --jobs
+//                    is clamped to 1, so a --cell --island-threads benchmark
+//                    measures island parallelism alone.
 //   --profile        accepted and ignored: every timed JSON already carries
 //                    each cell's time split and each sweep's render time,
 //                    and every cell carries its work counters
@@ -122,7 +121,14 @@ int Main(int argc, char** argv) {
   bool all = false;
   bool stable_json = false;
   std::string out_dir = ".";
+  // The selected sweeps in selection order, each once: naming a sweep again
+  // (by --run or --all) adds nothing.
   std::vector<std::string> names;
+  auto add_sweep = [&names](const std::string& name) {
+    if (std::find(names.begin(), names.end(), name) == names.end()) {
+      names.push_back(name);
+    }
+  };
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -138,7 +144,7 @@ int Main(int argc, char** argv) {
     } else if (arg == "--all") {
       all = true;
     } else if (arg == "--run") {
-      names.push_back(value());
+      add_sweep(value());
     } else if (arg == "--jobs") {
       options.jobs = ParseThreads(arg, value());
     } else if (arg == "--island-threads") {
@@ -170,9 +176,7 @@ int Main(int argc, char** argv) {
   }
   if (all) {
     for (const SweepSpec* spec : SweepRegistry::Instance().All()) {
-      if (std::find(names.begin(), names.end(), spec->name) == names.end()) {
-        names.push_back(spec->name);
-      }
+      add_sweep(spec->name);
     }
   }
   if (names.empty()) {

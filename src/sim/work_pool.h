@@ -9,20 +9,18 @@
 //
 // Synchronization protocol (ThreadSanitizer-checked by
 // tests/fleet_parallel_test.cc and the CI TSan job):
-//  * Run() publishes (task, n, busy, cursor) under the mutex and then bumps
-//    the epoch with a release store; workers observe the bump either by an
-//    acquire spin-read (hot path) or under the mutex (after the spin budget
-//    expires), so the task publication happens-before every claim.
+//  * Run() publishes (task, n, busy, cursor) and bumps the epoch under the
+//    mutex; workers sleep on a condition variable until they observe the
+//    bump under the same mutex, so the task publication happens-before
+//    every claim.
 //  * Island indices are claimed via fetch_add on an atomic cursor: each
 //    index is executed by exactly one thread per epoch.
-//  * Workers check out by an acq_rel decrement of the busy counter; Run()
-//    returns only once it reads zero (acquire), so all island writes
+//  * Workers check out by decrementing the busy count under the mutex;
+//    Run() returns only once it reads zero there, so all island writes
 //    happen-before the coordinator's cross-island merge phase.
 //
-// Latency: workers and the coordinator spin briefly (with a CPU pause)
-// before sleeping on the condition variables, so back-to-back epochs cost
-// no syscalls. The spin budget is small enough that an idle pool parks in
-// the kernel.
+// Waiting is sleeping on the condition variables; nothing spins: on
+// full-mode fleet cells a spin-then-sleep fast path measured no faster.
 //
 // wait_seconds() is the only host-clock reading in src/sim; nothing
 // simulated depends on it.
@@ -72,29 +70,23 @@ class WorkPool {
   // Claims indices from the cursor until the current epoch is drained.
   void Drain();
 
-  std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
-  // Epoch counter: bumped (release, under mu_) by Run() to publish a new
-  // batch; spin-read (acquire) by workers.
-  std::atomic<uint64_t> epoch_{0};
-  // Workers still draining the current epoch; zero (acquire-read) is the
-  // barrier the coordinator waits on.
-  std::atomic<size_t> busy_{0};
-  std::atomic<bool> stop_{false};
+  // Guarded by mu_. Run() bumps the epoch to publish a new batch; busy_
+  // counts the workers still draining it, and zero is the barrier the
+  // coordinator waits on.
+  uint64_t epoch_ = 0;
+  size_t busy_ = 0;
+  bool stop_ = false;
   // Published under mu_ before the epoch bump; read by workers only after
   // observing the bump.
   size_t n_ = 0;
   const std::function<void(size_t)>* task_ = nullptr;
   // Claimed outside the mutex; reset before each epoch's bump.
   std::atomic<size_t> cursor_{0};
-  // Spin budget in pause iterations. Zero when the hardware cannot host all
-  // pool threads at once (a spinning waiter would then steal the timeslice
-  // the working thread needs); such hosts fall straight through to the
-  // condition variables. Does not affect bytes, only latency.
-  int spin_iters_ = 0;
   double wait_seconds_ = 0.0;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace aql

@@ -189,12 +189,12 @@ TEST(SweepEngineTest, SeedSaltChangesStreams) {
 
 TEST(SweepEngineTest, RegisteredSweepsCoverTheFigures) {
   const SweepRegistry& registry = SweepRegistry::Instance();
-  EXPECT_GE(registry.size(), 15u);
+  EXPECT_GE(registry.size(), 17u);
   for (const char* name :
        {"fig2_calibration", "fig4_vtrs_traces", "fig5_validation", "fig6_effectiveness",
-        "fig7_customization", "fig8_comparison", "table3_recognition",
-        "table3x_recognition", "table5_clusters", "ablation", "overhead",
-        "fleet_hotspot", "fleet_consolidation", "fleet_drain", "trace_replay"}) {
+        "fig6x_numa", "fig7_customization", "fig8_comparison", "table3_recognition",
+        "table3x_recognition", "table5_clusters", "ablation", "overhead", "trace_replay",
+        "fleet_hotspot", "fleet_consolidation", "fleet_drain", "fleet_failover"}) {
     EXPECT_NE(registry.Find(name), nullptr) << name;
   }
   EXPECT_EQ(registry.Find("nonexistent"), nullptr);
@@ -289,9 +289,38 @@ void ExpectMatchesGolden(const char* sweep, int island_threads = 1) {
       << "engine changed results, not just speed";
 }
 
+// The timed document `aql_bench` writes without --stable-json: its
+// host-clock fields differ on every run, so no golden can pin them; check
+// their shape instead.
+void ExpectWellFormedTimedJson(const SweepResult& r) {
+  std::string error;
+  const JsonValue doc =
+      JsonValue::Parse(SweepJson(r, /*include_timing=*/true).Dump(), &error);
+  ASSERT_TRUE(doc.IsObject()) << r.name << ": " << error;
+  for (const char* key : {"bench", "options", "summary", "tables", "cells", "timing"}) {
+    EXPECT_NE(doc.Find(key), nullptr) << r.name << ": missing " << key;
+  }
+  const JsonValue* timing = doc.Find("timing");
+  ASSERT_NE(timing, nullptr) << r.name;
+  EXPECT_EQ(timing->size(), 2u) << r.name << ": timing must hold exactly two keys";
+  EXPECT_NE(timing->Find("total_wall_seconds"), nullptr) << r.name;
+  EXPECT_NE(timing->Find("render_seconds"), nullptr) << r.name;
+  const JsonValue* cells = doc.Find("cells");
+  ASSERT_NE(cells, nullptr) << r.name;
+  EXPECT_FALSE(cells->Items().empty()) << r.name;
+  for (const JsonValue& cell : cells->Items()) {
+    const std::string id = cell.Find("id")->AsString();
+    const JsonValue* wall = cell.Find("wall_seconds");
+    ASSERT_NE(wall, nullptr) << r.name << " " << id;
+    EXPECT_GE(wall->AsDouble(), 0.0) << r.name << " " << id;
+    EXPECT_NE(cell.Find("counters"), nullptr) << r.name << " " << id;
+  }
+}
+
 // Several sweeps on one shared pool, as `aql_bench --all` runs them: cells
 // of different sweeps interleave on the workers, and every sweep must still
-// reproduce its golden at any worker count.
+// reproduce its golden at any worker count and write a well-formed timed
+// document.
 TEST(GoldenTest, SharedPoolReproducesGoldens) {
   std::vector<const SweepSpec*> specs;
   for (const char* sweep :
@@ -309,6 +338,7 @@ TEST(GoldenTest, SharedPoolReproducesGoldens) {
       EXPECT_EQ(r.name, specs[emitted++]->name);
       EXPECT_EQ(SweepJson(r, /*include_timing=*/false).Dump(), Golden(r.name))
           << r.name << " at jobs " << jobs;
+      ExpectWellFormedTimedJson(r);
     });
     EXPECT_EQ(emitted, specs.size());
   }
