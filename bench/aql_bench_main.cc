@@ -4,22 +4,16 @@
 //   aql_bench --run <name> [--run ...]   run selected sweeps (each once)
 //   aql_bench --all                      run every registered sweep
 //
-// The selected sweeps share one pool of --jobs worker threads: workers take
-// cells in sweep order, then cell order, and each sweep is rendered,
-// printed and written as soon as its last cell lands, in selection order.
+// The selected sweeps share one pool of --jobs worker threads, heaviest
+// sweep first: workers take cells in that sweep order, then cell order, and
+// each sweep is rendered, printed and written as soon as its last cell
+// lands, in the same order.
 //
 // Options:
 //   --jobs N         worker threads for (scenario, policy) cells
 //                    (default: hardware concurrency; results are identical
 //                    for every N — cells are seeded per-cell). Clamped to
 //                    the number of cells the selected sweeps expand to.
-//   --island-threads N
-//                    worker threads advancing host islands INSIDE a fleet
-//                    cell (default 1 = sequential). Orthogonal to --jobs;
-//                    output is byte-identical for every N (the determinism
-//                    contract in docs/ARCHITECTURE.md), so goldens and
-//                    --stable-json comparisons never depend on it.
-//                    Single-machine cells are unaffected.
 //   --quick          scaled-down simulated durations (CI smoke)
 //   --seed-salt N    decimal uint64 mixed into every cell's declared seed
 //                    (default 21993736721); recorded in the JSON options.
@@ -28,9 +22,8 @@
 //                    created if missing)
 //   --stable-json    omit wall-clock timing from JSON (byte-comparable runs)
 //   --cell ID        run a single cell by id (render skipped), to time one
-//                    full-mode cell without paying for its siblings. --jobs
-//                    is clamped to 1, so a --cell --island-threads benchmark
-//                    measures island parallelism alone.
+//                    full-mode cell without paying for its siblings (one
+//                    cell runs on one worker).
 //   --profile        accepted and ignored: every timed JSON already carries
 //                    each cell's time split and each sweep's render time,
 //                    and every cell carries its work counters
@@ -59,7 +52,7 @@ namespace {
 void Usage(FILE* out) {
   std::fprintf(out,
                "usage: aql_bench (--list | --all | --run <name>...) "
-               "[--jobs N] [--island-threads N] "
+               "[--jobs N] "
                "[--quick] [--seed-salt N] [--out DIR] "
                "[--stable-json] [--cell ID]\n"
                "--profile is accepted and ignored (timing and counters are always "
@@ -147,8 +140,6 @@ int Main(int argc, char** argv) {
       add_sweep(value());
     } else if (arg == "--jobs") {
       options.jobs = ParseThreads(arg, value());
-    } else if (arg == "--island-threads") {
-      options.island_threads = ParseThreads(arg, value());
     } else if (arg == "--quick") {
       options.quick = true;
     } else if (arg == "--seed-salt") {
@@ -188,14 +179,6 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "aql_bench: --cell wants exactly one --run sweep\n");
     return 2;
   }
-  if (!options.only_cell.empty()) {
-    // A single cell is a single unit of cell-pool work: clamp --jobs (which
-    // defaults to hardware concurrency) so the header, the timed JSON and
-    // the engine all agree the run has no sibling work. --island-threads is
-    // then the only parallelism in play — exactly what a --cell island
-    // benchmark wants to measure.
-    options.jobs = 1;
-  }
   std::vector<const SweepSpec*> specs;
   for (const std::string& name : names) {
     const SweepSpec* spec = SweepRegistry::Instance().Find(name);
@@ -216,17 +199,6 @@ int Main(int argc, char** argv) {
                    options.only_cell.c_str(), specs.front()->name.c_str());
       return 2;
     }
-  } else {
-    // A worker beyond the cell count would only idle, so --jobs starts no
-    // more threads than there are cells (a typo like --jobs 40000 would
-    // otherwise try to start that many).
-    size_t cells = 0;
-    for (const SweepSpec* spec : specs) {
-      cells += spec->build(options).size();
-    }
-    if (cells < static_cast<size_t>(options.jobs)) {
-      options.jobs = static_cast<int>(std::max<size_t>(cells, 1));
-    }
   }
   std::error_code out_error;
   std::filesystem::create_directories(out_dir, out_error);
@@ -237,16 +209,11 @@ int Main(int argc, char** argv) {
     return 2;
   }
 
-  char islands[32] = "";
-  if (options.island_threads > 1) {
-    std::snprintf(islands, sizeof(islands), ", island-threads=%d",
-                  options.island_threads);
-  }
   size_t failed_cells = 0;
   RunSweeps(specs, options, [&](SweepResult result) {
     const char* name = result.name.c_str();
-    std::printf("=== %s (%s%s, jobs=%d%s) ===\n", name, options.quick ? "quick" : "full",
-                stable_json ? ", stable-json" : "", options.jobs, islands);
+    std::printf("=== %s (%s%s, jobs=%d) ===\n", name, options.quick ? "quick" : "full",
+                stable_json ? ", stable-json" : "", result.options.jobs);
     std::fputs(result.text.c_str(), stdout);
     std::printf("[%s] %zu cells in %.2fs\n", name, result.cells.size(),
                 result.wall_seconds);

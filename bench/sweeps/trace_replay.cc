@@ -13,8 +13,7 @@
 // reference emitter scripts/trace_gen.py from the same parameter table —
 // tests/trace_replay_test.cc compares the two, which keeps the normative
 // spec in docs/TRACE_FORMAT.md honest. Replay consumes no RNG, so these
-// cells are byte-identical across --jobs and --island-threads by
-// construction.
+// cells are byte-identical across --jobs by construction.
 //
 // Id scheme: rec/<kind> + base/<kind>. Ids and the relative trace paths are
 // --cell/diff keys; keep them stable (docs/BENCH_FORMAT.md).

@@ -72,7 +72,6 @@ ScenarioResult RunFleetScenario(const ScenarioSpec& spec, const PolicySpec& poli
   fleet.config = spec.fleet;
   fleet.warmup = spec.warmup;
   fleet.measure = spec.measure;
-  fleet.island_threads = options.island_threads;
   for (const VmSpec& vs : spec.vms) {
     fleet.vms.push_back(FleetVmSpec{vs.app, vs.vcpus, vs.weight, vs.cap_percent,
                                     vs.fifo_lock});
@@ -157,7 +156,6 @@ ScenarioResult RunFleetScenario(const ScenarioSpec& spec, const PolicySpec& poli
 
   result.profile["sim_seconds"] =
       std::chrono::duration<double>(sim_wall_end - sim_wall_start).count();
-  result.profile["barrier_wait_seconds"] = fr.barrier_wait_seconds;
 
   const auto wall_end = std::chrono::steady_clock::now();
   result.wall_seconds = std::chrono::duration<double>(wall_end - wall_start).count();

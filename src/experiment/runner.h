@@ -3,9 +3,9 @@
 //
 // Counters, not clocks: the simulated results, the event count and the
 // work counters are a pure function of (spec, policy). The runner is one
-// of the three places in src/ that read the host clock (with sweep.cc and
-// the WorkPool); it times the whole cell and its simulation loop, and those
-// readings ride only in timed JSON.
+// of the two places in src/ that read the host clock (with sweep.cc); it
+// times the whole cell and its simulation loop, and those readings ride
+// only in timed JSON.
 
 #ifndef AQLSCHED_SRC_EXPERIMENT_RUNNER_H_
 #define AQLSCHED_SRC_EXPERIMENT_RUNNER_H_
@@ -23,11 +23,6 @@ namespace aql {
 struct RunOptions {
   // Observes per-period vTRS cursors (AQL policy only).
   AqlController::TraceHook trace;
-  // Fleet scenarios only: worker threads advancing host islands between
-  // epoch boundaries (FleetSpec::island_threads). Execution-only: the
-  // result is byte-identical at every setting (tests/fleet_parallel_test.cc
-  // proves it differentially); single-machine scenarios ignore it.
-  int island_threads = 1;
 };
 
 struct ScenarioResult {
@@ -45,9 +40,8 @@ struct ScenarioResult {
   WorkCounters counters;
   uint64_t fleet_epochs = 0;  // fleet cells only: epoch boundaries run
   // Host-clock timing: the whole cell, and its split ("sim_seconds", the
-  // simulation loop; fleet cells add "barrier_wait_seconds"). Emitted into
-  // cell JSON only alongside the other wall-clock fields, never into the
-  // --stable-json byte stream.
+  // simulation loop). Emitted into cell JSON only alongside the other
+  // wall-clock fields, never into the --stable-json byte stream.
   double wall_seconds = 0.0;
   std::map<std::string, double> profile;
 

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -88,7 +86,7 @@ namespace {
 // a structured `error` entry while the remaining cells still run — instead
 // of aborting the whole process the way the simulator's internal AQL_CHECK
 // invariants do.
-void RunCell(CellResult* out, const SweepOptions& sweep_options) {
+void RunCell(CellResult* out) {
   std::string error;
   try {
     for (const VmSpec& vm : out->cell.scenario.vms) {
@@ -97,7 +95,6 @@ void RunCell(CellResult* out, const SweepOptions& sweep_options) {
       }
     }
     RunOptions options;
-    options.island_threads = sweep_options.island_threads;
     if (out->cell.trace_cursors) {
       auto* trace = &out->cursor_trace;
       options.trace = [trace](TimeNs, int vcpu, const CursorSet&, const CursorSet& avg) {
@@ -138,18 +135,31 @@ std::vector<CellResult> ExpandCells(const SweepSpec& spec, const SweepOptions& o
   return out;
 }
 
-// A sweep the workers have reached and the calling thread has not emitted.
-struct InFlight {
+// A cell's static cost: its simulated seconds (warm-up + measure) times the
+// vCPUs that can run at once, min(total vCPUs, pCPUs per host x hosts). It
+// orders the claims only, so it never reaches a result.
+int64_t CellCost(const ScenarioSpec& scenario) {
+  int64_t vcpus = 0;
+  for (const VmSpec& vm : scenario.vms) {
+    vcpus += vm.vcpus;
+  }
+  const int64_t pcpus = static_cast<int64_t>(scenario.machine.topology.TotalPcpus()) *
+                        std::max(1, scenario.fleet.hosts);
+  return (scenario.warmup + scenario.measure) * std::min(vcpus, pcpus);
+}
+
+// A selected sweep, expanded before any cell runs.
+struct Pending {
   const SweepSpec* spec = nullptr;
   std::vector<CellResult> cells;
-  size_t claimed = 0;
+  int64_t heaviest = 0;  // the largest CellCost among its cells
   size_t finished = 0;
 };
 
 // Renders a finished sweep (skipped for a --cell run, which holds one cell,
 // and for a sweep with a failed cell, whose renderer would read a missing
 // result) and packs it into a SweepResult.
-SweepResult Finish(InFlight& sweep, const SweepOptions& options) {
+SweepResult Finish(Pending& sweep, const SweepOptions& options) {
   SweepResult out;
   out.name = sweep.spec->name;
   out.description = sweep.spec->description;
@@ -182,29 +192,40 @@ SweepResult Finish(InFlight& sweep, const SweepOptions& options) {
 
 void RunSweeps(const std::vector<const SweepSpec*>& specs, const SweepOptions& options,
                const std::function<void(SweepResult)>& emit) {
+  std::vector<Pending> sweeps(specs.size());
+  size_t cells = 0;
+  for (size_t s = 0; s < specs.size(); ++s) {
+    sweeps[s].spec = specs[s];
+    sweeps[s].cells = ExpandCells(*specs[s], options);
+    for (const CellResult& c : sweeps[s].cells) {
+      sweeps[s].heaviest = std::max(sweeps[s].heaviest, CellCost(c.cell.scenario));
+    }
+    cells += sweeps[s].cells.size();
+  }
+  std::stable_sort(sweeps.begin(), sweeps.end(), [](const Pending& a, const Pending& b) {
+    return a.heaviest > b.heaviest;
+  });
+  // A worker beyond the cell count would only idle.
+  SweepOptions run_options = options;
+  run_options.jobs =
+      static_cast<int>(std::min(static_cast<size_t>(std::max(1, options.jobs)), cells));
+
   std::mutex mu;
   std::condition_variable sweep_finished;
-  std::deque<std::unique_ptr<InFlight>> in_flight;  // in `specs` order
-  size_t next_spec = 0;
-
+  // The claim cursor: the next unclaimed cell, in sweep order, then cell order.
+  size_t next_sweep = 0;
+  size_t next_cell = 0;
   auto worker = [&] {
     std::unique_lock<std::mutex> lock(mu);
-    for (;;) {
-      if (in_flight.empty() ||
-          in_flight.back()->claimed == in_flight.back()->cells.size()) {
-        if (next_spec == specs.size()) {
-          return;
-        }
-        auto sweep = std::make_unique<InFlight>();
-        sweep->spec = specs[next_spec++];
-        sweep->cells = ExpandCells(*sweep->spec, options);
-        in_flight.push_back(std::move(sweep));
-        continue;
+    while (next_sweep < sweeps.size()) {
+      Pending& sweep = sweeps[next_sweep];
+      CellResult& cell = sweep.cells[next_cell];
+      if (++next_cell == sweep.cells.size()) {
+        ++next_sweep;
+        next_cell = 0;
       }
-      InFlight& sweep = *in_flight.back();
-      CellResult& cell = sweep.cells[sweep.claimed++];
       lock.unlock();
-      RunCell(&cell, options);
+      RunCell(&cell);
       lock.lock();
       if (++sweep.finished == sweep.cells.size()) {
         sweep_finished.notify_one();
@@ -212,21 +233,16 @@ void RunSweeps(const std::vector<const SweepSpec*>& specs, const SweepOptions& o
     }
   };
   std::vector<std::thread> workers;
-  for (int t = 0; t < std::max(1, options.jobs); ++t) {
+  for (int t = 0; t < run_options.jobs; ++t) {
     workers.emplace_back(worker);
   }
-  for (size_t s = 0; s < specs.size(); ++s) {
-    std::unique_ptr<InFlight> sweep;
+  for (Pending& sweep : sweeps) {
     {
       std::unique_lock<std::mutex> lock(mu);
-      sweep_finished.wait(lock, [&in_flight] {
-        return !in_flight.empty() &&
-               in_flight.front()->finished == in_flight.front()->cells.size();
-      });
-      sweep = std::move(in_flight.front());
-      in_flight.pop_front();
+      sweep_finished.wait(lock,
+                          [&sweep] { return sweep.finished == sweep.cells.size(); });
     }
-    emit(Finish(*sweep, options));
+    emit(Finish(sweep, run_options));
   }
   for (std::thread& t : workers) {
     t.join();
@@ -433,11 +449,9 @@ JsonValue SweepJson(const SweepResult& result, bool include_timing) {
   opts.Set("quick", result.options.quick)
       .Set("seed_salt", result.options.seed_salt);
   if (include_timing) {
-    // Thread counts never affect results; they are timing metadata. Both
-    // levers ride here so a reader of the wall times knows the parallelism
-    // that produced them.
+    // The worker count never affects results; it is timing metadata that
+    // tells a reader of the wall times the parallelism behind them.
     opts.Set("jobs", result.options.jobs);
-    opts.Set("island_threads", result.options.island_threads);
   }
   doc.Set("options", std::move(opts));
 

@@ -3,7 +3,8 @@
 // cell results into the paper's tables and summary metrics.
 //
 // Cells are independent simulations, so the engine executes them on one
-// std::thread worker pool shared by every sweep a run selects (RunSweeps).
+// std::thread worker pool shared by every sweep a run selects (RunSweeps);
+// it is the program's one parallelism lever.
 // Determinism is preserved regardless of thread count: every cell's RNG
 // stream is derived from the scenario's declared seed via Rng::DeriveSeed
 // before any cell runs, each cell owns its Simulation, and results land in
@@ -35,7 +36,9 @@ namespace aql {
 struct SweepOptions {
   // Scaled-down simulated durations for CI smoke runs.
   bool quick = false;
-  // Worker threads running cells (values < 1 mean "one").
+  // Worker threads running cells (values < 1 mean "one"). RunSweeps starts
+  // no more workers than there are cells and records the number it started
+  // in each SweepResult::options.
   int jobs = 1;
   // Mixed into every cell's declared machine seed (Rng::DeriveSeed). The
   // same salt yields the same cell streams, so paired comparisons (policy A
@@ -43,17 +46,9 @@ struct SweepOptions {
   uint64_t seed_salt = 0x51eedca11ULL;
   // Run a single cell by id (`--cell <id>`): the expansion is filtered to
   // that one cell and the render step is skipped (render addresses cells
-  // across the whole sweep). Used by CI perf probes that want one full-mode
-  // cell's wall time without paying for its siblings; empty selects every
-  // cell.
+  // across the whole sweep). It times one full-mode cell without paying
+  // for its siblings; empty selects every cell.
   std::string only_cell;
-  // Fleet cells only: worker threads advancing host islands inside one cell
-  // (`--island-threads`). Orthogonal to `jobs` (which parallelizes across
-  // cells): a 1024-host fleet cell is a single unit of `jobs` work, and
-  // island threads are the only lever inside it. Execution-only knob —
-  // stable JSON is independent of it by contract
-  // (tests/fleet_parallel_test.cc, docs/BENCH_FORMAT.md).
-  int island_threads = 1;
 
   // Window scaling helpers used by sweep builders: full durations in normal
   // mode, ~10x shorter in quick mode with floors that keep the vTRS
@@ -146,14 +141,16 @@ struct SweepResult {
   size_t failed_cells = 0;
 };
 
-// Runs every sweep in `specs` on one pool of `options.jobs` worker threads.
-// Workers claim cells in sweep order, then cell order; a sweep is expanded
-// (cells built, ids checked, seeds derived from the declared seed and
-// options.seed_salt) only when the workers reach it. The calling thread
-// renders each sweep as soon as its last cell lands and hands it to `emit`,
-// once per sweep and in `specs` order, so only sweeps in flight are held in
-// memory. A failed cell becomes an `error` entry and every other cell and
-// sweep still runs.
+// Runs every sweep in `specs` on one pool of min(options.jobs, cells) worker
+// threads. Every sweep is expanded (cells built, ids checked, seeds derived
+// from the declared seed and options.seed_salt) before any cell runs, then
+// the sweeps are ordered heaviest first by their most expensive cell (ties
+// keep `specs` order), so the longest cells start first. Workers claim cells
+// in that sweep order, then cell order. The calling thread renders each
+// sweep as soon as its last cell lands and hands it to `emit`, once per
+// sweep and in the same order, so a finished sweep waits in memory only for
+// sweeps claimed before it. Claim order never reaches a result. A failed
+// cell becomes an `error` entry and every other cell and sweep still runs.
 void RunSweeps(const std::vector<const SweepSpec*>& specs, const SweepOptions& options,
                const std::function<void(SweepResult)>& emit);
 

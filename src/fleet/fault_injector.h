@@ -3,12 +3,12 @@
 // The fault schedule is a pure function of the fleet spec and its declared
 // seed: crash and degradation events are pre-drawn per host from dedicated
 // Rng::DeriveSeed streams over the fleet's epoch boundary grid, before any
-// island executes. Migration-failure verdicts come from a third stream that
-// only the coordinating thread consumes, in proposal order. Nothing in the
-// schedule depends on execution order, so a faulty fleet run stays
-// byte-identical at any --jobs / --island-threads setting — the same
-// contract the rest of the fleet layer honors (docs/ARCHITECTURE.md "Fault
-// model & recovery contract").
+// host runs. Migration-failure verdicts come from a third stream that the
+// coordinator consumes at epoch boundaries, in proposal order. Nothing in
+// the schedule depends on execution order, so a faulty fleet run stays
+// byte-identical at any --jobs setting — the same contract the rest of the
+// fleet layer honors (docs/ARCHITECTURE.md "Fault model & recovery
+// contract").
 //
 // Three fault kinds (all opt-in; a default FleetFaultPlan is inert):
 //  * Fail-stop host crashes: at a scheduled epoch boundary the coordinator
@@ -94,7 +94,7 @@ class FaultInjector {
   const std::vector<int>& CrashesAt(TimeNs now) const;
   const std::vector<int>& DegradationsAt(TimeNs now) const;
 
-  // Verdict for the next migration attempt. Coordinator-thread only; the
+  // Verdict for the next migration attempt, drawn at epoch boundaries; the
   // stream is consumed in proposal order, which is itself deterministic.
   bool MigrationAttemptFails();
 

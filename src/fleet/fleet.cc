@@ -4,7 +4,6 @@
 #include <map>
 #include <utility>
 
-#include "src/sim/work_pool.h"
 #include "src/sim/check.h"
 #include "src/sim/rng.h"
 #include "src/workload/catalog.h"
@@ -109,7 +108,7 @@ class FleetRun {
   bool ProcessDrains(TimeNs now);
   void ProcessRebalance(TimeNs now);
   // Boundary fault pipeline: reboots, degradations, crashes, then recovery
-  // placement of queued VMs. Coordinator thread only.
+  // placement of queued VMs. Runs at epoch boundaries only.
   void ProcessFaults(TimeNs now);
   void ProcessRecovery(TimeNs now);
   void ProcessRetries(TimeNs now);
@@ -910,33 +909,22 @@ FleetResult FleetRun::Run() {
   std::sort(boundaries.begin(), boundaries.end());
   boundaries.erase(std::unique(boundaries.begin(), boundaries.end()), boundaries.end());
 
-  // The fault schedule is pre-drawn over the boundary grid before any
-  // island executes: a pure function of (spec, seed), never of execution.
+  // The fault schedule is pre-drawn over the boundary grid before any host
+  // runs: a pure function of (spec, seed), never of execution.
   if (cfg_.fault.Active()) {
     injector_ = std::make_unique<FaultInjector>(cfg_.fault, spec_.host_template.seed,
                                                 cfg_.hosts, boundaries);
   }
 
-  // Island phase + barrier protocol. Advancing a host island to the
-  // boundary touches exclusively host-local state (its Simulation, Machine,
-  // stats), so the pool may hand islands to worker threads in any order and
-  // still produce the sequential loop's exact bytes. With island_threads <=
-  // 1 (or one host) the pool spawns nothing and this IS the sequential
-  // loop, island index order included. Everything below the barrier —
-  // metric resets, drains, rebalances, migrations — runs on this
-  // (coordinating) thread only.
-  WorkPool pool(std::min(spec_.island_threads, cfg_.hosts));
-  const auto advance_island = [this](TimeNs b) {
-    return [this, b](size_t h) {
-      HostState& host = hosts_[h];
+  // Each epoch advances every host to the boundary in index order; then the
+  // cross-host work — metric resets, faults, drains, rebalances,
+  // migrations — runs in a fixed order.
+  for (const TimeNs b : boundaries) {
+    for (HostState& host : hosts_) {
       if (host.machine != nullptr) {
         host.stats.events += host.sim->RunUntil(b - host.build_time);
       }
-    };
-  };
-
-  for (const TimeNs b : boundaries) {
-    pool.Run(hosts_.size(), advance_island(b));
+    }
     ++result_.epochs;
     if (b == t_warm_) {
       for (HostState& host : hosts_) {
@@ -966,8 +954,6 @@ FleetResult FleetRun::Run() {
   for (HostState& host : hosts_) {
     SnapshotHost(host, t_end_);
   }
-  // The barrier wait is the one host-clock reading of a fleet run.
-  result_.barrier_wait_seconds = pool.wait_seconds();
   Finalize(result_);
   return std::move(result_);
 }

@@ -2,20 +2,15 @@
 // event order under a datacenter-level ClusterScheduler, with a live-
 // migration cost model.
 //
-// Determinism contract (tests/fleet_test.cc, tests/fleet_parallel_test.cc;
-// prose in docs/ARCHITECTURE.md "Determinism contract for parallel
-// islands"):
-//  * Each host owns its Simulation + Machine — one conservative-PDES
-//    *island*. Between epoch boundaries an island's event stream is a pure
-//    function of its own state: no cross-host reads, no shared counters, no
-//    shared RNG. The fleet is therefore byte-identical at any --jobs.
-//  * Islands advance to each shared epoch boundary either in fixed index
-//    order on one thread (island_threads <= 1, the default) or concurrently
-//    on a WorkPool (island_threads > 1). Because island runs touch only
-//    host-local state, the two schedules produce identical bytes; every
-//    cross-island effect (drain/rebalance proposals, migrations, fleet
-//    bookkeeping) is applied on the coordinating thread between barriers,
-//    in the same fixed order regardless of thread count.
+// Determinism contract (tests/fleet_test.cc; prose in docs/ARCHITECTURE.md
+// "Parallelism"):
+//  * Each host owns its Simulation + Machine. Between epoch boundaries a
+//    host's event stream is a pure function of its own state: no cross-host
+//    reads, no shared counters, no shared RNG.
+//  * Hosts advance to each epoch boundary in index order on one thread, and
+//    every cross-host effect (drain/rebalance proposals, migrations, fleet
+//    bookkeeping) is applied between boundaries in a fixed order, so a
+//    fleet is a pure function of (spec, seed).
 //  * Per-host RNG streams derive from the declared seed via FleetHostSeed
 //    (host index + rebuild generation), never from execution order.
 //  * A 1-host fleet with no migrations runs the exact event stream of the
@@ -41,16 +36,15 @@
 // Faults: FleetConfig::fault enables the deterministic fault subsystem
 // (src/fleet/fault_injector.h) — fail-stop host crashes with scheduler-
 // driven VM recovery, mid-copy migration aborts with retry/backoff, and
-// host degradation. All fault effects are applied by the coordinating
-// thread at epoch boundaries, in fixed order, from pre-drawn schedules, so
-// they inherit the byte-identity contract above. An inactive plan (the
+// host degradation. All fault effects are applied at epoch boundaries, in
+// fixed order, from pre-drawn schedules, so they inherit the byte-identity
+// contract above. An inactive plan (the
 // default) leaves every code path and RNG stream untouched.
 //
-// Counters and timing: each host's Machine counts its own work
-// (WorkCounters); the coordinator adds a build's counters when it tears the
-// machine down and the survivors' at the end, so the sums cover every
-// build and are identical at any island_threads. The only host clock in a
-// fleet run is the WorkPool's barrier-wait reading.
+// Counters: each host's Machine counts its own work (WorkCounters); the
+// coordinator adds a build's counters when it tears the machine down and
+// the survivors' at the end, so the sums cover every build. A fleet run
+// reads no host clock.
 
 #ifndef AQLSCHED_SRC_FLEET_FLEET_H_
 #define AQLSCHED_SRC_FLEET_FLEET_H_
@@ -136,11 +130,6 @@ struct FleetSpec {
   // applications — the manual configuration vSlicer/vTurbo need.
   std::function<std::unique_ptr<SchedController>(const std::vector<int>& io_vcpus)>
       controller_factory;
-  // Worker threads advancing host islands between epoch boundaries
-  // (values < 1 mean "one"). Execution-only knob: the result is byte-
-  // identical at every setting, so it is deliberately NOT part of
-  // FleetConfig (which is serialized into scenario JSON).
-  int island_threads = 1;
 };
 
 struct FleetHostStats {
@@ -187,9 +176,6 @@ struct FleetResult {
   // events_processed).
   WorkCounters counters;
   uint64_t epochs = 0;
-  // Host seconds the coordinator spent waiting at island barriers
-  // (WorkPool::wait_seconds). Timing, not a result: never compared.
-  double barrier_wait_seconds = 0.0;
   // --- fault bookkeeping (all zero/1.0 unless FleetConfig::fault is
   // active; see docs/ARCHITECTURE.md "Fault model & recovery contract") ---
   int crashes = 0;                // fail-stop host crashes

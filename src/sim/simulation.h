@@ -12,15 +12,13 @@
 // Thread confinement: a Simulation (and the whole object graph hanging off
 // it — Machine, schedulers, workload models, RNG) is single-thread-confined
 // *per run section*: exactly one thread may be inside RunUntil/RunUntilIdle
-// at a time, and hand-offs between threads happen-before the next run
-// section (a fleet advances host Simulations on WorkPool worker threads;
-// the pool's epoch barrier provides this, see src/sim/work_pool.h). There
-// is deliberately no internal locking and no process-global mutable state —
+// at a time (a cell runs on one cell-pool worker, and a fleet advances its
+// host Simulations one after another on that worker). There is
+// deliberately no internal locking and no process-global mutable state —
 // all counters (event sequence numbers, RNG streams) live inside the
 // instance, and nothing below the experiment layer reads the host clock
 // (docs/ARCHITECTURE.md, "Counters, not clocks"). The `running_` guard
-// below turns reentrant (same-thread) misuse into a hard abort;
-// cross-thread misuse is caught by the ThreadSanitizer CI job.
+// below turns reentrant (same-thread) misuse into a hard abort.
 
 #ifndef AQLSCHED_SRC_SIM_SIMULATION_H_
 #define AQLSCHED_SRC_SIM_SIMULATION_H_

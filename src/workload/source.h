@@ -13,8 +13,8 @@
 //   trace   : replays a JSON-lines trace file (docs/TRACE_FORMAT.md).
 //             MakeModels builds one TraceReplayModel per stream
 //             (src/workload/trace_replay.h). Traces use no RNG, so a
-//             trace-driven cell is byte-identical across --jobs and
-//             --island-threads by construction.
+//             trace-driven cell is byte-identical across --jobs by
+//             construction.
 //
 // The experiment runner (src/experiment/runner.cc) routes every VM build
 // through MakeWorkloadSource.

@@ -4,7 +4,7 @@
 //  1. The fault schedule is a pure function of (spec, seed) — two injectors
 //     built from the same inputs agree event-for-event, and the
 //     fleet_failover sweep's stable JSON is byte-identical across --jobs
-//     and --island-threads settings.
+//     settings.
 //  2. Aborted migrations conserve charges: every wasted transfer half that
 //     lands on a live machine is executed there (the PR 4 accounting-vs-
 //     execution contract), bytes balance across ends, and every failure is
@@ -12,8 +12,7 @@
 //  3. A fault plan that is not Active() is indistinguishable from no fault
 //     subsystem at all, whatever its inert knobs say.
 //  4. Randomized crash/recovery stress: high crash rates over random small
-//     fleets (checkpointing VMs included) keep every invariant and stay
-//     byte-identical between sequential and parallel-island execution.
+//     fleets (checkpointing VMs included) keep every invariant.
 
 #include <cstdint>
 #include <random>
@@ -31,13 +30,12 @@
 namespace aql {
 namespace {
 
-std::string StableJsonFor(const std::string& sweep, int jobs, int island_threads) {
+std::string StableJsonFor(const std::string& sweep, int jobs) {
   const SweepSpec* spec = SweepRegistry::Instance().Find(sweep);
   EXPECT_NE(spec, nullptr) << sweep;
   SweepOptions options;
   options.quick = true;
   options.jobs = jobs;
-  options.island_threads = island_threads;
   return SweepJson(RunSweep(*spec, options), /*include_timing=*/false).Dump();
 }
 
@@ -111,13 +109,9 @@ TEST(FaultInjectorTest, ScheduleIsPureFunctionOfSpecAndSeed) {
 }
 
 // 1b. Sweep-level determinism: fleet_failover's stable JSON is byte-
-// identical across cell-pool sizes and island-thread counts (the quick
-// fleet has 6 hosts, so 8 threads also covers threads > hosts).
-TEST(FleetFaultTest, FailoverSweepIsByteIdenticalAcrossJobsAndIslandThreads) {
-  const std::string sequential = StableJsonFor("fleet_failover", 1, 1);
-  EXPECT_EQ(sequential, StableJsonFor("fleet_failover", 4, 1)) << "@4 jobs";
-  EXPECT_EQ(sequential, StableJsonFor("fleet_failover", 1, 2)) << "@2 island threads";
-  EXPECT_EQ(sequential, StableJsonFor("fleet_failover", 1, 8)) << "@8 island threads";
+// identical across cell-pool sizes.
+TEST(FleetFaultTest, FailoverSweepIsByteIdenticalAcrossJobs) {
+  EXPECT_EQ(StableJsonFor("fleet_failover", 1), StableJsonFor("fleet_failover", 4));
 }
 
 // 2. Charge conservation across aborted migrations. Every attempt fails
@@ -249,10 +243,9 @@ TEST(FleetFaultTest, CrashRecoveryRestartsVmsAndBooksDowntime) {
 
 // 4. Randomized crash/recovery stress: random small fleets under aggressive
 // fault plans (checkpointing VMs included, so durable save/restore runs on
-// every teardown) hold the invariants and match sequential execution
-// exactly at random island-thread counts. Seeded generator: failures
-// reproduce.
-TEST(FleetFaultStress, RandomCrashRecoveryMatchesSequentialExactly) {
+// every teardown) hold the availability and downtime invariants. Seeded
+// generator: failures reproduce.
+TEST(FleetFaultStress, RandomCrashRecoveryKeepsInvariants) {
   const std::vector<std::string> apps = {"libquantum", "bzip2", "hmmer",
                                          "stream_triad", "checkpoint_restart"};
   const ClusterPolicy policies[] = {ClusterPolicy::kNaive, ClusterPolicy::kMemPressure,
@@ -298,18 +291,9 @@ TEST(FleetFaultStress, RandomCrashRecoveryMatchesSequentialExactly) {
 
     const PolicySpec policy = pick(0, 1) == 1 ? PolicySpec::Aql() : PolicySpec::Xen();
 
-    RunOptions sequential;
-    sequential.island_threads = 1;
-    RunOptions parallel;
-    parallel.island_threads = pick(2, 8);
+    const ScenarioResult r = RunScenario(spec, policy);
 
-    const ScenarioResult seq = RunScenario(spec, policy, sequential);
-    const ScenarioResult par = RunScenario(spec, policy, parallel);
-    ExpectSameResult(seq, par,
-                     spec.name + " (" + policy.Label() + ", islands=" +
-                         std::to_string(parallel.island_threads) + ")");
-
-    const GroupPerf& fleet = seq.groups.back();
+    const GroupPerf& fleet = r.groups.back();
     ASSERT_EQ(fleet.name, "fleet") << spec.name;
     const double availability = fleet.Metric("availability");
     EXPECT_GE(availability, 0.0) << spec.name;
@@ -317,7 +301,7 @@ TEST(FleetFaultStress, RandomCrashRecoveryMatchesSequentialExactly) {
     // Total in-window downtime cannot exceed the window times the VM count
     // (each VM books at most the whole window).
     EXPECT_LE(fleet.Metric("downtime_ms"),
-              ToMs(seq.measure_window) * static_cast<double>(vms) + 1e-9)
+              ToMs(r.measure_window) * static_cast<double>(vms) + 1e-9)
         << spec.name;
     if (fleet.Metric("crashes") > 0) {
       ++fleets_with_crashes;

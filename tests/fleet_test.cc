@@ -11,13 +11,20 @@
 //     equivalent single-Machine scenario (same seed derivation, same event
 //     stream, same reports, same work counters — no weighted-mean
 //     round-trip on the way out).
+//  4. Bookkeeping under stress: randomized fleets keep utilization in
+//     [0, 1], every vCPU on exactly one host, and every migration counted
+//     once on each end.
 
+#include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/experiment/registry.h"
+#include "src/experiment/runner.h"
+#include "src/experiment/scenarios.h"
 #include "src/fleet/fleet.h"
 
 namespace aql {
@@ -149,6 +156,104 @@ TEST(FleetDegeneracy, OneHostFleetMatchesSingleMachineBitForBit) {
   EXPECT_EQ(fleet.counters.membus_updates, single.counters.membus_updates);
   EXPECT_EQ(fleet.counters.monitor_periods, single.counters.monitor_periods);
   EXPECT_GT(fleet.counters.compute_steps, 0u);
+}
+
+// Randomized stress: generated fleet specs — every cluster policy, skewed
+// declared placements (hotspots the rebalancer must fix), rolling drains,
+// mixed Xen/AQL hosts, and apps of every kind for detection, placement and
+// migration to react to — each keep the fleet's bookkeeping invariants.
+// The generator is seeded, so a failure reproduces.
+TEST(FleetStress, RandomFleetsKeepBookkeepingInvariants) {
+  const std::vector<std::string> apps = {"libquantum", "bzip2", "hmmer", "mcf",
+                                         "stream_triad", "pure_io"};
+  const ClusterPolicy policies[] = {ClusterPolicy::kNaive, ClusterPolicy::kMemPressure,
+                                    ClusterPolicy::kCacheAware};
+
+  std::mt19937_64 gen(0xf1ee7f1ee7ULL);
+  const auto pick = [&gen](int lo, int hi) {
+    return lo + static_cast<int>(gen() % static_cast<uint64_t>(hi - lo + 1));
+  };
+
+  int fleets_with_migrations = 0;
+  int fleets_with_drains = 0;
+  const int kSpecs = 50;
+  for (int i = 0; i < kSpecs; ++i) {
+    const int hosts = pick(2, 4);
+    const int vms = pick(4, 10);
+
+    ScenarioSpec spec;
+    spec.name = "stress" + std::to_string(i);
+    spec.machine = FleetHostMachine(/*seed=*/gen());
+    int vcpus = 0;
+    for (int v = 0; v < vms; ++v) {
+      VmSpec vm;
+      vm.app = apps[gen() % apps.size()];
+      vm.vcpus = pick(1, 2);
+      vcpus += vm.vcpus;
+      spec.vms.push_back(vm);
+    }
+    spec.fleet.hosts = hosts;
+    spec.fleet.policy = policies[gen() % 3];
+    spec.fleet.epoch = Ms(pick(1, 4) * 50);  // 50-200 ms
+    spec.fleet.max_migrations_per_epoch = pick(0, 4);
+    if (pick(0, 1) == 1) {
+      // Skewed declared placement instead of policy admission: every VM on a
+      // random host, so hotspots (and rebalance traffic) are likely.
+      for (int v = 0; v < vms; ++v) {
+        spec.fleet.declared_hosts.push_back(pick(0, hosts - 1));
+      }
+    }
+    if (pick(0, 2) == 0) {
+      // Rolling drain of a strict subset of hosts (at least one survivor to
+      // receive the evacuated VMs).
+      const int drains = pick(1, hosts - 1);
+      for (int d = 0; d < drains; ++d) {
+        spec.fleet.drain.hosts.push_back(d);
+      }
+      spec.fleet.drain.start = Ms(pick(1, 3) * 50);
+      spec.fleet.drain.interval = Ms(pick(0, 2) * 50);
+      spec.fleet.drain.batch_per_epoch = pick(1, 3);
+    }
+    spec.warmup = Ms(pick(2, 5) * 25);    // 50-125 ms
+    spec.measure = Ms(pick(8, 16) * 25);  // 200-400 ms
+
+    const PolicySpec policy = pick(0, 1) == 1 ? PolicySpec::Aql() : PolicySpec::Xen();
+    const ScenarioResult r = RunScenario(spec, policy);
+    const std::string label = spec.name + " (" + policy.Label() + ")";
+
+    EXPECT_GE(r.cpu_utilization, 0.0) << label;
+    EXPECT_LE(r.cpu_utilization, 1.0) << label;
+    int host_vcpus = 0;
+    double migrations_in = 0.0;
+    double migrations_out = 0.0;
+    for (const GroupPerf& g : r.groups) {
+      if (g.name.rfind("host", 0) != 0) {
+        continue;
+      }
+      EXPECT_GE(g.Metric("cpu_utilization"), 0.0) << label << " " << g.name;
+      EXPECT_LE(g.Metric("cpu_utilization"), 1.0) << label << " " << g.name;
+      host_vcpus += g.vcpus;
+      migrations_in += g.Metric("migrations_in");
+      migrations_out += g.Metric("migrations_out");
+    }
+    const GroupPerf& fleet = r.groups.back();
+    ASSERT_EQ(fleet.name, "fleet") << label;
+    EXPECT_EQ(host_vcpus, vcpus) << label;
+    EXPECT_EQ(migrations_in, fleet.Metric("migrations")) << label;
+    EXPECT_EQ(migrations_out, fleet.Metric("migrations")) << label;
+    EXPECT_EQ(fleet.vcpus, vcpus) << label;
+    EXPECT_EQ(fleet.Metric("hosts"), hosts) << label;
+    if (fleet.Metric("migrations") > 0) {
+      ++fleets_with_migrations;
+    }
+    if (fleet.Metric("drained_hosts") > 0) {
+      ++fleets_with_drains;
+    }
+  }
+
+  // The generator must actually exercise migrations and drains.
+  EXPECT_GT(fleets_with_migrations, 5);
+  EXPECT_GT(fleets_with_drains, 3);
 }
 
 }  // namespace

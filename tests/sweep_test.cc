@@ -1,10 +1,11 @@
 // Tests for the sweep engine: thread-count invariance of results (per-cell
-// RNG seeding), the shared pool's emission order and failure containment,
+// RNG seeding), the shared pool's heaviest-first order and failure containment,
 // the sweep registry, JSON emission, quick-mode scaling, the split between
 // host-clock timing (timed JSON only) and work counters (every JSON), and
 // byte-compares against the committed goldens.
 
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -120,24 +121,36 @@ TEST(SweepEngineTest, FailedCellIsRecordedAndSiblingsStillRun) {
   EXPECT_EQ(results[0].failed_cells + results[1].failed_cells, 1u);
 }
 
-// Sweeps are emitted in the order given, once each, even when a later sweep
-// finishes first: here the first sweep holds the one slow cell while the
-// second worker runs all of the second sweep.
-TEST(SweepEngineTest, SweepsAreEmittedOnceInSpecOrder) {
+// Runs `specs` on one pool of `jobs` workers and returns the sweep names in
+// emission order, checking that every cell of every sweep ran.
+std::vector<std::string> EmissionOrder(const std::vector<const SweepSpec*>& specs,
+                                       int jobs) {
+  SweepOptions opts;
+  opts.jobs = jobs;
+  std::vector<std::string> emitted;
+  RunSweeps(specs, opts, [&emitted](SweepResult r) {
+    EXPECT_EQ(r.failed_cells, 0u);
+    for (const CellResult& c : r.cells) {
+      EXPECT_GT(c.result.events_processed, 0u) << r.name << "/" << c.cell.id;
+    }
+    emitted.push_back(r.name);
+  });
+  return emitted;
+}
+
+// The sweep with the heaviest cell is claimed first and emitted first, once
+// each, whatever the order given: the one 3.1 s cell outweighs three 0.3 s
+// cells. Sweeps whose heaviest cells cost the same keep the order given.
+TEST(SweepEngineTest, SweepsAreEmittedOnceHeaviestFirst) {
   const SweepSpec slow = ColocationSpec("slow", {"long"}, Ms(3000));
   const SweepSpec fast = ColocationSpec("fast", {"a", "b", "c"});
+  const SweepSpec a = ColocationSpec("a", {"x", "y"});
+  const SweepSpec b = ColocationSpec("b", {"x", "y"});
   for (const int jobs : {1, 2}) {
-    SweepOptions opts;
-    opts.jobs = jobs;
-    std::vector<std::string> emitted;
-    RunSweeps({&slow, &fast}, opts, [&emitted](SweepResult r) {
-      EXPECT_EQ(r.failed_cells, 0u);
-      for (const CellResult& c : r.cells) {
-        EXPECT_GT(c.result.events_processed, 0u) << r.name << "/" << c.cell.id;
-      }
-      emitted.push_back(r.name);
-    });
-    EXPECT_EQ(emitted, (std::vector<std::string>{"slow", "fast"}))
+    EXPECT_EQ(EmissionOrder({&fast, &slow}, jobs),
+              (std::vector<std::string>{"slow", "fast"}))
+        << "jobs " << jobs;
+    EXPECT_EQ(EmissionOrder({&b, &a}, jobs), (std::vector<std::string>{"b", "a"}))
         << "jobs " << jobs;
   }
 }
@@ -232,30 +245,24 @@ TEST(SweepEngineTest, Table3xQuickRunIsThreadCountInvariant) {
 }
 
 TEST(SweepEngineTest, TimingStaysOutOfStableJsonAndCountersStayIn) {
-  // Host-clock readings (each cell's profile split, the fleet barrier wait,
-  // the sweep's render time) and thread counts are always measured but
-  // ride with the timing fields only; the work counters are results and
-  // appear in both forms. Run on a fleet sweep (the only source of
-  // barrier_wait_seconds) at one and four island threads. Quoted keys: the
-  // workloads emit a *simulated* barrier_wait_ms metric, which belongs in
-  // stable JSON.
+  // Host-clock readings (each cell's profile split, the sweep's render
+  // time) and the worker count are always measured but ride with the
+  // timing fields only; the work counters are results and appear in both
+  // forms. Run on a fleet sweep, whose cells add a fleet_epochs counter.
   const SweepSpec* spec = SweepRegistry::Instance().Find("fleet_hotspot");
   ASSERT_NE(spec, nullptr);
-  SweepOptions sequential;
-  sequential.quick = true;
-  sequential.jobs = 1;
-  SweepOptions islands = sequential;
-  islands.island_threads = 4;
+  SweepOptions options;
+  options.quick = true;
+  options.jobs = 1;
 
-  const SweepResult r_sequential = RunSweep(*spec, sequential);
-  const SweepResult r_islands = RunSweep(*spec, islands);
-  const std::string stable = SweepJson(r_islands, /*include_timing=*/false).Dump();
-  EXPECT_EQ(SweepJson(r_sequential, /*include_timing=*/false).Dump(), stable);
+  const SweepResult r = RunSweep(*spec, options);
+  const std::string stable = SweepJson(r, /*include_timing=*/false).Dump();
   EXPECT_NE(stable.find("\"counters\""), std::string::npos);
+  EXPECT_NE(stable.find("\"fleet_epochs\""), std::string::npos);
 
-  const std::string timed = SweepJson(r_islands, /*include_timing=*/true).Dump();
-  for (const char* key : {"\"profile\"", "\"sim_seconds\"", "\"render_seconds\"",
-                          "\"barrier_wait_seconds\"", "\"island_threads\""}) {
+  const std::string timed = SweepJson(r, /*include_timing=*/true).Dump();
+  for (const char* key :
+       {"\"profile\"", "\"sim_seconds\"", "\"render_seconds\"", "\"jobs\""}) {
     EXPECT_EQ(stable.find(key), std::string::npos) << key;
     EXPECT_NE(timed.find(key), std::string::npos) << key;
   }
@@ -276,13 +283,12 @@ std::string Golden(const std::string& sweep) {
 // committed golden (tests/goldens/README.md records when each was last
 // re-baselined). CI's bench job covers all registered sweeps the same way;
 // here we pin the cheap representative ones into every ctest run.
-void ExpectMatchesGolden(const char* sweep, int island_threads = 1) {
+void ExpectMatchesGolden(const char* sweep) {
   const SweepSpec* spec = SweepRegistry::Instance().Find(sweep);
   ASSERT_NE(spec, nullptr) << sweep;
   SweepOptions options;
   options.quick = true;
   options.jobs = 1;
-  options.island_threads = island_threads;
   const SweepResult result = RunSweep(*spec, options);
   EXPECT_EQ(SweepJson(result, /*include_timing=*/false).Dump(), Golden(sweep))
       << sweep << ": stable JSON diverged from the committed golden — the "
@@ -318,9 +324,9 @@ void ExpectWellFormedTimedJson(const SweepResult& r) {
 }
 
 // Several sweeps on one shared pool, as `aql_bench --all` runs them: cells
-// of different sweeps interleave on the workers, and every sweep must still
-// reproduce its golden at any worker count and write a well-formed timed
-// document.
+// of different sweeps interleave on the workers, and every sweep must be
+// emitted exactly once, reproduce its golden at any worker count and write
+// a well-formed timed document.
 TEST(GoldenTest, SharedPoolReproducesGoldens) {
   std::vector<const SweepSpec*> specs;
   for (const char* sweep :
@@ -332,15 +338,17 @@ TEST(GoldenTest, SharedPoolReproducesGoldens) {
     SweepOptions options;
     options.quick = true;
     options.jobs = jobs;
-    size_t emitted = 0;
+    std::map<std::string, int> emitted;
     RunSweeps(specs, options, [&](SweepResult r) {
-      ASSERT_LT(emitted, specs.size());
-      EXPECT_EQ(r.name, specs[emitted++]->name);
+      ++emitted[r.name];
       EXPECT_EQ(SweepJson(r, /*include_timing=*/false).Dump(), Golden(r.name))
           << r.name << " at jobs " << jobs;
       ExpectWellFormedTimedJson(r);
     });
-    EXPECT_EQ(emitted, specs.size());
+    EXPECT_EQ(emitted.size(), specs.size()) << "jobs " << jobs;
+    for (const SweepSpec* spec : specs) {
+      EXPECT_EQ(emitted[spec->name], 1) << spec->name << " at jobs " << jobs;
+    }
   }
 }
 
@@ -381,23 +389,10 @@ TEST(GoldenTest, FleetFailoverQuickMatchesCommittedGolden) {
   ExpectMatchesGolden("fleet_failover");
 }
 
-// Trace-driven cells are byte-identical across --jobs and
-// --island-threads by construction (replay consumes no RNG, see
-// src/workload/trace_replay.h); the golden plus the islands rerun pin that.
+// Trace-driven cells are byte-identical across --jobs by construction
+// (replay consumes no RNG, see src/workload/trace_replay.h).
 TEST(GoldenTest, TraceReplayQuickMatchesCommittedGolden) {
   ExpectMatchesGolden("trace_replay");
-  ExpectMatchesGolden("trace_replay", /*island_threads=*/8);
-}
-
-// Parallel islands reproduce the same committed goldens — the bytes were
-// baselined sequentially, so this pins --island-threads as execution-only
-// (no re-baselining allowed; see tests/fleet_parallel_test.cc for the
-// full differential sweep across thread counts).
-TEST(GoldenTest, FleetGoldensReproduceWithParallelIslands) {
-  for (const char* sweep :
-       {"fleet_hotspot", "fleet_consolidation", "fleet_drain", "fleet_failover"}) {
-    ExpectMatchesGolden(sweep, /*island_threads=*/4);
-  }
 }
 
 // Every multi-socket sweep reproduces its golden: these bytes pin the
