@@ -10,7 +10,9 @@
 // at 4 vCPUs per pCPU (lock acquisition delay and hold duration grow with
 // the quantum as holders/stragglers are descheduled for O(quantum)).
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/calibration.h"
@@ -44,9 +46,31 @@ std::string PanelId(const std::string& app, int density, TimeNs q, uint64_t seed
          std::to_string(static_cast<int64_t>(ToMs(q))) + "/s" + std::to_string(seed);
 }
 
+// A lock quantum on the calibration grid reads panel (c)'s kernbench x4
+// cell, which is the same run; the others get lock cells of their own.
+bool OnCalibrationGrid(TimeNs q) {
+  const std::vector<TimeNs>& grid = CalibrationQuantumGrid();
+  return std::find(grid.begin(), grid.end(), q) != grid.end();
+}
+
 std::string LockId(TimeNs q, uint64_t seed) {
+  if (OnCalibrationGrid(q)) {
+    return PanelId("kernbench", 4, q, seed);
+  }
   return "lock/q" + std::to_string(static_cast<int64_t>(ToMs(q))) + "/s" +
          std::to_string(seed);
+}
+
+// One run of the calibration rig under Xen with a fixed quantum `q`.
+SweepCell RigCell(std::string id, const std::string& app, int density, TimeNs q,
+                  uint64_t seed, const SweepOptions& opts) {
+  SweepCell cell;
+  cell.id = std::move(id);
+  cell.scenario = CalibrationRig(app, density, seed);
+  cell.scenario.warmup = opts.Warmup(cell.scenario.warmup);
+  cell.scenario.measure = opts.Measure(Sec(10));
+  cell.policy = PolicySpec::Xen(q);
+  return cell;
 }
 
 std::vector<SweepCell> Build(const SweepOptions& opts) {
@@ -55,26 +79,18 @@ std::vector<SweepCell> Build(const SweepOptions& opts) {
     for (int density : {2, 4}) {
       for (TimeNs q : CalibrationQuantumGrid()) {
         for (uint64_t seed : Seeds(opts)) {
-          SweepCell cell;
-          cell.id = PanelId(p.app, density, q, seed);
-          cell.scenario = CalibrationRig(p.app, density, seed);
-          cell.scenario.warmup = opts.Warmup(cell.scenario.warmup);
-          cell.scenario.measure = opts.Measure(Sec(10));
-          cell.policy = PolicySpec::Xen(q);
-          cells.push_back(std::move(cell));
+          cells.push_back(
+              RigCell(PanelId(p.app, density, q, seed), p.app, density, q, seed, opts));
         }
       }
     }
   }
   for (TimeNs q : {Ms(20), Ms(40), Ms(60), Ms(80)}) {
+    if (OnCalibrationGrid(q)) {
+      continue;
+    }
     for (uint64_t seed : Seeds(opts)) {
-      SweepCell cell;
-      cell.id = LockId(q, seed);
-      cell.scenario = CalibrationRig("kernbench", 4, seed);
-      cell.scenario.warmup = opts.Warmup(cell.scenario.warmup);
-      cell.scenario.measure = opts.Measure(Sec(10));
-      cell.policy = PolicySpec::Xen(q);
-      cells.push_back(std::move(cell));
+      cells.push_back(RigCell(LockId(q, seed), "kernbench", 4, q, seed, opts));
     }
   }
   return cells;

@@ -10,19 +10,12 @@
 // plan, so the committed golden pins the bit-identity contract (a control
 // cell must match the same fleet built without the fault subsystem —
 // tests/fleet_fault_test.cc asserts the stronger form).
-//
-// One extra recognition cell runs checkpoint_restart in the extended
-// validation rig under AQL_Sched — the app was added after table3x's golden
-// was committed, so its detected-vs-expected row lives here (cell-ID
-// stability rules, docs/BENCH_FORMAT.md).
 
 #include <string>
 #include <vector>
 
-#include "src/core/cursors.h"
 #include "src/experiment/registry.h"
 #include "src/metrics/table.h"
-#include "src/workload/catalog.h"
 
 namespace aql {
 namespace {
@@ -102,8 +95,8 @@ std::vector<SweepCell> Build(const SweepOptions& opts) {
                  const FleetFaultPlan& plan) {
     SweepCell cell;
     // Id scheme: failover/<policy>/<intensity>/<bk|nobk> plus the control
-    // and recognition cells. Ids are --cell/diff keys; keep them
-    // stable (docs/BENCH_FORMAT.md, "Cell-ID stability rules").
+    // cell. Ids are --cell/diff keys; keep them stable
+    // (docs/BENCH_FORMAT.md, "Cell-ID stability rules").
     cell.id = id;
     cell.scenario =
         FleetScenario("failover/" + std::to_string(hosts) + "h", hosts, vms, cluster);
@@ -130,17 +123,6 @@ std::vector<SweepCell> Build(const SweepOptions& opts) {
     }
   }
 
-  // checkpoint_restart recognition (table3x-style): the app joined
-  // ExtendedCatalog() after that sweep's golden was committed, so it is
-  // pinned out there and validated here instead.
-  SweepCell rec;
-  rec.id = "failover/rec/checkpoint_restart";
-  rec.scenario = ExtendedValidationRig("checkpoint_restart");
-  rec.scenario.warmup = opts.Warmup(Sec(1));
-  rec.scenario.measure = opts.Measure(Sec(5));
-  rec.policy = PolicySpec::Aql();
-  rec.trace_cursors = true;
-  cells.push_back(std::move(rec));
   return cells;
 }
 
@@ -177,31 +159,6 @@ void Render(SweepContext& ctx) {
   const double control_cost = AggregateCost(ctx.Result("failover/control"));
   ctx.Summary("failover_cost_control", control_cost);
   ctx.Print("zero-fault control agg cost: " + std::to_string(control_cost) + "\n");
-
-  // Recognition row for checkpoint_restart (see Build).
-  const AppProfile* app = nullptr;
-  for (const AppProfile& a : ExtendedCatalog()) {
-    if (a.name == "checkpoint_restart") {
-      app = &a;
-    }
-  }
-  if (app != nullptr) {
-    const CellResult& cell = ctx.Cell("failover/rec/checkpoint_restart");
-    const VcpuType detected = cell.result.detected_types.at(0);
-    const CursorSet avg =
-        cell.cursor_trace.empty() ? CursorSet{} : cell.cursor_trace.back();
-    const bool ok = detected == app->expected_type;
-    TextTable rec({"application", "suite", "expected", "detected", "IO", "ConSpin",
-                   "LoLCF", "LLCF", "LLCO", "MemBw", "Remote", "Bursty", "ok"});
-    rec.AddRow({app->name, app->suite, VcpuTypeName(app->expected_type),
-                VcpuTypeName(detected), TextTable::Num(avg.io, 0),
-                TextTable::Num(avg.conspin, 0), TextTable::Num(avg.lolcf, 0),
-                TextTable::Num(avg.llcf, 0), TextTable::Num(avg.llco, 0),
-                TextTable::Num(avg.membw, 0), TextTable::Num(avg.remote, 0),
-                TextTable::Num(avg.bursty, 0), ok ? "yes" : "NO"});
-    ctx.AddTable("vTRS recognition: checkpoint_restart (pinned out of table3x)", rec);
-    ctx.Summary("recognized_checkpoint_restart", ok ? 1 : 0);
-  }
 }
 
 SweepSpec Spec() {
@@ -209,7 +166,7 @@ SweepSpec Spec() {
   spec.name = "fleet_failover";
   spec.description =
       "Fleet: fault-injection ablation (policy x intensity x backoff) plus "
-      "zero-fault control and checkpoint_restart recognition";
+      "zero-fault control";
   spec.build = Build;
   spec.render = Render;
   return spec;

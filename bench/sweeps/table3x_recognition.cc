@@ -1,13 +1,13 @@
-// Table 3x sweep: vTRS type recognition over the extended 8-type catalog,
-// plus scheduler effectiveness on the extended profiles.
+// Table 3 and Table 3x sweep: vTRS type recognition over the extended
+// 8-type catalog, plus scheduler effectiveness on the extended profiles.
 //
 // Every application of the extended catalog runs in its validation rig under
-// AQL_Sched: paper applications in the unmodified Table 3 rig (so the paper
-// baseline is reproduced inside this sweep), extended ones on the
-// dual-socket rig (src/experiment/scenarios.cc). The first table prints
-// detected vs expected types with all eight window-averaged cursors; a
-// second table compares each extended application's performance under
-// AQL_Sched against native Xen (30 ms) on the same rig.
+// AQL_Sched: paper applications in the §4.1 validation rig, extended ones on
+// the dual-socket rig (src/experiment/scenarios.cc). One loop over the cells
+// prints the paper's Table 3 (the 34 paper applications, five cursors) and
+// Table 3x (every application, all eight window-averaged cursors); a third
+// table compares each extended application's performance under AQL_Sched
+// against native Xen (30 ms) on the same rig.
 //
 // NumaRemote applications are judged *online*: they count as recognized if
 // vTRS classified them as NumaRemote at any decision, because the
@@ -29,20 +29,9 @@
 namespace aql {
 namespace {
 
-// Applications added to ExtendedCatalog() after this sweep's golden was
-// committed are pinned OUT of the expansion: cell ids are --cell/diff
-// keys and the committed BENCH_table3x.json golden byte-compares the whole
-// document (docs/BENCH_FORMAT.md, "Cell-ID stability rules"). Newer apps get
-// their recognition cells in the sweep that introduced them —
-// checkpoint_restart's lives in fleet_failover.
-bool PinnedOut(const AppProfile& app) { return app.name == "checkpoint_restart"; }
-
 std::vector<SweepCell> Build(const SweepOptions& opts) {
   std::vector<SweepCell> cells;
   for (const AppProfile& app : ExtendedCatalog()) {
-    if (PinnedOut(app)) {
-      continue;
-    }
     SweepCell cell;
     // Id scheme: rec/<app> (+ base/<app> below). Ids are --cell/diff
     // keys; keep them stable (docs/BENCH_FORMAT.md, "Cell-ID stability
@@ -67,6 +56,8 @@ std::vector<SweepCell> Build(const SweepOptions& opts) {
 }
 
 void Render(SweepContext& ctx) {
+  TextTable paper({"application", "suite", "expected", "detected", "IO", "ConSpin",
+                   "LoLCF", "LLCF", "LLCO", "ok"});
   TextTable table({"application", "suite", "expected", "detected", "IO", "ConSpin",
                    "LoLCF", "LLCF", "LLCO", "MemBw", "Remote", "Bursty", "ok"});
   std::map<VcpuType, int> correct_by_type;
@@ -76,9 +67,6 @@ void Render(SweepContext& ctx) {
   int paper_total = 0;
   int total = 0;
   for (const AppProfile& app : ExtendedCatalog()) {
-    if (PinnedOut(app)) {
-      continue;
-    }
     const CellResult& cell = ctx.Cell("rec/" + app.name);
     const VcpuType detected = cell.result.detected_types.at(0);
     const CursorSet avg =
@@ -102,19 +90,25 @@ void Render(SweepContext& ctx) {
     }
     correct += ok ? 1 : 0;
     ++total;
+    correct_by_type[app.expected_type] += ok ? 1 : 0;
+    total_by_type[app.expected_type] += 1;
+    std::vector<std::string> row = {
+        app.name, app.suite, VcpuTypeName(app.expected_type), shown,
+        TextTable::Num(avg.io, 0), TextTable::Num(avg.conspin, 0),
+        TextTable::Num(avg.lolcf, 0), TextTable::Num(avg.llcf, 0),
+        TextTable::Num(avg.llco, 0), ok ? "yes" : "NO"};
     if (!app.extended) {
       paper_correct += ok ? 1 : 0;
       ++paper_total;
+      paper.AddRow(row);
     }
-    correct_by_type[app.expected_type] += ok ? 1 : 0;
-    total_by_type[app.expected_type] += 1;
-    table.AddRow({app.name, app.suite, VcpuTypeName(app.expected_type),
-                  shown, TextTable::Num(avg.io, 0),
-                  TextTable::Num(avg.conspin, 0), TextTable::Num(avg.lolcf, 0),
-                  TextTable::Num(avg.llcf, 0), TextTable::Num(avg.llco, 0),
-                  TextTable::Num(avg.membw, 0), TextTable::Num(avg.remote, 0),
-                  TextTable::Num(avg.bursty, 0), ok ? "yes" : "NO"});
+    // Table 3x adds the three extended cursors before "ok".
+    row.insert(row.end() - 1, {TextTable::Num(avg.membw, 0),
+                               TextTable::Num(avg.remote, 0),
+                               TextTable::Num(avg.bursty, 0)});
+    table.AddRow(std::move(row));
   }
+  ctx.AddTable("Table 3: application type recognition by the online vTRS", paper);
   ctx.AddTable("Table 3x: online vTRS recognition over the extended 8-type catalog",
                table);
 
@@ -138,7 +132,7 @@ void Render(SweepContext& ctx) {
   // the same rig, normalized performance (smaller-is-better cost ratio).
   TextTable perf({"application", "type", "Xen(30ms)", "AQL_Sched", "normalized"});
   for (const AppProfile& app : ExtendedCatalog()) {
-    if (!app.extended || PinnedOut(app)) {
+    if (!app.extended) {
       continue;
     }
     const double xen = ctx.Primary("base/" + app.name, app.name);

@@ -93,8 +93,8 @@ ScenarioSpec CalibrationRig(const std::string& app, int vcpus_per_pcpu, uint64_t
 ScenarioSpec ValidationRig(const std::string& app, uint64_t seed = 42);
 
 // Validation rig for the 8-type extended catalog (table3x). Paper
-// applications get the unmodified ValidationRig, so their cells reproduce
-// table3 exactly. Extended applications all run on the dual-socket NUMA
+// applications get the unmodified ValidationRig, so their cells are the
+// paper's Table 3 runs. Extended applications all run on the dual-socket NUMA
 // machine (still 4 vCPUs per pCPU), whose memory-bus and NUMA terms are
 // part of the machine model itself.
 ScenarioSpec ExtendedValidationRig(const std::string& app, uint64_t seed = 42);

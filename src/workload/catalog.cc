@@ -320,9 +320,6 @@ const std::vector<Entry>& Entries() {
     // resumes from its checkpoint instead of restarting cold — the workload
     // the fault injector's recovery path is built for. The duty cycle is
     // small enough that window-averaged cursors still classify it LLCF.
-    // NOTE: deliberately pinned OUT of the table3x_recognition expansion
-    // (cell-ID stability rules, docs/BENCH_FORMAT.md); its recognition cell
-    // lives in the fleet_failover sweep.
     {
       CheckpointRestartConfig c;
       c.name = "checkpoint_restart";

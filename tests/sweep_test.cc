@@ -1,11 +1,15 @@
 // Tests for the sweep engine: thread-count invariance of results (per-cell
 // RNG seeding), the shared pool's heaviest-first order and failure containment,
 // the sweep registry, JSON emission, quick-mode scaling, the split between
-// host-clock timing (timed JSON only) and work counters (every JSON), and
-// byte-compares against the committed goldens.
+// host-clock timing (timed JSON only) and work counters (every JSON),
+// byte-compares against the committed goldens, and a check on those goldens
+// that no cell runs twice.
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -200,19 +204,6 @@ TEST(SweepEngineTest, SeedSaltChangesStreams) {
               ra.cells[0].result.cpu_utilization != rb.cells[0].result.cpu_utilization);
 }
 
-TEST(SweepEngineTest, RegisteredSweepsCoverTheFigures) {
-  const SweepRegistry& registry = SweepRegistry::Instance();
-  EXPECT_GE(registry.size(), 17u);
-  for (const char* name :
-       {"fig2_calibration", "fig4_vtrs_traces", "fig5_validation", "fig6_effectiveness",
-        "fig6x_numa", "fig7_customization", "fig8_comparison", "table3_recognition",
-        "table3x_recognition", "table5_clusters", "ablation", "overhead", "trace_replay",
-        "fleet_hotspot", "fleet_consolidation", "fleet_drain", "fleet_failover"}) {
-    EXPECT_NE(registry.Find(name), nullptr) << name;
-  }
-  EXPECT_EQ(registry.Find("nonexistent"), nullptr);
-}
-
 TEST(SweepEngineTest, RegisteredSweepQuickRunIsThreadCountInvariant) {
   const SweepSpec* spec = SweepRegistry::Instance().Find("table5_clusters");
   ASSERT_NE(spec, nullptr);
@@ -277,6 +268,105 @@ std::string Golden(const std::string& sweep) {
   std::ostringstream golden;
   golden << f.rdbuf();
   return golden.str();
+}
+
+// The sweep name of a BENCH_<name>.json file; any other file name unchanged.
+std::string SweepOfFile(const std::string& file) {
+  const std::string prefix = "BENCH_";
+  const std::string suffix = ".json";
+  if (file.size() > prefix.size() + suffix.size() && file.rfind(prefix, 0) == 0 &&
+      file.compare(file.size() - suffix.size(), suffix.size(), suffix) == 0) {
+    return file.substr(prefix.size(), file.size() - prefix.size() - suffix.size());
+  }
+  return file;
+}
+
+// Every registered sweep has a quick golden and a full-mode digest, and no
+// other golden or digest exists. CI's byte gates walk the goldens, so a
+// sweep registered without one would go unchecked.
+TEST(SweepEngineTest, RegisteredSweepsCoverTheFigures) {
+  std::set<std::string> registered;
+  for (const SweepSpec* spec : SweepRegistry::Instance().All()) {
+    registered.insert(spec->name);
+  }
+  std::set<std::string> quick;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::string(AQL_GOLDEN_DIR) + "/quick")) {
+    quick.insert(SweepOfFile(entry.path().filename().string()));
+  }
+  std::ifstream sums(std::string(AQL_GOLDEN_DIR) + "/full/SHA256SUMS");
+  ASSERT_TRUE(sums.good());
+  std::set<std::string> digests;
+  std::string digest;
+  std::string file;
+  while (sums >> digest >> file) {
+    digests.insert(SweepOfFile(file));
+  }
+  EXPECT_EQ(quick, registered);
+  EXPECT_EQ(digests, registered);
+  EXPECT_EQ(SweepRegistry::Instance().Find("nonexistent"), nullptr);
+}
+
+// A cell's stable JSON without its "id" line: two cells that run the same
+// scenario under the same policy dump the same text.
+std::string CellWithoutId(const JsonValue& cell) {
+  std::string text = cell.Dump();
+  const size_t start = text.find("\n  \"id\": ");
+  EXPECT_NE(start, std::string::npos) << text;
+  if (start != std::string::npos) {
+    text.erase(start, text.find('\n', start + 1) - start);
+  }
+  return text;
+}
+
+// Each cell runs once: no sweep repeats one of its own cells, and cells that
+// repeat across sweeps are exactly the shared cells docs/BENCH_FORMAT.md
+// lists. Each of those belongs to a figure that `--run NAME` regenerates
+// alone. Reads the committed quick goldens; runs no sweep.
+TEST(GoldenTest, OnlyListedCellsRepeatAcrossSweeps) {
+  std::map<std::string, std::vector<std::string>> runs;  // cell -> "sweep:id"s
+  for (const SweepSpec* spec : SweepRegistry::Instance().All()) {
+    std::string error;
+    const JsonValue doc = JsonValue::Parse(Golden(spec->name), &error);
+    ASSERT_TRUE(doc.IsObject()) << spec->name << ": " << error;
+    for (const JsonValue& cell : doc.Find("cells")->Items()) {
+      runs[CellWithoutId(cell)].push_back(spec->name + ":" +
+                                          cell.Find("id")->AsString());
+    }
+  }
+  std::set<std::vector<std::string>> shared;
+  for (auto& [cell, ids] : runs) {
+    if (ids.size() < 2) {
+      continue;
+    }
+    std::set<std::string> sweeps;
+    for (const std::string& id : ids) {
+      sweeps.insert(id.substr(0, id.find(':')));
+    }
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(sweeps.size(), ids.size())
+        << "a sweep runs one cell twice: " << testing::PrintToString(ids);
+    shared.insert(ids);
+  }
+
+  std::set<std::vector<std::string>> expected = {
+      {"fig6_effectiveness:S5/aql", "fig8_comparison:aql", "table5_clusters:S5"},
+      {"fig6_effectiveness:S5/xen", "fig8_comparison:xen"},
+      {"fig6_effectiveness:four_socket/aql", "fig7_customization:full"},
+  };
+  for (const std::string app : {"astar", "bzip2", "gcc", "omnetpp", "xalancbmk"}) {
+    expected.insert({"ablation:insert/dip/" + app, "table3x_recognition:rec/" + app});
+  }
+  for (const std::string s : {"1", "2", "3", "4"}) {
+    expected.insert({"fig6_effectiveness:S" + s + "/aql", "table5_clusters:S" + s});
+  }
+  for (const std::string app : {"numa_mcf", "numa_stream"}) {
+    expected.insert(
+        {"fig6x_numa:numa/" + app + "/aql", "table3x_recognition:rec/" + app});
+    expected.insert(
+        {"fig6x_numa:numa/" + app + "/xen", "table3x_recognition:base/" + app});
+  }
+  EXPECT_EQ(shared, expected);
 }
 
 // Byte-compares a quick-mode --stable-json run of `sweep` against its
@@ -360,12 +450,6 @@ TEST(GoldenTest, Fig4QuickMatchesCommittedGolden) {
   ExpectMatchesGolden("fig4_vtrs_traces");
 }
 
-// 34 single-socket validation cells whose LLC overflows: pins the LLC
-// eviction order (victims and residue in ascending vCPU id) on every rig.
-TEST(GoldenTest, Table3QuickMatchesCommittedGolden) {
-  ExpectMatchesGolden("table3_recognition");
-}
-
 // The fleet sweeps are cheap in quick mode (8-100 hosts, short windows), so
 // all three ride in every ctest run — they cover the multi-host event
 // ordering, the migration/rebuild path and the drain path respectively.
@@ -399,6 +483,9 @@ TEST(GoldenTest, TraceReplayQuickMatchesCommittedGolden) {
 // per-socket lane order, the per-VM RNG streams, socket-filtered wakes and
 // steals and the cross-socket footprint flush (src/hv/machine.h;
 // tests/machine_test.cc MultiSocketStress covers generated machines).
+// table3x's golden also holds the paper's 34 single-socket validation cells
+// (Table 3), whose LLC overflows: it pins the LLC eviction order (victims and
+// residue in ascending vCPU id) on every rig.
 TEST(GoldenTest, MultiSocketGoldensReproduce) {
   for (const char* sweep : {"fig6_effectiveness", "fig6x_numa", "fig7_customization",
                             "table3x_recognition"}) {
