@@ -31,19 +31,6 @@ const Rung kLadder[] = {
     {"dense", 16, 256},
 };
 
-double AggregateCost(const ScenarioResult& r) {
-  double weighted = 0.0;
-  double vcpus = 0.0;
-  for (const GroupPerf& g : r.groups) {
-    if (g.name == "fleet" || g.name.rfind("host", 0) == 0) {
-      continue;
-    }
-    weighted += g.primary * g.vcpus;
-    vcpus += g.vcpus;
-  }
-  return vcpus > 0 ? weighted / vcpus : 0.0;
-}
-
 std::vector<SweepCell> Build(const SweepOptions& opts) {
   const int vm_count = opts.quick ? 256 : 4096;
   const std::vector<VmSpec> vms = FleetWorkloadMix(vm_count);
@@ -68,10 +55,10 @@ std::vector<SweepCell> Build(const SweepOptions& opts) {
 void Render(SweepContext& ctx) {
   TextTable table({"packing", "hosts", "vcpus/pcpu", "agg cost", "vs sparse",
                    "fleet util"});
-  const double sparse_cost = AggregateCost(ctx.Result("consolidation/sparse"));
+  const double sparse_cost = ctx.Result("consolidation/sparse").AggregateCost();
   for (const Rung& rung : kLadder) {
     const ScenarioResult& r = ctx.Result("consolidation/" + std::string(rung.tag));
-    const double cost = AggregateCost(r);
+    const double cost = r.AggregateCost();
     const double penalty = sparse_cost > 0 ? cost / sparse_cost : 0.0;
     const GroupPerf& fleet = FindGroup(r.groups, "fleet");
     const double hosts = fleet.Metric("hosts");

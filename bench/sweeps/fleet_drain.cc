@@ -21,19 +21,6 @@ namespace {
 
 const char* const kTags[] = {"naive", "cache_aware"};
 
-double AggregateCost(const ScenarioResult& r) {
-  double weighted = 0.0;
-  double vcpus = 0.0;
-  for (const GroupPerf& g : r.groups) {
-    if (g.name == "fleet" || g.name.rfind("host", 0) == 0) {
-      continue;
-    }
-    weighted += g.primary * g.vcpus;
-    vcpus += g.vcpus;
-  }
-  return vcpus > 0 ? weighted / vcpus : 0.0;
-}
-
 std::vector<SweepCell> Build(const SweepOptions& opts) {
   const int hosts = opts.quick ? 12 : 128;
   const std::vector<VmSpec> vms = FleetWorkloadMix(6 * hosts);  // 1.5x overcommit
@@ -75,7 +62,7 @@ void Render(SweepContext& ctx) {
                    "migration GiB", "fleet util"});
   for (const char* tag : kTags) {
     const ScenarioResult& r = ctx.Result("drain/" + std::string(tag));
-    const double cost = AggregateCost(r);
+    const double cost = r.AggregateCost();
     const GroupPerf& fleet = FindGroup(r.groups, "fleet");
     const double gib = fleet.Metric("migration_bytes") / (1024.0 * 1024.0 * 1024.0);
     table.AddRow({tag, TextTable::Num(cost, 3),

@@ -20,21 +20,6 @@
 namespace aql {
 namespace {
 
-// vCPU-weighted mean primary cost over the per-application fleet groups
-// (host/fleet bookkeeping groups excluded).
-double AggregateCost(const ScenarioResult& r) {
-  double weighted = 0.0;
-  double vcpus = 0.0;
-  for (const GroupPerf& g : r.groups) {
-    if (g.name == "fleet" || g.name.rfind("host", 0) == 0) {
-      continue;
-    }
-    weighted += g.primary * g.vcpus;
-    vcpus += g.vcpus;
-  }
-  return vcpus > 0 ? weighted / vcpus : 0.0;
-}
-
 const char* const kPolicies[] = {"naive", "mem_pressure", "cache_aware"};
 const char* const kIntensities[] = {"low", "high"};
 const char* const kBackoffs[] = {"bk", "nobk"};
@@ -136,7 +121,7 @@ void Render(SweepContext& ctx) {
             "failover/" + std::string(policy) + "/" + intensity + "/" + backoff;
         const ScenarioResult& r = ctx.Result(id);
         const GroupPerf& fleet = FindGroup(r.groups, "fleet");
-        const double cost = AggregateCost(r);
+        const double cost = r.AggregateCost();
         table.AddRow({policy, intensity, backoff, TextTable::Num(cost, 3),
                       TextTable::Num(fleet.Metric("availability"), 4),
                       TextTable::Num(fleet.Metric("crashes"), 0),
@@ -156,7 +141,7 @@ void Render(SweepContext& ctx) {
       "(availability is vCPU-time not lost to crash recovery)",
       table);
 
-  const double control_cost = AggregateCost(ctx.Result("failover/control"));
+  const double control_cost = ctx.Result("failover/control").AggregateCost();
   ctx.Summary("failover_cost_control", control_cost);
   ctx.Print("zero-fault control agg cost: " + std::to_string(control_cost) + "\n");
 }

@@ -19,21 +19,6 @@
 namespace aql {
 namespace {
 
-// vCPU-weighted mean primary cost over the per-application fleet groups
-// (host/fleet bookkeeping groups excluded).
-double AggregateCost(const ScenarioResult& r) {
-  double weighted = 0.0;
-  double vcpus = 0.0;
-  for (const GroupPerf& g : r.groups) {
-    if (g.name == "fleet" || g.name.rfind("host", 0) == 0) {
-      continue;
-    }
-    weighted += g.primary * g.vcpus;
-    vcpus += g.vcpus;
-  }
-  return vcpus > 0 ? weighted / vcpus : 0.0;
-}
-
 const char* const kTags[] = {"naive", "mem_pressure", "cache_aware", "full_stack"};
 
 std::vector<SweepCell> Build(const SweepOptions& opts) {
@@ -93,10 +78,10 @@ std::vector<SweepCell> Build(const SweepOptions& opts) {
 void Render(SweepContext& ctx) {
   TextTable table({"policy", "agg cost", "gain vs naive", "migrations",
                    "migration GiB", "fleet util"});
-  const double naive_cost = AggregateCost(ctx.Result("hotspot/naive"));
+  const double naive_cost = ctx.Result("hotspot/naive").AggregateCost();
   for (const char* tag : kTags) {
     const ScenarioResult& r = ctx.Result("hotspot/" + std::string(tag));
-    const double cost = AggregateCost(r);
+    const double cost = r.AggregateCost();
     const double gain = cost > 0 ? naive_cost / cost : 0.0;
     const GroupPerf& fleet = FindGroup(r.groups, "fleet");
     const double gib = fleet.Metric("migration_bytes") / (1024.0 * 1024.0 * 1024.0);

@@ -100,19 +100,6 @@ void EnsureTraceFile(const TraceKind& k) {
   AQL_CHECK(out.good());
 }
 
-// Disturber rotation of the calibration/validation rigs
-// (src/experiment/scenarios.cc).
-const char* DisturberApp(int i) {
-  switch (i % 3) {
-    case 0:
-      return "llco_list";
-    case 1:
-      return "llcf_list2";
-    default:
-      return "lolcf_list";
-  }
-}
-
 // Validation-style rig around the trace VM: its single stream on vCPU 0,
 // disturbers filling the machine to 4 vCPUs per pCPU.
 ScenarioSpec TraceRig(const TraceKind& k) {

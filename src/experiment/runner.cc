@@ -17,6 +17,19 @@ double ScenarioResult::GroupPrimary(const std::string& group) const {
   return FindGroup(groups, group).primary;
 }
 
+double ScenarioResult::AggregateCost() const {
+  double weighted = 0.0;
+  double vcpus = 0.0;
+  for (const GroupPerf& g : groups) {
+    if (g.name == "fleet" || g.name.rfind("host", 0) == 0) {
+      continue;  // bookkeeping groups named by RunFleetScenario
+    }
+    weighted += g.primary * g.vcpus;
+    vcpus += g.vcpus;
+  }
+  return vcpus > 0 ? weighted / vcpus : 0.0;
+}
+
 namespace {
 
 // Builds the per-host controller a PolicySpec describes; shared by the
@@ -72,10 +85,7 @@ ScenarioResult RunFleetScenario(const ScenarioSpec& spec, const PolicySpec& poli
   fleet.config = spec.fleet;
   fleet.warmup = spec.warmup;
   fleet.measure = spec.measure;
-  for (const VmSpec& vs : spec.vms) {
-    fleet.vms.push_back(FleetVmSpec{vs.app, vs.vcpus, vs.weight, vs.cap_percent,
-                                    vs.fifo_lock});
-  }
+  fleet.vms = spec.vms;
   // Per-host controllers are rebuilt with the host on every migration
   // (detection state restarts cold, like the caches — the realistic
   // post-migration penalty).

@@ -57,6 +57,10 @@ struct ScenarioResult {
   uint64_t plan_applications = 0;
 
   double GroupPrimary(const std::string& group) const;
+  // Fleet cells: the vCPU-weighted mean primary cost over the
+  // per-application groups, leaving out the "hostN" and "fleet" groups
+  // RunScenario appends.
+  double AggregateCost() const;
 };
 
 ScenarioResult RunScenario(const ScenarioSpec& spec, const PolicySpec& policy,

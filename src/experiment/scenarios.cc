@@ -83,11 +83,6 @@ MachineConfig DualSocketNumaMachine(uint64_t seed) {
   return mc;
 }
 
-namespace {
-
-// Disturber mix for the calibration/validation rigs ("various workload
-// types"): rotating streaming, LLC-friendly (reused working sets create
-// legitimate capacity contention) and low-level-cache-friendly CPU burners.
 const char* DisturberApp(int i) {
   switch (i % 3) {
     case 0:
@@ -98,6 +93,8 @@ const char* DisturberApp(int i) {
       return "lolcf_list";
   }
 }
+
+namespace {
 
 int BaselineVcpus(const std::string& app) {
   // ConSpin applications are multi-threaded (kernbench -j4).

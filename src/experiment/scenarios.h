@@ -16,20 +16,8 @@ namespace aql {
 
 // The reserved VmSpec::app name of a trace-driven VM (workload-source
 // "trace" backend): its vCPUs replay ScenarioSpec::trace_path instead of a
-// catalog application.
+// catalog application. VmSpec itself is declared in src/fleet/fleet.h.
 inline constexpr const char* kTraceAppName = "trace";
-
-// One VM running `vcpus` instances of catalog application `app` (ConSpin
-// applications share the VM's spin lock), or — when `app` is kTraceAppName —
-// the scenario's trace file (`vcpus` must equal its stream count).
-struct VmSpec {
-  std::string app;
-  int vcpus = 1;
-  int weight = 256;
-  int cap_percent = 0;
-  // ConSpin applications only: use a FIFO ticket lock (ablation 4).
-  bool fifo_lock = false;
-};
 
 struct ScenarioSpec {
   std::string name;
@@ -83,6 +71,11 @@ MachineConfig MultiSocketMachine(uint64_t seed = 42);
 // The NUMA distance and memory-bus contention terms are intrinsic to the
 // machine model (the E5 topology preset carries its DRAM bandwidth).
 MachineConfig DualSocketNumaMachine(uint64_t seed = 42);
+
+// Disturber mix of the calibration/validation rigs ("various workload
+// types"), by `i` mod 3: streaming, LLC-friendly (reused working sets create
+// legitimate capacity contention) and low-level-cache-friendly CPU burners.
+const char* DisturberApp(int i);
 
 // §3.4.1 calibration rig: a baseline VM running `app` colocated with
 // disturber VMs so that every pCPU runs `vcpus_per_pcpu` vCPUs. ConSpin

@@ -291,8 +291,8 @@ JsonValue ScenarioJson(const ScenarioSpec& spec) {
         .Set("policy", ClusterPolicyName(spec.fleet.policy))
         .Set("epoch_ms", ToMs(spec.fleet.epoch))
         .Set("max_migrations_per_epoch", spec.fleet.max_migrations_per_epoch)
-        .Set("dirty_pages_per_vcpu", spec.fleet.migration.dirty_pages_per_vcpu)
-        .Set("page_bytes", spec.fleet.migration.page_bytes);
+        .Set("dirty_pages_per_vcpu", kMigrationDirtyPagesPerVcpu)
+        .Set("page_bytes", kMigrationPageBytes);
     if (spec.fleet.drain.Active()) {
       JsonValue drain_hosts = JsonValue::Array();
       for (const int h : spec.fleet.drain.hosts) {

@@ -128,8 +128,6 @@ std::vector<FleetMigration> ProposeMoves(const std::vector<FleetHostView>& hosts
 
 class NaiveScheduler : public ClusterScheduler {
  public:
-  std::string Name() const override { return "naive"; }
-
   int Place(const FleetVmView& vm, const std::vector<FleetHostView>& hosts) override {
     (void)vm;
     // Spread by vCPU count only: blind to what the vCPUs do, which is
@@ -142,8 +140,6 @@ class NaiveScheduler : public ClusterScheduler {
 
 class MemPressureScheduler : public ClusterScheduler {
  public:
-  std::string Name() const override { return "mem_pressure"; }
-
   int Place(const FleetVmView& vm, const std::vector<FleetHostView>& hosts) override {
     if (vm.mem_heavy) {
       return ArgMinHost(hosts, [](const FleetHostView& h) {
@@ -174,8 +170,6 @@ class MemPressureScheduler : public ClusterScheduler {
 
 class CacheAwareScheduler : public ClusterScheduler {
  public:
-  std::string Name() const override { return "cache_aware"; }
-
   int Place(const FleetVmView& vm, const std::vector<FleetHostView>& hosts) override {
     if (vm.llc_trasher) {
       return ArgMinHost(hosts, [](const FleetHostView& h) {

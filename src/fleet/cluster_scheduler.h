@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 namespace aql {
@@ -33,8 +32,7 @@ const char* ClusterPolicyName(ClusterPolicy policy);
 
 // Per-VM view at decision time. The static classification comes from the
 // catalog's expected type (the stand-in for PMU-attributed per-VM counters a
-// production placer would sample); the occupancy field is read live from the
-// host's LLC model.
+// production placer would sample).
 struct FleetVmView {
   int vm = 0;    // fleet-wide VM index
   int host = -1; // current host, -1 while unplaced
@@ -45,8 +43,6 @@ struct FleetVmView {
   // Expected LLCO or MemBw: saturates the socket's DRAM bandwidth (the
   // mem-pressure policy's target).
   bool mem_heavy = false;
-  // Live resident LLC bytes across the host's sockets (0 while unplaced).
-  uint64_t llc_occupancy = 0;
 };
 
 // Per-host view at decision time.
@@ -57,8 +53,9 @@ struct FleetHostView {
   bool draining = false;  // evacuating or already offline: never a target
   int trashers = 0;    // placed llc_trasher VMs
   int mem_heavy_vcpus = 0;  // vCPUs of placed mem_heavy VMs
-  // Live aggregate MemBus demand (bytes/ns) and LLC occupancy across the
-  // host's sockets; 0 for hosts without a running machine.
+  // Unfilled: the fleet reads no machine when it builds views, and no
+  // policy reads these two. Declared only because perfbench's PlaceMicro
+  // sets them.
   double bus_demand = 0.0;
   uint64_t llc_occupancy = 0;
 };
@@ -72,10 +69,9 @@ struct FleetMigration {
 class ClusterScheduler {
  public:
   virtual ~ClusterScheduler() = default;
-  virtual std::string Name() const = 0;
 
-  // Host for `vm` at admission (and for drain evacuation). `hosts` reflects
-  // placements already made; draining hosts must not be returned.
+  // Host for `vm` at admission, drain evacuation and crash recovery. `hosts`
+  // reflects placements already made; draining hosts must not be returned.
   virtual int Place(const FleetVmView& vm, const std::vector<FleetHostView>& hosts) = 0;
 
   // Epoch rebalance: migrations to apply, most urgent first. The fleet

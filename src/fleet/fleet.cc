@@ -28,7 +28,7 @@ struct VcpuAccum {
 };
 
 struct VmState {
-  FleetVmSpec spec;
+  VmSpec spec;
   int host = -1;  // -1 while crashed and waiting in the recovery queue
   bool llc_trasher = false;
   bool mem_heavy = false;
@@ -47,9 +47,6 @@ struct HostState {
   std::unique_ptr<Simulation> sim;
   std::unique_ptr<Machine> machine;
   std::vector<int> vms;  // fleet VM indices in placement order
-  // Parallel to `vms`: (first host-local vCPU id, count) of each VM in the
-  // current build. Machine assigns ids sequentially, so ranges are dense.
-  std::vector<std::pair<int, int>> ranges;
   TimeNs build_time = 0;
   uint64_t rebuilds = 0;  // generations built so far
   bool draining = false;
@@ -58,16 +55,34 @@ struct HostState {
   // the first boundary >= down_until.
   bool down = false;
   TimeNs down_until = 0;
-  // Degradation shape of every build from the brownout on.
+  // Degradation shape of every build from the brownout on (HostShape), and
+  // the boundary the brownout struck at (capacity counts from there).
   double bw_scale = 1.0;
   int pcpu_drop = 0;
-  // Effective pCPU count of the current shape (== the template's until a
-  // degradation shrinks it). Views, utilization and capacity all read this.
-  int pcpus = 0;
+  TimeNs degraded_at = 0;
   FleetHostStats stats;
   int64_t busy = 0;        // measured busy ns across segments
   TimeNs overhead = 0;     // measured controller overhead across segments
 };
+
+// Counts `vm` as a resident of `view`: the one rule HostViews and Place
+// share.
+void CountResident(FleetHostView& view, const VmState& vm) {
+  view.vcpus += vm.spec.vcpus;
+  if (vm.llc_trasher) {
+    ++view.trashers;
+  }
+  if (vm.mem_heavy) {
+    view.mem_heavy_vcpus += vm.spec.vcpus;
+  }
+}
+
+// Transfer bandwidth when the host topology models no DRAM bus
+// (Topology::mem_bw_bytes_per_ns == 0).
+constexpr double kFallbackBwBytesPerNs = 1.2;
+
+// Which books an executed charge lands in.
+enum class ChargeKind { kMigration, kFault };
 
 class FleetRun {
  public:
@@ -82,29 +97,56 @@ class FleetRun {
  private:
   void InitVms();
   void PlaceVms();
+  // The template topology in `host`'s degradation shape: reduced DRAM
+  // bandwidth and/or fewer cores per socket (never below one).
+  Topology HostShape(const HostState& host) const;
   void BuildHost(int h, TimeNs now);
+  // Calls fn(vm, k, id) for vCPU k of every VM of `host`'s current build;
+  // `id` is its host-local vCPU id (Machine assigns ids densely, in VM-list
+  // order).
+  template <typename Fn>
+  void ForEachVcpu(const HostState& host, Fn fn) {
+    int id = 0;
+    for (const int vm_index : host.vms) {
+      VmState& vm = vms_[static_cast<size_t>(vm_index)];
+      for (int k = 0; k < vm.spec.vcpus; ++k) {
+        fn(vm, k, id++);
+      }
+    }
+  }
   void SnapshotHost(HostState& host, TimeNs seg_end);
   // Snapshot + destroy a host's machine. Must run while the host's VM list
-  // and ranges still describe the build that produced the counters — i.e.
-  // BEFORE ApplyMoves rewrites the lists.
+  // still describes the build that produced the counters — i.e. BEFORE
+  // Rehost rewrites the lists.
   void TeardownHost(int h, TimeNs now);
-  // Rebuild a torn-down host around its (possibly rewritten) VM list, or
-  // retire it if the list emptied; executes the migration charge.
-  void RelaunchHost(int h, TimeNs now, TimeNs charge);
   std::vector<FleetHostView> HostViews() const;
-  std::vector<FleetVmView> VmViews() const;
-  // Applies validated moves: updates VM lists, charges both ends, rebuilds
-  // every affected host once.
+  FleetVmView VmView(int vm) const;
+  // Asks the policy for `vm`'s host, checks that the target accepts VMs and
+  // books the VM into `views`, so the next decision sees it.
+  int Place(int vm, std::vector<FleetHostView>& views);
+  // Executes `charge` on host h's machine (Machine::ChargeControllerOverhead)
+  // and books it. A machineless host has no vCPUs to dilate, so its charge
+  // stays byte accounting only.
+  void ExecuteCharge(int h, TimeNs charge, ChargeKind kind);
+  // Moves each VM of `moves` to `to` (`from` == -1: a crashed VM leaving the
+  // recovery queue): tears down every touched host, rewrites the VM lists,
+  // then rebuilds the touched hosts in index order and executes each one's
+  // `charge`, or retires a host the moves emptied.
+  void Rehost(const std::vector<FleetMigration>& moves, const std::vector<TimeNs>& charge,
+              ChargeKind kind, TimeNs now);
+  // Validates moves, books their transfer on both ends and re-hosts them.
   void ApplyMoves(const std::vector<FleetMigration>& moves, TimeNs now);
   // Fault-aware funnel in front of ApplyMoves: with migration failures
   // enabled, draws a verdict per move, books aborted-transfer waste on both
-  // ends and schedules retries; forwards the surviving moves. With no
-  // injector (or a zero failure probability) it is a plain passthrough.
+  // ends and schedules retries; forwards the surviving moves.
   void AttemptMoves(const std::vector<FleetMigration>& moves, TimeNs now);
-  // Dirty-page transfer bandwidth of the host template.
-  double MigrationBandwidth() const;
-  // Effective pCPU count of `host`'s shape without building a machine.
-  int EffectivePcpus(const HostState& host) const;
+  // Dirty-page bytes of one live migration of `vm`.
+  static uint64_t MigrationBytes(const VmState& vm);
+  // Transfer time of `bytes` at the host template's DRAM bandwidth.
+  TimeNs TransferTime(uint64_t bytes) const;
+  // Capacity over the measured window, in pCPU-ns: the template's pCPUs
+  // until a brownout (clamped to the window), the shrunken shape after it.
+  int64_t CapacityNs(const HostState& host) const;
   bool ProcessDrains(TimeNs now);
   void ProcessRebalance(TimeNs now);
   // Boundary fault pipeline: reboots, degradations, crashes, then recovery
@@ -139,7 +181,7 @@ class FleetRun {
 
 void FleetRun::InitVms() {
   vms_.reserve(spec_.vms.size());
-  for (const FleetVmSpec& vs : spec_.vms) {
+  for (const VmSpec& vs : spec_.vms) {
     AQL_CHECK(vs.vcpus >= 1);
     VmState state;
     state.spec = vs;
@@ -154,29 +196,24 @@ void FleetRun::InitVms() {
 }
 
 void FleetRun::PlaceVms() {
-  if (!cfg_.declared_hosts.empty()) {
-    AQL_CHECK_MSG(cfg_.declared_hosts.size() == vms_.size(),
-                  "declared_hosts must name a host per VM");
-    for (size_t i = 0; i < vms_.size(); ++i) {
-      const int h = cfg_.declared_hosts[i];
-      AQL_CHECK(h >= 0 && h < cfg_.hosts);
-      vms_[i].host = h;
-      hosts_[static_cast<size_t>(h)].vms.push_back(static_cast<int>(i));
-    }
-    return;
-  }
+  const bool declared = !cfg_.declared_hosts.empty();
+  AQL_CHECK_MSG(!declared || cfg_.declared_hosts.size() == vms_.size(),
+                "declared_hosts must name a host per VM");
   // Admission in VM order; each decision sees the placements made so far.
+  std::vector<FleetHostView> views = HostViews();
   for (size_t i = 0; i < vms_.size(); ++i) {
-    FleetVmView view;
-    view.vm = static_cast<int>(i);
-    view.vcpus = vms_[i].spec.vcpus;
-    view.llc_trasher = vms_[i].llc_trasher;
-    view.mem_heavy = vms_[i].mem_heavy;
-    const int h = scheduler_->Place(view, HostViews());
+    const int h = declared ? cfg_.declared_hosts[i] : Place(static_cast<int>(i), views);
     AQL_CHECK(h >= 0 && h < cfg_.hosts);
     vms_[i].host = h;
     hosts_[static_cast<size_t>(h)].vms.push_back(static_cast<int>(i));
   }
+}
+
+Topology FleetRun::HostShape(const HostState& host) const {
+  Topology t = spec_.host_template.topology;
+  t.mem_bw_bytes_per_ns *= host.bw_scale;
+  t.cores_per_socket = std::max(1, t.cores_per_socket - host.pcpu_drop);
+  return t;
 }
 
 void FleetRun::BuildHost(int h, TimeNs now) {
@@ -184,21 +221,10 @@ void FleetRun::BuildHost(int h, TimeNs now) {
   AQL_CHECK(!host.vms.empty());
   MachineConfig mc = spec_.host_template;
   mc.seed = FleetHostSeed(spec_.host_template.seed, h, host.rebuilds);
-  // Degradation shapes every build from the brownout on: reduced DRAM
-  // bandwidth and/or fewer cores per socket (never below one).
-  if (host.bw_scale != 1.0) {
-    mc.topology.mem_bw_bytes_per_ns *= host.bw_scale;
-  }
-  if (host.pcpu_drop > 0) {
-    mc.topology.cores_per_socket =
-        std::max(1, mc.topology.cores_per_socket - host.pcpu_drop);
-  }
-  host.pcpus = mc.topology.TotalPcpus();
+  mc.topology = HostShape(host);
   host.sim = std::make_unique<Simulation>(mc.seed);
   host.machine = std::make_unique<Machine>(*host.sim, mc);
-  host.ranges.clear();
   std::vector<int> io_vcpus;
-  int cursor = 0;
   int position = 0;
   for (const int vm_index : host.vms) {
     const VmState& vs = vms_[static_cast<size_t>(vm_index)];
@@ -221,8 +247,6 @@ void FleetRun::BuildHost(int h, TimeNs now) {
         io_vcpus.push_back(v->id());
       }
     }
-    host.ranges.emplace_back(cursor, vs.spec.vcpus);
-    cursor += vs.spec.vcpus;
     ++position;
   }
   if (spec_.controller_factory) {
@@ -255,15 +279,13 @@ void FleetRun::SnapshotHost(HostState& host, TimeNs seg_end) {
     return;
   }
   std::vector<PerfReport> reports = host.machine->Reports();
-  for (size_t i = 0; i < host.vms.size(); ++i) {
-    VmState& vs = vms_[static_cast<size_t>(host.vms[i])];
-    const auto [first, count] = host.ranges[i];
-    for (int k = 0; k < count; ++k) {
-      vs.accum[static_cast<size_t>(k)].segments.emplace_back(
-          weight, std::move(reports[static_cast<size_t>(first + k)]));
-    }
-  }
-  for (int p = 0; p < host.pcpus; ++p) {
+  ForEachVcpu(host, [&](VmState& vm, int k, int id) {
+    vm.accum[static_cast<size_t>(k)].segments.emplace_back(
+        weight, std::move(reports[static_cast<size_t>(id)]));
+  });
+  // The pCPUs of the machine being read: a brownout shrinks the shape
+  // before it tears the old machine down.
+  for (int p = 0; p < host.machine->topology().TotalPcpus(); ++p) {
     host.busy += host.machine->BusyTime(p);
   }
   host.overhead += host.machine->controller_overhead();
@@ -275,38 +297,16 @@ void FleetRun::TeardownHost(int h, TimeNs now) {
   if (host.machine != nullptr) {
     // Save durable workload progress (checkpointing models) before the
     // machine goes away; the next build restores it.
-    for (size_t i = 0; i < host.vms.size(); ++i) {
-      VmState& vs = vms_[static_cast<size_t>(host.vms[i])];
-      const auto [first, count] = host.ranges[i];
-      for (int k = 0; k < count; ++k) {
-        const WorkloadModel* model = host.machine->vcpu(first + k)->workload();
-        if (model->HasDurableState()) {
-          vs.durable[static_cast<size_t>(k)] = {true, model->SaveDurableState()};
-        }
+    ForEachVcpu(host, [&](VmState& vm, int k, int id) {
+      const WorkloadModel* model = host.machine->vcpu(id)->workload();
+      if (model->HasDurableState()) {
+        vm.durable[static_cast<size_t>(k)] = {true, model->SaveDurableState()};
       }
-    }
+    });
     result_.counters += host.machine->counters();
   }
   host.machine.reset();
   host.sim.reset();
-}
-
-void FleetRun::RelaunchHost(int h, TimeNs now, TimeNs charge) {
-  HostState& host = hosts_[static_cast<size_t>(h)];
-  if (host.vms.empty()) {
-    // Fully evacuated. The final outgoing charge has no vCPUs left to
-    // dilate, so it is not executed anywhere (the destination side of each
-    // move still executes its half); the byte accounting above is complete.
-    host.offline = true;
-    host.stats.drained = true;
-    return;
-  }
-  BuildHost(h, now);
-  if (charge > 0) {
-    host.machine->ChargeControllerOverhead(charge);
-    host.stats.migration_charge += charge;
-    result_.migration_charge += charge;
-  }
 }
 
 std::vector<FleetHostView> FleetRun::HostViews() const {
@@ -315,85 +315,114 @@ std::vector<FleetHostView> FleetRun::HostViews() const {
     const HostState& host = hosts_[static_cast<size_t>(h)];
     FleetHostView& view = out[static_cast<size_t>(h)];
     view.host = h;
-    view.pcpus = host.pcpus;
+    view.pcpus = HostShape(host).TotalPcpus();
     // A crashed host mid-reboot is never a placement target either.
     view.draining = host.draining || host.offline || host.down;
     for (const int vm_index : host.vms) {
-      const VmState& vs = vms_[static_cast<size_t>(vm_index)];
-      view.vcpus += vs.spec.vcpus;
-      if (vs.llc_trasher) {
-        ++view.trashers;
-      }
-      if (vs.mem_heavy) {
-        view.mem_heavy_vcpus += vs.spec.vcpus;
-      }
-    }
-    if (host.machine != nullptr) {
-      const int sockets = spec_.host_template.topology.sockets;
-      for (int s = 0; s < sockets; ++s) {
-        view.bus_demand += host.machine->mem_bus().TotalDemand(s);
-        view.llc_occupancy += host.machine->llc().TotalOccupancy(s);
-      }
+      CountResident(view, vms_[static_cast<size_t>(vm_index)]);
     }
   }
   return out;
 }
 
-std::vector<FleetVmView> FleetRun::VmViews() const {
-  std::vector<FleetVmView> out(vms_.size());
-  for (size_t i = 0; i < vms_.size(); ++i) {
-    FleetVmView& view = out[i];
-    view.vm = static_cast<int>(i);
-    view.host = vms_[i].host;
-    view.vcpus = vms_[i].spec.vcpus;
-    view.llc_trasher = vms_[i].llc_trasher;
-    view.mem_heavy = vms_[i].mem_heavy;
-    if (vms_[i].host < 0) {
-      continue;  // crashed, waiting in the recovery queue: occupies nothing
-    }
-    const HostState& host = hosts_[static_cast<size_t>(vms_[i].host)];
-    if (host.machine != nullptr) {
-      // Locate the VM's vCPU range in the host's current build.
-      for (size_t j = 0; j < host.vms.size(); ++j) {
-        if (host.vms[j] != static_cast<int>(i)) {
-          continue;
-        }
-        const auto [first, count] = host.ranges[j];
-        const int sockets = spec_.host_template.topology.sockets;
-        for (int k = 0; k < count; ++k) {
-          for (int s = 0; s < sockets; ++s) {
-            view.llc_occupancy += host.machine->llc().Occupancy(s, first + k);
-          }
-        }
-        break;
-      }
-    }
-  }
-  return out;
+FleetVmView FleetRun::VmView(int vm) const {
+  const VmState& state = vms_[static_cast<size_t>(vm)];
+  FleetVmView view;
+  view.vm = vm;
+  view.host = state.host;
+  view.vcpus = state.spec.vcpus;
+  view.llc_trasher = state.llc_trasher;
+  view.mem_heavy = state.mem_heavy;
+  return view;
 }
 
-double FleetRun::MigrationBandwidth() const {
-  return spec_.host_template.topology.mem_bw_bytes_per_ns > 0
-             ? spec_.host_template.topology.mem_bw_bytes_per_ns
-             : cfg_.migration.fallback_bw_bytes_per_ns;
+int FleetRun::Place(int vm, std::vector<FleetHostView>& views) {
+  const int target = scheduler_->Place(VmView(vm), views);
+  AQL_CHECK(target >= 0 && target < cfg_.hosts);
+  FleetHostView& tv = views[static_cast<size_t>(target)];
+  AQL_CHECK(!tv.draining);
+  CountResident(tv, vms_[static_cast<size_t>(vm)]);
+  return target;
 }
 
-int FleetRun::EffectivePcpus(const HostState& host) const {
-  Topology t = spec_.host_template.topology;
-  if (host.pcpu_drop > 0) {
-    t.cores_per_socket = std::max(1, t.cores_per_socket - host.pcpu_drop);
+void FleetRun::ExecuteCharge(int h, TimeNs charge, ChargeKind kind) {
+  HostState& host = hosts_[static_cast<size_t>(h)];
+  if (charge <= 0 || host.machine == nullptr) {
+    return;
   }
-  return t.TotalPcpus();
+  host.machine->ChargeControllerOverhead(charge);
+  if (kind == ChargeKind::kMigration) {
+    host.stats.migration_charge += charge;
+    result_.migration_charge += charge;
+  } else {
+    host.stats.fault_charge += charge;
+    result_.fault_charge += charge;
+  }
+}
+
+void FleetRun::Rehost(const std::vector<FleetMigration>& moves,
+                      const std::vector<TimeNs>& charge, ChargeKind kind, TimeNs now) {
+  std::vector<bool> touched(static_cast<size_t>(cfg_.hosts), false);
+  for (const FleetMigration& m : moves) {
+    if (m.from >= 0) {
+      touched[static_cast<size_t>(m.from)] = true;
+    }
+    touched[static_cast<size_t>(m.to)] = true;
+  }
+  for (int h = 0; h < cfg_.hosts; ++h) {
+    if (touched[static_cast<size_t>(h)]) {
+      TeardownHost(h, now);
+    }
+  }
+  for (const FleetMigration& m : moves) {
+    if (m.from >= 0) {
+      std::vector<int>& src = hosts_[static_cast<size_t>(m.from)].vms;
+      src.erase(std::find(src.begin(), src.end(), m.vm));
+    }
+    hosts_[static_cast<size_t>(m.to)].vms.push_back(m.vm);
+    vms_[static_cast<size_t>(m.vm)].host = m.to;
+  }
+  for (int h = 0; h < cfg_.hosts; ++h) {
+    if (!touched[static_cast<size_t>(h)]) {
+      continue;
+    }
+    HostState& host = hosts_[static_cast<size_t>(h)];
+    if (host.vms.empty()) {
+      // Fully evacuated. The final outgoing charge has no vCPUs left to
+      // dilate, so it is not executed anywhere (the destination side of each
+      // move still executes its half); the byte accounting is complete.
+      host.offline = true;
+      host.stats.drained = true;
+      continue;
+    }
+    BuildHost(h, now);
+    ExecuteCharge(h, charge[static_cast<size_t>(h)], kind);
+  }
+}
+
+int64_t FleetRun::CapacityNs(const HostState& host) const {
+  const TimeNs shrink =
+      host.stats.degraded ? std::clamp(host.degraded_at, t_warm_, t_end_) : t_end_;
+  return spec_.host_template.topology.TotalPcpus() * (shrink - t_warm_) +
+         HostShape(host).TotalPcpus() * (t_end_ - shrink);
+}
+
+uint64_t FleetRun::MigrationBytes(const VmState& vm) {
+  return static_cast<uint64_t>(vm.spec.vcpus) * kMigrationDirtyPagesPerVcpu *
+         kMigrationPageBytes;
+}
+
+TimeNs FleetRun::TransferTime(uint64_t bytes) const {
+  const double template_bw = spec_.host_template.topology.mem_bw_bytes_per_ns;
+  const double bw = template_bw > 0 ? template_bw : kFallbackBwBytesPerNs;
+  return static_cast<TimeNs>(static_cast<double>(bytes) / bw);
 }
 
 void FleetRun::ApplyMoves(const std::vector<FleetMigration>& moves, TimeNs now) {
   if (moves.empty()) {
     return;
   }
-  std::vector<TimeNs> charge(static_cast<size_t>(cfg_.hosts), 0);
-  std::vector<bool> touched(static_cast<size_t>(cfg_.hosts), false);
-  const double bw = MigrationBandwidth();
-  // A VM may appear at most once per batch: pass 3 erases exactly one VM
+  // A VM may appear at most once per batch: Rehost erases exactly one VM
   // list entry per move, so a duplicate would corrupt the source host's
   // list (erase of end()).
   for (size_t i = 0; i < moves.size(); ++i) {
@@ -401,13 +430,12 @@ void FleetRun::ApplyMoves(const std::vector<FleetMigration>& moves, TimeNs now) 
       AQL_CHECK_MSG(moves[i].vm != moves[j].vm, "duplicate VM in migration batch");
     }
   }
-  // Pass 1: validate moves, accumulate per-end byte/charge accounting.
+  std::vector<TimeNs> charge(static_cast<size_t>(cfg_.hosts), 0);
   for (const FleetMigration& m : moves) {
     const VmState& vm = vms_[static_cast<size_t>(m.vm)];
     AQL_CHECK(vm.host == m.from && m.from != m.to);
-    const uint64_t bytes = static_cast<uint64_t>(vm.spec.vcpus) *
-                           cfg_.migration.dirty_pages_per_vcpu * cfg_.migration.page_bytes;
-    const TimeNs cost = static_cast<TimeNs>(static_cast<double>(bytes) / bw);
+    const uint64_t bytes = MigrationBytes(vm);
+    const TimeNs cost = TransferTime(bytes);
     HostState& src = hosts_[static_cast<size_t>(m.from)];
     HostState& dst = hosts_[static_cast<size_t>(m.to)];
     ++src.stats.migrations_out;
@@ -416,44 +444,18 @@ void FleetRun::ApplyMoves(const std::vector<FleetMigration>& moves, TimeNs now) 
     dst.stats.migration_bytes_in += bytes;
     charge[static_cast<size_t>(m.from)] += cost;
     charge[static_cast<size_t>(m.to)] += cost;
-    touched[static_cast<size_t>(m.from)] = true;
-    touched[static_cast<size_t>(m.to)] = true;
     ++result_.migrations;
     result_.migration_bytes += bytes;
   }
-  // Pass 2: snapshot + tear down every touched host while its VM list and
-  // ranges still describe the machine whose counters we are reading.
-  for (int h = 0; h < cfg_.hosts; ++h) {
-    if (touched[static_cast<size_t>(h)]) {
-      TeardownHost(h, now);
-    }
-  }
-  // Pass 3: rewrite the VM lists.
-  for (const FleetMigration& m : moves) {
-    HostState& src = hosts_[static_cast<size_t>(m.from)];
-    src.vms.erase(std::find(src.vms.begin(), src.vms.end(), m.vm));
-    hosts_[static_cast<size_t>(m.to)].vms.push_back(m.vm);
-    vms_[static_cast<size_t>(m.vm)].host = m.to;
-  }
-  // Pass 4: bring the touched hosts back up (or retire the emptied ones),
-  // executing each end's dirty-page transfer charge.
-  for (int h = 0; h < cfg_.hosts; ++h) {
-    if (touched[static_cast<size_t>(h)]) {
-      RelaunchHost(h, now, charge[static_cast<size_t>(h)]);
-    }
-  }
+  Rehost(moves, charge, ChargeKind::kMigration, now);
 }
 
 void FleetRun::AttemptMoves(const std::vector<FleetMigration>& moves, TimeNs now) {
-  if (injector_ == nullptr || cfg_.fault.migration_failure_prob <= 0.0) {
-    ApplyMoves(moves, now);
-    return;
-  }
-  const double bw = MigrationBandwidth();
+  const bool may_fail = injector_ != nullptr && cfg_.fault.migration_failure_prob > 0.0;
   std::vector<FleetMigration> granted;
   granted.reserve(moves.size());
   for (const FleetMigration& m : moves) {
-    if (!injector_->MigrationAttemptFails()) {
+    if (!may_fail || !injector_->MigrationAttemptFails()) {
       granted.push_back(m);
       retries_.erase(m.vm);  // a retried move that finally went through
       continue;
@@ -461,12 +463,10 @@ void FleetRun::AttemptMoves(const std::vector<FleetMigration>& moves, TimeNs now
     // Aborted mid-copy: the VM never moves and neither machine is rebuilt,
     // but the partial transfer wasted real bandwidth on both ends — charged
     // as executed occupancy, same contract as a successful migration.
-    const VmState& vm = vms_[static_cast<size_t>(m.vm)];
-    const uint64_t bytes = static_cast<uint64_t>(vm.spec.vcpus) *
-                           cfg_.migration.dirty_pages_per_vcpu * cfg_.migration.page_bytes;
+    const uint64_t bytes = MigrationBytes(vms_[static_cast<size_t>(m.vm)]);
     const uint64_t wasted =
         static_cast<uint64_t>(cfg_.fault.abort_fraction * static_cast<double>(bytes));
-    const TimeNs waste_cost = static_cast<TimeNs>(static_cast<double>(wasted) / bw);
+    const TimeNs waste_cost = TransferTime(wasted);
     HostState& src = hosts_[static_cast<size_t>(m.from)];
     HostState& dst = hosts_[static_cast<size_t>(m.to)];
     ++src.stats.migration_failures;
@@ -474,20 +474,8 @@ void FleetRun::AttemptMoves(const std::vector<FleetMigration>& moves, TimeNs now
     dst.stats.aborted_bytes_in += wasted;
     ++result_.migration_failures;
     result_.aborted_bytes += wasted;
-    if (waste_cost > 0) {
-      // A machineless end (an empty destination) has no vCPUs to dilate;
-      // like the drained-host exception, its half stays byte accounting.
-      if (src.machine != nullptr) {
-        src.machine->ChargeControllerOverhead(waste_cost);
-        src.stats.fault_charge += waste_cost;
-        result_.fault_charge += waste_cost;
-      }
-      if (dst.machine != nullptr) {
-        dst.machine->ChargeControllerOverhead(waste_cost);
-        dst.stats.fault_charge += waste_cost;
-        result_.fault_charge += waste_cost;
-      }
-    }
+    ExecuteCharge(m.from, waste_cost, ChargeKind::kFault);
+    ExecuteCharge(m.to, waste_cost, ChargeKind::kFault);
     RetryState& rs = retries_[m.vm];
     rs.move = m;
     ++rs.attempts;
@@ -523,13 +511,12 @@ void FleetRun::ProcessFaults(TimeNs now) {
     }
     host.bw_scale = plan.degraded_bw_scale;
     host.pcpu_drop = plan.degraded_pcpu_drop;
+    host.degraded_at = now;
     host.stats.degraded = true;
     ++result_.degraded_hosts;
     if (host.machine != nullptr) {
       TeardownHost(h, now);
       BuildHost(h, now);
-    } else {
-      host.pcpus = EffectivePcpus(host);
     }
   }
   // Fail-stop crashes: everything executed before the crash instant was
@@ -554,7 +541,6 @@ void FleetRun::ProcessFaults(TimeNs now) {
       recovery_.push_back(RecoveryEntry{vm_index, now});
     }
     host.vms.clear();
-    host.ranges.clear();
   }
   ProcessRecovery(now);
 }
@@ -580,8 +566,7 @@ void FleetRun::ProcessRecovery(TimeNs now) {
     return;  // whole fleet down or draining: keep queueing
   }
   std::vector<TimeNs> charge(static_cast<size_t>(cfg_.hosts), 0);
-  std::vector<bool> touched(static_cast<size_t>(cfg_.hosts), false);
-  std::vector<std::pair<int, int>> placed;  // (vm, target) in decision order
+  std::vector<FleetMigration> placed;  // from -1, in decision order
   std::vector<RecoveryEntry> waiting;
   for (const RecoveryEntry& e : recovery_) {
     if (now < e.crash_time + cfg_.fault.vm_restart_delay) {
@@ -589,16 +574,8 @@ void FleetRun::ProcessRecovery(TimeNs now) {
       continue;
     }
     VmState& vm = vms_[static_cast<size_t>(e.vm)];
-    FleetVmView view;
-    view.vm = e.vm;
-    view.host = -1;
-    view.vcpus = vm.spec.vcpus;
-    view.llc_trasher = vm.llc_trasher;
-    view.mem_heavy = vm.mem_heavy;
-    const int target = scheduler_->Place(view, views);
-    AQL_CHECK(target >= 0 && target < cfg_.hosts);
-    AQL_CHECK(!views[static_cast<size_t>(target)].draining);
-    placed.emplace_back(e.vm, target);
+    const int target = Place(e.vm, views);
+    placed.push_back(FleetMigration{e.vm, -1, target});
     // Downtime is the in-window overlap of the crash-to-restart interval.
     const TimeNs lo = std::max(e.crash_time, t_warm_);
     const TimeNs hi = std::min(now, t_end_);
@@ -607,48 +584,12 @@ void FleetRun::ProcessRecovery(TimeNs now) {
     }
     charge[static_cast<size_t>(target)] +=
         static_cast<TimeNs>(vm.spec.vcpus) * cfg_.fault.restart_charge_per_vcpu;
-    touched[static_cast<size_t>(target)] = true;
-    // Keep the views current so consecutive restarts spread out.
-    FleetHostView& tv = views[static_cast<size_t>(target)];
-    tv.vcpus += view.vcpus;
-    if (view.llc_trasher) {
-      ++tv.trashers;
-    }
-    if (view.mem_heavy) {
-      tv.mem_heavy_vcpus += view.vcpus;
-    }
-  }
-  recovery_ = std::move(waiting);
-  if (placed.empty()) {
-    return;
-  }
-  // Same shape as ApplyMoves: snapshot + tear down every receiving host
-  // while lists still describe the old build, rewrite lists, then rebuild
-  // with the executed re-provisioning charge.
-  for (int h = 0; h < cfg_.hosts; ++h) {
-    if (touched[static_cast<size_t>(h)]) {
-      TeardownHost(h, now);
-    }
-  }
-  for (const auto& [vm_index, target] : placed) {
-    hosts_[static_cast<size_t>(target)].vms.push_back(vm_index);
-    vms_[static_cast<size_t>(vm_index)].host = target;
     ++hosts_[static_cast<size_t>(target)].stats.restarts_in;
     ++result_.vm_restarts;
   }
-  for (int h = 0; h < cfg_.hosts; ++h) {
-    if (!touched[static_cast<size_t>(h)]) {
-      continue;
-    }
-    HostState& host = hosts_[static_cast<size_t>(h)];
-    BuildHost(h, now);
-    const TimeNs c = charge[static_cast<size_t>(h)];
-    if (c > 0) {
-      host.machine->ChargeControllerOverhead(c);
-      host.stats.fault_charge += c;
-      result_.fault_charge += c;
-    }
-  }
+  recovery_ = std::move(waiting);
+  // The landing hosts execute the re-provisioning charge.
+  Rehost(placed, charge, ChargeKind::kFault, now);
 }
 
 void FleetRun::ProcessRetries(TimeNs now) {
@@ -710,24 +651,8 @@ bool FleetRun::ProcessDrains(TimeNs now) {
         continue;  // already mid-move, waiting out its retry backoff
       }
       ++taken;
-      FleetVmView view;
-      view.vm = vm_index;
-      view.host = h;
-      view.vcpus = vms_[static_cast<size_t>(vm_index)].spec.vcpus;
-      view.llc_trasher = vms_[static_cast<size_t>(vm_index)].llc_trasher;
-      view.mem_heavy = vms_[static_cast<size_t>(vm_index)].mem_heavy;
-      const int target = scheduler_->Place(view, views);
-      AQL_CHECK(target != h && !views[static_cast<size_t>(target)].draining);
-      moves.push_back(FleetMigration{vm_index, h, target});
-      // Keep the views current so consecutive evacuations spread out.
-      FleetHostView& tv = views[static_cast<size_t>(target)];
-      tv.vcpus += view.vcpus;
-      if (view.llc_trasher) {
-        ++tv.trashers;
-      }
-      if (view.mem_heavy) {
-        tv.mem_heavy_vcpus += view.vcpus;
-      }
+      // Place never returns a draining host, so never the source.
+      moves.push_back(FleetMigration{vm_index, h, Place(vm_index, views)});
     }
   }
   AttemptMoves(moves, now);
@@ -742,7 +667,12 @@ void FleetRun::ProcessRebalance(TimeNs now) {
   if (!AnyEligibleHost(views)) {
     return;  // whole fleet down or draining this boundary
   }
-  std::vector<FleetMigration> proposed = scheduler_->Rebalance(views, VmViews());
+  std::vector<FleetVmView> vm_views;
+  vm_views.reserve(vms_.size());
+  for (size_t i = 0; i < vms_.size(); ++i) {
+    vm_views.push_back(VmView(static_cast<int>(i)));
+  }
+  std::vector<FleetMigration> proposed = scheduler_->Rebalance(views, vm_views);
   std::vector<FleetMigration> moves;
   for (const FleetMigration& m : proposed) {
     if (static_cast<int>(moves.size()) >= cfg_.max_migrations_per_epoch) {
@@ -804,24 +734,16 @@ void FleetRun::Finalize(FleetResult& out) {
   }
   out.app_groups = GroupReports(finalized);
   if (injector_ != nullptr) {
-    // Per-application downtime/availability (vCPU-weighted). Keyed by the
-    // report name so the annotation lands on the same groups GroupReports
-    // produced; a VM that never measured a segment falls back to its
-    // catalog app name.
+    // Per-application downtime/availability (vCPU-weighted). Every catalog
+    // model reports under its app name, so keying by it lands the
+    // annotation on the groups GroupReports produced.
     struct DownAcc {
       int64_t down_vcpu_ns = 0;
       int vcpus = 0;
     };
     std::map<std::string, DownAcc> down_by_app;
     for (const VmState& vm : vms_) {
-      std::string name = vm.spec.app;
-      for (const VcpuAccum& accum : vm.accum) {
-        if (!accum.segments.empty()) {
-          name = accum.segments[0].second.workload_name;
-          break;
-        }
-      }
-      DownAcc& acc = down_by_app[name];
+      DownAcc& acc = down_by_app[vm.spec.app];
       acc.down_vcpu_ns += static_cast<int64_t>(vm.downtime) * vm.spec.vcpus;
       acc.vcpus += vm.spec.vcpus;
     }
@@ -840,31 +762,30 @@ void FleetRun::Finalize(FleetResult& out) {
 
   out.measure_window = t_end_ - t_warm_;
   int64_t busy = 0;
-  int pcpus_total = 0;
+  int64_t capacity = 0;  // pCPU-ns over the window, fleet-wide
   out.hosts.resize(static_cast<size_t>(cfg_.hosts));
   for (int h = 0; h < cfg_.hosts; ++h) {
     HostState& host = hosts_[static_cast<size_t>(h)];
     busy += host.busy;
-    pcpus_total += host.pcpus;
     out.controller_overhead += host.overhead;
     out.events_processed += host.stats.events;
     if (host.machine != nullptr) {
       out.counters += host.machine->counters();
     }
+    // Capacity counts drained and crashed hosts too: losing a host costs
+    // the fleet its capacity, which is what the utilization figure should
+    // show.
+    const int64_t host_capacity = CapacityNs(host);
+    capacity += host_capacity;
     host.stats.cpu_utilization =
-        static_cast<double>(host.busy) /
-        (static_cast<double>(out.measure_window) * static_cast<double>(host.pcpus));
+        static_cast<double>(host.busy) / static_cast<double>(host_capacity);
     for (const int vm_index : host.vms) {
       host.stats.vcpus += vms_[static_cast<size_t>(vm_index)].spec.vcpus;
     }
     out.hosts[static_cast<size_t>(h)] = host.stats;
   }
-  // Capacity counts drained hosts too: evacuating a host costs the fleet its
-  // capacity, which is exactly what the utilization figure should show.
-  // Degraded hosts count at their shrunken shape.
-  const double capacity =
-      static_cast<double>(out.measure_window) * static_cast<double>(pcpus_total);
-  out.cpu_utilization = capacity > 0 ? static_cast<double>(busy) / capacity : 0.0;
+  out.cpu_utilization =
+      capacity > 0 ? static_cast<double>(busy) / static_cast<double>(capacity) : 0.0;
   int64_t down_vcpu_ns = 0;
   for (const VmState& vm : vms_) {
     out.vcpus_total += vm.spec.vcpus;
@@ -883,9 +804,6 @@ FleetResult FleetRun::Run() {
   AQL_CHECK(cfg_.epoch > 0);
   AQL_CHECK(!spec_.vms.empty());
   hosts_.resize(static_cast<size_t>(cfg_.hosts));
-  for (HostState& host : hosts_) {
-    host.pcpus = spec_.host_template.topology.TotalPcpus();
-  }
   scheduler_ = MakeClusterScheduler(cfg_.policy);
   InitVms();
   PlaceVms();

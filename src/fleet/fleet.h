@@ -18,14 +18,21 @@
 //    same event count (epoch boundaries only split RunUntil calls, which
 //    does not reorder or add events).
 //
+// One path per job: admission, drain evacuation and crash recovery pick a
+// host through one Place (policy decision, target check, resident booking);
+// migration and recovery re-host VMs through one Rehost (tear down the
+// touched hosts, rewrite their VM lists, rebuild them in index order,
+// execute each host's charge).
+//
 // Live migration: moving a VM rebuilds the source and destination machines
 // at the epoch boundary with their new VM sets (fresh RNG generation, cold
 // caches — the realistic post-migration warm-up penalty) and charges the
-// dirty-page transfer (vcpus x dirty_pages_per_vcpu x page_bytes, at the
-// host's DRAM bandwidth) through Machine::ChargeControllerOverhead on BOTH
-// ends — *executed* occupancy per the PR 4 contract, not a counter bump.
-// The one exception is a fully drained host: its final outgoing charge has
-// no remaining vCPUs to dilate, so it is recorded in the stats only.
+// dirty-page transfer (vcpus x kMigrationDirtyPagesPerVcpu x
+// kMigrationPageBytes, at the host template's DRAM bandwidth) through
+// Machine::ChargeControllerOverhead on BOTH ends — *executed* occupancy,
+// not a counter bump. The one exception is a fully drained host: its final
+// outgoing charge has no remaining vCPUs to dilate, so it is recorded in
+// the stats only.
 //
 // Metrics across rebuilds: per-vCPU PerfReports are snapshotted before every
 // teardown and combined time-weighted over the measured window; a vCPU that
@@ -62,25 +69,23 @@
 
 namespace aql {
 
-// One VM of the fleet: `vcpus` instances of catalog application `app`
-// (mirrors experiment::VmSpec without depending on the experiment layer).
-struct FleetVmSpec {
+// One VM running `vcpus` instances of catalog application `app` (ConSpin
+// applications share the VM's spin lock), or — in a single-machine scenario,
+// when `app` is kTraceAppName (src/experiment/scenarios.h) — the scenario's
+// trace file (`vcpus` must equal its stream count).
+struct VmSpec {
   std::string app;
   int vcpus = 1;
   int weight = 256;
   int cap_percent = 0;
+  // ConSpin applications only: use a FIFO ticket lock (ablation 4).
   bool fifo_lock = false;
 };
 
-// Dirty-page transfer cost of one live migration.
-struct FleetMigrationModel {
-  // Pages re-sent per vCPU of the moving VM (pre-copy rounds folded in).
-  uint64_t dirty_pages_per_vcpu = 16384;  // 64 MiB at 4 KiB pages
-  uint64_t page_bytes = 4096;
-  // Transfer bandwidth when the host topology models no DRAM bus
-  // (Topology::mem_bw_bytes_per_ns == 0).
-  double fallback_bw_bytes_per_ns = 1.2;
-};
+// Dirty-page transfer of one live migration: pages re-sent per vCPU of the
+// moving VM (pre-copy rounds folded in), at kMigrationPageBytes each.
+inline constexpr uint64_t kMigrationDirtyPagesPerVcpu = 16384;  // 64 MiB
+inline constexpr uint64_t kMigrationPageBytes = 4096;
 
 // Rolling-upgrade evacuation: hosts[k] starts draining at
 // `start + k * interval` (simulation time); a draining host moves up to
@@ -105,7 +110,6 @@ struct FleetConfig {
   // Rebalance migrations applied per epoch (drains are capped separately by
   // FleetDrainPlan::batch_per_epoch).
   int max_migrations_per_epoch = 1;
-  FleetMigrationModel migration;
   FleetDrainPlan drain;
   // Optional per-VM initial host (size == number of VMs): overrides the
   // policy's admission placement — the lever for deliberately skewed
@@ -121,7 +125,7 @@ struct FleetSpec {
   // Per-host machine template. `seed` is the fleet's declared base seed;
   // each host build derives its own stream via FleetHostSeed.
   MachineConfig host_template;
-  std::vector<FleetVmSpec> vms;
+  std::vector<VmSpec> vms;
   FleetConfig config;
   TimeNs warmup = Sec(2);
   TimeNs measure = Sec(8);
@@ -133,7 +137,9 @@ struct FleetSpec {
 };
 
 struct FleetHostStats {
-  double cpu_utilization = 0.0;  // measured busy / (window x host pCPUs)
+  // Measured busy / capacity, in pCPU-ns over the window: the template's
+  // pCPUs until a brownout, the shrunken count after it.
+  double cpu_utilization = 0.0;
   int vcpus = 0;                 // resident vCPUs at the end of the run
   uint64_t events = 0;           // across all of the host's builds
   int migrations_in = 0;
@@ -163,7 +169,8 @@ struct FleetResult {
   std::vector<GroupPerf> app_groups;
   std::vector<FleetHostStats> hosts;  // by host index
   TimeNs measure_window = 0;
-  // Fleet-wide busy / (window x total fleet pCPU capacity, drained included).
+  // Fleet-wide busy / summed host capacity (drained and crashed hosts
+  // included, brownouts counted from their instant).
   double cpu_utilization = 0.0;
   TimeNs controller_overhead = 0;  // summed over hosts, measured window
   uint64_t events_processed = 0;   // summed over hosts, warm-up included

@@ -68,66 +68,20 @@ struct Entry {
   NominalOp nominal;
 };
 
-Factory MakeBurnFactory(CpuBurnConfig cfg) {
+// `count` independent `Model`s of one configuration.
+template <typename Model, typename Config>
+Factory Replicas(Config cfg) {
   return [cfg](int count, const AppOptions&) {
     std::vector<std::unique_ptr<WorkloadModel>> out;
     for (int i = 0; i < count; ++i) {
-      out.push_back(std::make_unique<CpuBurnModel>(cfg));
+      out.push_back(std::make_unique<Model>(cfg));
     }
     return out;
   };
 }
 
-Factory MakeIoFactory(IoServerConfig cfg) {
-  return [cfg](int count, const AppOptions&) {
-    std::vector<std::unique_ptr<WorkloadModel>> out;
-    for (int i = 0; i < count; ++i) {
-      out.push_back(std::make_unique<IoServerModel>(cfg));
-    }
-    return out;
-  };
-}
-
-Factory MakeStreamFactory(MemStreamConfig cfg) {
-  return [cfg](int count, const AppOptions&) {
-    std::vector<std::unique_ptr<WorkloadModel>> out;
-    for (int i = 0; i < count; ++i) {
-      out.push_back(std::make_unique<MemStreamModel>(cfg));
-    }
-    return out;
-  };
-}
-
-Factory MakeBurstyFactory(BurstyIoConfig cfg) {
-  return [cfg](int count, const AppOptions&) {
-    std::vector<std::unique_ptr<WorkloadModel>> out;
-    for (int i = 0; i < count; ++i) {
-      out.push_back(std::make_unique<BurstyIoModel>(cfg));
-    }
-    return out;
-  };
-}
-
-Factory MakeDiurnalFactory(DiurnalWebConfig cfg) {
-  return [cfg](int count, const AppOptions&) {
-    std::vector<std::unique_ptr<WorkloadModel>> out;
-    for (int i = 0; i < count; ++i) {
-      out.push_back(std::make_unique<DiurnalWebModel>(cfg));
-    }
-    return out;
-  };
-}
-
-Factory MakeCheckpointFactory(CheckpointRestartConfig cfg) {
-  return [cfg](int count, const AppOptions&) {
-    std::vector<std::unique_ptr<WorkloadModel>> out;
-    for (int i = 0; i < count; ++i) {
-      out.push_back(std::make_unique<CheckpointRestartModel>(cfg));
-    }
-    return out;
-  };
-}
-
+// ConSpin replicas share the VM's lock and, when the app has barrier
+// phases, one barrier.
 Factory MakeSpinFactory(SpinSyncConfig cfg) {
   return [cfg](int count, const AppOptions& options) {
     auto lock = std::make_shared<SpinLock>(options.fifo_lock);
@@ -151,7 +105,7 @@ const std::vector<Entry>& Entries() {
     auto add_io = [e](const std::string& suite, const IoServerConfig& cfg) {
       e->push_back(Entry{AppProfile{cfg.name, VcpuType::kIoInt, suite,
                                     /*extended=*/false},
-                         MakeIoFactory(cfg), NominalOp{cfg.mem}});
+                         Replicas<IoServerModel>(cfg), NominalOp{cfg.mem}});
     };
     auto add_spin = [e](const std::string& suite, const SpinSyncConfig& cfg) {
       e->push_back(Entry{AppProfile{cfg.name, VcpuType::kConSpin, suite,
@@ -160,22 +114,22 @@ const std::vector<Entry>& Entries() {
     };
     auto add_burn = [e](VcpuType t, const std::string& suite, const CpuBurnConfig& cfg) {
       e->push_back(Entry{AppProfile{cfg.name, t, suite, /*extended=*/false},
-                         MakeBurnFactory(cfg), NominalOp{cfg.mem}});
+                         Replicas<CpuBurnModel>(cfg), NominalOp{cfg.mem}});
     };
     auto add_stream = [e](VcpuType t, const std::string& suite,
                           const MemStreamConfig& cfg) {
       e->push_back(Entry{AppProfile{cfg.name, t, suite, /*extended=*/true},
-                         MakeStreamFactory(cfg), NominalOp{cfg.mem}});
+                         Replicas<MemStreamModel>(cfg), NominalOp{cfg.mem}});
     };
     auto add_bursty = [e](const std::string& suite, const BurstyIoConfig& cfg) {
       e->push_back(Entry{AppProfile{cfg.name, VcpuType::kBurstyIo, suite,
                                     /*extended=*/true},
-                         MakeBurstyFactory(cfg), NominalOp{cfg.mem}});
+                         Replicas<BurstyIoModel>(cfg), NominalOp{cfg.mem}});
     };
     auto add_diurnal = [e](const std::string& suite, const DiurnalWebConfig& cfg) {
       e->push_back(Entry{AppProfile{cfg.bursty.name, VcpuType::kBurstyIo, suite,
                                     /*extended=*/true},
-                         MakeDiurnalFactory(cfg), NominalOp{cfg.bursty.mem}});
+                         Replicas<DiurnalWebModel>(cfg), NominalOp{cfg.bursty.mem}});
     };
 
     // --- I/O intensive (reference suites + Table 1 micro-benchmarks) ---
@@ -328,7 +282,7 @@ const std::vector<Entry>& Entries() {
       c.checkpoint_interval = Ms(80);
       c.checkpoint_work = Ms(2);
       e->push_back(Entry{AppProfile{c.name, VcpuType::kLlcf, "HPC", /*extended=*/true},
-                         MakeCheckpointFactory(c), NominalOp{c.mem}});
+                         Replicas<CheckpointRestartModel>(c), NominalOp{c.mem}});
     }
 
     return e;

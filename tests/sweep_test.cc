@@ -2,8 +2,8 @@
 // RNG seeding), the shared pool's heaviest-first order and failure containment,
 // the sweep registry, JSON emission, quick-mode scaling, the split between
 // host-clock timing (timed JSON only) and work counters (every JSON),
-// byte-compares against the committed goldens, and a check on those goldens
-// that no cell runs twice.
+// byte-compares of every sweep against its committed golden on one shared
+// pool, and a check on those goldens that no cell runs twice.
 
 #include <algorithm>
 #include <filesystem>
@@ -204,37 +204,6 @@ TEST(SweepEngineTest, SeedSaltChangesStreams) {
               ra.cells[0].result.cpu_utilization != rb.cells[0].result.cpu_utilization);
 }
 
-TEST(SweepEngineTest, RegisteredSweepQuickRunIsThreadCountInvariant) {
-  const SweepSpec* spec = SweepRegistry::Instance().Find("table5_clusters");
-  ASSERT_NE(spec, nullptr);
-  SweepOptions serial;
-  serial.quick = true;
-  serial.jobs = 1;
-  SweepOptions parallel = serial;
-  parallel.jobs = 4;
-  const SweepResult r1 = RunSweep(*spec, serial);
-  const SweepResult r4 = RunSweep(*spec, parallel);
-  EXPECT_EQ(SweepJson(r1, /*include_timing=*/false).Dump(),
-            SweepJson(r4, /*include_timing=*/false).Dump());
-}
-
-TEST(SweepEngineTest, Table3xQuickRunIsThreadCountInvariant) {
-  // The extended-catalog sweep mixes single-socket, memory-bus and NUMA
-  // rigs; the jobs=1 vs jobs=4 contract must hold for it like for the
-  // paper sweeps.
-  const SweepSpec* spec = SweepRegistry::Instance().Find("table3x_recognition");
-  ASSERT_NE(spec, nullptr);
-  SweepOptions serial;
-  serial.quick = true;
-  serial.jobs = 1;
-  SweepOptions parallel = serial;
-  parallel.jobs = 4;
-  const SweepResult r1 = RunSweep(*spec, serial);
-  const SweepResult r4 = RunSweep(*spec, parallel);
-  EXPECT_EQ(SweepJson(r1, /*include_timing=*/false).Dump(),
-            SweepJson(r4, /*include_timing=*/false).Dump());
-}
-
 TEST(SweepEngineTest, TimingStaysOutOfStableJsonAndCountersStayIn) {
   // Host-clock readings (each cell's profile split, the sweep's render
   // time) and the worker count are always measured but ride with the
@@ -369,10 +338,9 @@ TEST(GoldenTest, OnlyListedCellsRepeatAcrossSweeps) {
   EXPECT_EQ(shared, expected);
 }
 
-// Byte-compares a quick-mode --stable-json run of `sweep` against its
-// committed golden (tests/goldens/README.md records when each was last
-// re-baselined). CI's bench job covers all registered sweeps the same way;
-// here we pin the cheap representative ones into every ctest run.
+// Byte-compares a one-worker quick-mode --stable-json run of `sweep` against
+// its committed golden (tests/goldens/README.md records when each was last
+// re-baselined).
 void ExpectMatchesGolden(const char* sweep) {
   const SweepSpec* spec = SweepRegistry::Instance().Find(sweep);
   ASSERT_NE(spec, nullptr) << sweep;
@@ -413,35 +381,30 @@ void ExpectWellFormedTimedJson(const SweepResult& r) {
   }
 }
 
-// Several sweeps on one shared pool, as `aql_bench --all` runs them: cells
-// of different sweeps interleave on the workers, and every sweep must be
-// emitted exactly once, reproduce its golden at any worker count and write
-// a well-formed timed document.
-TEST(GoldenTest, SharedPoolReproducesGoldens) {
-  std::vector<const SweepSpec*> specs;
-  for (const char* sweep :
-       {"fig5_validation", "fleet_hotspot", "trace_replay", "table5_clusters"}) {
-    specs.push_back(SweepRegistry::Instance().Find(sweep));
-    ASSERT_NE(specs.back(), nullptr) << sweep;
-  }
-  for (const int jobs : {1, 4}) {
-    SweepOptions options;
-    options.quick = true;
-    options.jobs = jobs;
-    std::map<std::string, int> emitted;
-    RunSweeps(specs, options, [&](SweepResult r) {
-      ++emitted[r.name];
-      EXPECT_EQ(SweepJson(r, /*include_timing=*/false).Dump(), Golden(r.name))
-          << r.name << " at jobs " << jobs;
-      ExpectWellFormedTimedJson(r);
-    });
-    EXPECT_EQ(emitted.size(), specs.size()) << "jobs " << jobs;
-    for (const SweepSpec* spec : specs) {
-      EXPECT_EQ(emitted[spec->name], 1) << spec->name << " at jobs " << jobs;
-    }
+// Every registered sweep on one shared pool of 4 workers, as
+// `aql_bench --all --quick --jobs 4` runs them: cells of different sweeps
+// interleave on the workers, and each sweep must be emitted once, equal its
+// golden and write a well-formed timed document. The goldens are the
+// `--jobs 1` output, so this is also every sweep's jobs-invariance check.
+TEST(GoldenTest, EverySweepReproducesItsGoldenOnOneSharedPool) {
+  const std::vector<const SweepSpec*> specs = SweepRegistry::Instance().All();
+  SweepOptions options;
+  options.quick = true;
+  options.jobs = 4;
+  std::map<std::string, int> emitted;
+  RunSweeps(specs, options, [&emitted](SweepResult r) {
+    ++emitted[r.name];
+    EXPECT_EQ(SweepJson(r, /*include_timing=*/false).Dump(), Golden(r.name))
+        << r.name << ": stable JSON diverged from the committed golden";
+    ExpectWellFormedTimedJson(r);
+  });
+  EXPECT_EQ(emitted.size(), specs.size());
+  for (const SweepSpec* spec : specs) {
+    EXPECT_EQ(emitted[spec->name], 1) << spec->name;
   }
 }
 
+// One worker, one sweep: the two cheapest goldens.
 TEST(GoldenTest, Table5QuickMatchesCommittedGolden) {
   ExpectMatchesGolden("table5_clusters");
 }
@@ -450,48 +413,6 @@ TEST(GoldenTest, Fig4QuickMatchesCommittedGolden) {
   ExpectMatchesGolden("fig4_vtrs_traces");
 }
 
-// The fleet sweeps are cheap in quick mode (8-100 hosts, short windows), so
-// all three ride in every ctest run — they cover the multi-host event
-// ordering, the migration/rebuild path and the drain path respectively.
-TEST(GoldenTest, FleetHotspotQuickMatchesCommittedGolden) {
-  ExpectMatchesGolden("fleet_hotspot");
-}
-
-TEST(GoldenTest, FleetConsolidationQuickMatchesCommittedGolden) {
-  ExpectMatchesGolden("fleet_consolidation");
-}
-
-TEST(GoldenTest, FleetDrainQuickMatchesCommittedGolden) {
-  ExpectMatchesGolden("fleet_drain");
-}
-
-// Covers the fault-injection pipeline (crashes, recovery placement,
-// migration aborts, degradation) plus its zero-fault control cell — the
-// committed bytes pin both the fault schedule and the "inactive plan
-// changes nothing" contract (tests/fleet_fault_test.cc).
-TEST(GoldenTest, FleetFailoverQuickMatchesCommittedGolden) {
-  ExpectMatchesGolden("fleet_failover");
-}
-
-// Trace-driven cells are byte-identical across --jobs by construction
-// (replay consumes no RNG, see src/workload/trace_replay.h).
-TEST(GoldenTest, TraceReplayQuickMatchesCommittedGolden) {
-  ExpectMatchesGolden("trace_replay");
-}
-
-// Every multi-socket sweep reproduces its golden: these bytes pin the
-// per-socket lane order, the per-VM RNG streams, socket-filtered wakes and
-// steals and the cross-socket footprint flush (src/hv/machine.h;
-// tests/machine_test.cc MultiSocketStress covers generated machines).
-// table3x's golden also holds the paper's 34 single-socket validation cells
-// (Table 3), whose LLC overflows: it pins the LLC eviction order (victims and
-// residue in ascending vCPU id) on every rig.
-TEST(GoldenTest, MultiSocketGoldensReproduce) {
-  for (const char* sweep : {"fig6_effectiveness", "fig6x_numa", "fig7_customization",
-                            "table3x_recognition"}) {
-    ExpectMatchesGolden(sweep);
-  }
-}
 #endif  // AQL_GOLDEN_DIR
 
 TEST(SweepOptionsTest, QuickModeScalesWindows) {
