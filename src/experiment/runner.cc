@@ -204,10 +204,8 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, const PolicySpec& policy,
       AQL_CHECK_MSG(!spec.trace_path.empty(),
                     "trace VM requires ScenarioSpec::trace_path");
       AQL_CHECK_MSG(++trace_vms == 1, "at most one trace VM per scenario");
-      source_spec.backend = "trace";
       source_spec.trace_path = spec.trace_path;
     } else {
-      source_spec.backend = "catalog";
       source_spec.app = vs.app;
       source_spec.vcpus = vs.vcpus;
       source_spec.options.fifo_lock = vs.fifo_lock;

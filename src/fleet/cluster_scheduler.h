@@ -48,14 +48,14 @@ struct FleetVmView {
 // Per-host view at decision time.
 struct FleetHostView {
   int host = 0;
-  int pcpus = 0;
   int vcpus = 0;       // vCPUs currently placed
   bool draining = false;  // evacuating or already offline: never a target
   int trashers = 0;    // placed llc_trasher VMs
   int mem_heavy_vcpus = 0;  // vCPUs of placed mem_heavy VMs
-  // Unfilled: the fleet reads no machine when it builds views, and no
-  // policy reads these two. Declared only because perfbench's PlaceMicro
-  // sets them.
+  // Unfilled: the fleet reads no machine or host shape when it builds views,
+  // and no policy reads these three. Declared only because perfbench's
+  // PlaceMicro sets them.
+  int pcpus = 0;
   double bus_demand = 0.0;
   uint64_t llc_occupancy = 0;
 };

@@ -24,7 +24,9 @@
 //    after which it is abandoned and the scheduler must re-propose.
 //  * Host degradation: a surviving host's MemBus bandwidth and/or pCPU
 //    count drops permanently (a brownout). The host rebuilds in place with
-//    the degraded topology; the placement policies see the smaller shape.
+//    the degraded topology, and fleet utilization counts its smaller
+//    capacity from then on. The placement policies do not see the shape:
+//    they read no host's pCPU count.
 
 #ifndef AQLSCHED_SRC_FLEET_FAULT_INJECTOR_H_
 #define AQLSCHED_SRC_FLEET_FAULT_INJECTOR_H_

@@ -315,7 +315,6 @@ std::vector<FleetHostView> FleetRun::HostViews() const {
     const HostState& host = hosts_[static_cast<size_t>(h)];
     FleetHostView& view = out[static_cast<size_t>(h)];
     view.host = h;
-    view.pcpus = HostShape(host).TotalPcpus();
     // A crashed host mid-reboot is never a placement target either.
     view.draining = host.draining || host.offline || host.down;
     for (const int vm_index : host.vms) {

@@ -5,12 +5,9 @@
 #include <utility>
 
 #include "src/sim/check.h"
-#include "src/workload/bursty_io.h"
 #include "src/workload/checkpoint_restart.h"
 #include "src/workload/cpu_burn.h"
-#include "src/workload/diurnal_web.h"
 #include "src/workload/io_server.h"
-#include "src/workload/mem_stream.h"
 #include "src/workload/spin_sync.h"
 
 namespace aql {
@@ -34,6 +31,15 @@ CpuBurnConfig Burn(const std::string& name, uint64_t wss, double refs_per_ns) {
   return c;
 }
 
+// A streaming kernel (MemBw, or NumaRemote with remote_fraction > 0).
+CpuBurnConfig Stream(const std::string& name, uint64_t wss, double refs_per_ns,
+                     double remote_fraction) {
+  CpuBurnConfig c = Burn(name, wss, refs_per_ns);
+  c.mem.remote_fraction = remote_fraction;
+  c.stream = true;
+  return c;
+}
+
 IoServerConfig Io(const std::string& name, double rate_hz, TimeNs service, TimeNs cgi,
                   const MemProfile& mem, bool background_burn) {
   IoServerConfig c;
@@ -46,14 +52,25 @@ IoServerConfig Io(const std::string& name, double rate_hz, TimeNs service, TimeN
   return c;
 }
 
+// A bursty server that burns in the background when idle, optionally on a
+// day/night curve with flash crowds.
+IoServerConfig Bursty(const std::string& name, double rate_hz, TimeNs service,
+                      uint64_t wss, double refs_per_ns, double day_night_amplitude = 0.0,
+                      bool flash_crowds = false) {
+  IoServerConfig c = Io(name, rate_hz, service, 0, Mem(wss, refs_per_ns), true);
+  c.bursty = true;
+  c.day_night_amplitude = day_night_amplitude;
+  c.flash_crowds = flash_crowds;
+  return c;
+}
+
 SpinSyncConfig Spin(const std::string& name, TimeNs compute, TimeNs critical, uint64_t wss,
-                    double refs_per_ns, int barrier_every = 150) {
+                    double refs_per_ns, int barrier_every) {
   SpinSyncConfig c;
   c.name = name;
   c.compute = compute;
   c.critical = critical;
   c.mem = Mem(wss, refs_per_ns);
-  c.cs_mem = Mem(64 * kKiB, 0.0002);
   c.barrier_every = barrier_every;
   return c;
 }
@@ -100,11 +117,13 @@ Factory MakeSpinFactory(SpinSyncConfig cfg) {
 const std::vector<Entry>& Entries() {
   static const std::vector<Entry>* entries = [] {
     auto* e = new std::vector<Entry>;
-    // Typed registration helpers: each takes the nominal descriptor from the
-    // same config the model factory captures.
+    // Typed registration helpers, one per model class: each takes the
+    // nominal descriptor from the same config the model factory captures.
+    // The post-paper behaviours — bursty service and streaming — are the
+    // extended entries.
     auto add_io = [e](const std::string& suite, const IoServerConfig& cfg) {
-      e->push_back(Entry{AppProfile{cfg.name, VcpuType::kIoInt, suite,
-                                    /*extended=*/false},
+      const VcpuType t = cfg.bursty ? VcpuType::kBurstyIo : VcpuType::kIoInt;
+      e->push_back(Entry{AppProfile{cfg.name, t, suite, /*extended=*/cfg.bursty},
                          Replicas<IoServerModel>(cfg), NominalOp{cfg.mem}});
     };
     auto add_spin = [e](const std::string& suite, const SpinSyncConfig& cfg) {
@@ -113,23 +132,8 @@ const std::vector<Entry>& Entries() {
                          MakeSpinFactory(cfg), NominalOp{cfg.mem}});
     };
     auto add_burn = [e](VcpuType t, const std::string& suite, const CpuBurnConfig& cfg) {
-      e->push_back(Entry{AppProfile{cfg.name, t, suite, /*extended=*/false},
+      e->push_back(Entry{AppProfile{cfg.name, t, suite, /*extended=*/cfg.stream},
                          Replicas<CpuBurnModel>(cfg), NominalOp{cfg.mem}});
-    };
-    auto add_stream = [e](VcpuType t, const std::string& suite,
-                          const MemStreamConfig& cfg) {
-      e->push_back(Entry{AppProfile{cfg.name, t, suite, /*extended=*/true},
-                         Replicas<MemStreamModel>(cfg), NominalOp{cfg.mem}});
-    };
-    auto add_bursty = [e](const std::string& suite, const BurstyIoConfig& cfg) {
-      e->push_back(Entry{AppProfile{cfg.name, VcpuType::kBurstyIo, suite,
-                                    /*extended=*/true},
-                         Replicas<BurstyIoModel>(cfg), NominalOp{cfg.mem}});
-    };
-    auto add_diurnal = [e](const std::string& suite, const DiurnalWebConfig& cfg) {
-      e->push_back(Entry{AppProfile{cfg.bursty.name, VcpuType::kBurstyIo, suite,
-                                    /*extended=*/true},
-                         Replicas<DiurnalWebModel>(cfg), NominalOp{cfg.bursty.mem}});
     };
 
     // --- I/O intensive (reference suites + Table 1 micro-benchmarks) ---
@@ -210,63 +214,31 @@ const std::vector<Entry>& Entries() {
     // MemBw: STREAM-style kernels — reference rates an order of magnitude
     // above the LLCO burners, no reuse; MPKI lands well above the
     // membw_mpki_limit while LLCO applications stay below it.
-    auto stream = [](const std::string& name, uint64_t wss, double refs_per_ns,
-                     double remote_fraction) {
-      MemStreamConfig c;
-      c.name = name;
-      c.mem = Mem(wss, refs_per_ns);
-      c.mem.remote_fraction = remote_fraction;
-      return c;
-    };
-    add_stream(VcpuType::kMemBw, "STREAM", stream("stream_triad", 64 * kMiB, 0.050, 0.0));
-    add_stream(VcpuType::kMemBw, "micro", stream("membw_scan", 32 * kMiB, 0.040, 0.0));
+    add_burn(VcpuType::kMemBw, "STREAM", Stream("stream_triad", 64 * kMiB, 0.050, 0.0));
+    add_burn(VcpuType::kMemBw, "micro", Stream("membw_scan", 32 * kMiB, 0.040, 0.0));
 
     // NumaRemote: moderate-rate streaming against memory pinned to a remote
     // node — MPKI stays below the MemBw limit, but the remote-access ratio
     // saturates the NumaRemote cursor. Only meaningful on multi-socket rigs.
-    add_stream(VcpuType::kNumaRemote, "micro",
-               stream("numa_stream", 16 * kMiB, 0.0040, 0.90));
-    add_stream(VcpuType::kNumaRemote, "micro",
-               stream("numa_mcf", 20 * kMiB, 0.0060, 0.75));
+    add_burn(VcpuType::kNumaRemote, "micro",
+             Stream("numa_stream", 16 * kMiB, 0.0040, 0.90));
+    add_burn(VcpuType::kNumaRemote, "micro", Stream("numa_mcf", 20 * kMiB, 0.0060, 0.75));
 
     // BurstyIo: diurnal on/off request service. Phases of 2.5 monitoring
     // periods guarantee every vTRS window sees both a saturated and a silent
     // I/O period; the service/background working set is LLC-resident (not
     // LoLCF) so quiet periods do not masquerade as cache-friendly compute.
-    auto bursty = [](const std::string& name, double rate_hz, TimeNs service,
-                     uint64_t wss, double refs_per_ns) {
-      BurstyIoConfig c;
-      c.name = name;
-      c.on_arrival_rate_hz = rate_hz;
-      c.service_work = service;
-      c.mem = Mem(wss, refs_per_ns);
-      return c;
-    };
-    add_bursty("micro", bursty("diurnal_web", 400.0, Us(150), 3 * kMiB, 0.004));
-    add_bursty("micro", bursty("bursty_logger", 500.0, Us(100), 2 * kMiB, 0.003));
+    add_io("micro", Bursty("diurnal_web", 400.0, Us(150), 3 * kMiB, 0.004));
+    add_io("micro", Bursty("bursty_logger", 500.0, Us(100), 2 * kMiB, 0.003));
 
     // Multi-tenant web with a day/night macro curve on top of the on/off
     // micro-phases. Trough rates (base * (1 - amplitude)) stay well above
     // the I/O cursor threshold, so classification remains BurstyIo across
-    // the whole cycle.
-    {
-      DiurnalWebConfig c;
-      c.bursty = bursty("tenant_web_diurnal", 400.0, Us(150), 3 * kMiB, 0.004);
-      c.day_night_amplitude = 0.6;
-      c.day_night_period = Sec(2);
-      add_diurnal("micro", c);
-    }
-    // Flash-crowd variant: 3x spikes of 200 ms every simulated second.
-    {
-      DiurnalWebConfig c;
-      c.bursty = bursty("tenant_web_flash", 300.0, Us(150), 5 * kMiB / 2, 0.0035);
-      c.day_night_amplitude = 0.4;
-      c.day_night_period = Sec(2);
-      c.flash_multiplier = 3.0;
-      c.flash_every = Sec(1);
-      c.flash_duration = Ms(200);
-      add_diurnal("micro", c);
-    }
+    // the whole cycle. The flash-crowd variant adds 3x spikes of 200 ms
+    // every simulated second.
+    add_io("micro", Bursty("tenant_web_diurnal", 400.0, Us(150), 3 * kMiB, 0.004, 0.6));
+    add_io("micro", Bursty("tenant_web_flash", 300.0, Us(150), 5 * kMiB / 2, 0.0035, 0.4,
+                           /*flash_crowds=*/true));
 
     // Daly-style HPC checkpoint/restart: an LLC-resident solver punctuated
     // by periodic streaming checkpoint write-outs. Its durable state (the
@@ -274,16 +246,11 @@ const std::vector<Entry>& Entries() {
     // resumes from its checkpoint instead of restarting cold — the workload
     // the fault injector's recovery path is built for. The duty cycle is
     // small enough that window-averaged cursors still classify it LLCF.
-    {
-      CheckpointRestartConfig c;
-      c.name = "checkpoint_restart";
-      c.mem = Mem(3 * kMiB, 0.0055);
-      c.ckpt_mem = Mem(16 * kMiB, 0.020);
-      c.checkpoint_interval = Ms(80);
-      c.checkpoint_work = Ms(2);
-      e->push_back(Entry{AppProfile{c.name, VcpuType::kLlcf, "HPC", /*extended=*/true},
-                         Replicas<CheckpointRestartModel>(c), NominalOp{c.mem}});
-    }
+    CheckpointRestartConfig ckpt;
+    ckpt.name = "checkpoint_restart";
+    ckpt.mem = Mem(3 * kMiB, 0.0055);
+    e->push_back(Entry{AppProfile{ckpt.name, VcpuType::kLlcf, "HPC", /*extended=*/true},
+                       Replicas<CheckpointRestartModel>(ckpt), NominalOp{ckpt.mem}});
 
     return e;
   }();

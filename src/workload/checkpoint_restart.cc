@@ -2,24 +2,34 @@
 
 #include <algorithm>
 
-#include "src/sim/check.h"
-
 namespace aql {
+namespace {
+// Step granularity, as in CpuBurn.
+constexpr TimeNs kPhase = Us(200);
+// Useful work between checkpoints (Daly's tau).
+constexpr TimeNs kCheckpointInterval = Ms(80);
+// Pure work per checkpoint write-out (Daly's delta).
+constexpr TimeNs kCheckpointWork = Ms(2);
+
+// Checkpoint write-out burst: streaming through a larger buffer.
+const MemProfile kCheckpointMem = [] {
+  MemProfile m;
+  m.wss_bytes = 16 * 1024 * 1024;
+  m.llc_refs_per_ns = 0.020;
+  return m;
+}();
+}  // namespace
 
 CheckpointRestartModel::CheckpointRestartModel(const CheckpointRestartConfig& config)
-    : config_(config) {
-  AQL_CHECK(config_.phase > 0);
-  AQL_CHECK(config_.checkpoint_interval > 0);
-  AQL_CHECK(config_.checkpoint_work > 0);
-}
+    : config_(config) {}
 
 Step CheckpointRestartModel::NextStep(TimeNs now) {
   (void)now;
   if (in_ckpt_) {
-    return Step::Compute(std::min(config_.phase, ckpt_remaining_), config_.ckpt_mem);
+    return Step::Compute(std::min(kPhase, ckpt_remaining_), kCheckpointMem);
   }
-  const TimeNs until_ckpt = config_.checkpoint_interval - since_ckpt_;
-  return Step::Compute(std::min(config_.phase, until_ckpt), config_.mem);
+  const TimeNs until_ckpt = kCheckpointInterval - since_ckpt_;
+  return Step::Compute(std::min(kPhase, until_ckpt), config_.mem);
 }
 
 void CheckpointRestartModel::OnStepEnd(TimeNs now, const Step& step, TimeNs work_done,
@@ -42,10 +52,10 @@ void CheckpointRestartModel::OnStepEnd(TimeNs now, const Step& step, TimeNs work
   useful_total_ += work_done;
   useful_window_ += work_done;
   since_ckpt_ += work_done;
-  if (since_ckpt_ >= config_.checkpoint_interval) {
+  if (since_ckpt_ >= kCheckpointInterval) {
     since_ckpt_ = 0;
     in_ckpt_ = true;
-    ckpt_remaining_ = config_.checkpoint_work;
+    ckpt_remaining_ = kCheckpointWork;
     pending_value_ = useful_total_;
   }
 }

@@ -1,5 +1,6 @@
 // Daly-style checkpoint/restart workload: long-running HPC computation that
-// periodically pauses to write a checkpoint, then resumes. The checkpointed
+// pauses after every 80 ms of useful work to write a checkpoint (2 ms of
+// pure work streaming through a 16 MiB buffer), then resumes. The checkpointed
 // position is the model's durable state (WorkloadModel::SaveDurableState):
 // when the fleet layer rebuilds the machine — live migration or crash
 // recovery — the replacement model resumes from the last completed
@@ -25,14 +26,6 @@ struct CheckpointRestartConfig {
   std::string name = "checkpoint_restart";
   // Compute-phase memory behaviour (the solver itself).
   MemProfile mem;
-  // Checkpoint write-out burst: streaming through a larger buffer.
-  MemProfile ckpt_mem;
-  // Step granularity, as in CpuBurn.
-  TimeNs phase = Us(200);
-  // Useful work between checkpoints (Daly's tau).
-  TimeNs checkpoint_interval = Ms(80);
-  // Pure work per checkpoint write-out (Daly's delta).
-  TimeNs checkpoint_work = Ms(2);
 };
 
 class CheckpointRestartModel : public WorkloadModel {

@@ -46,29 +46,22 @@ class CatalogSource : public WorkloadSource {
 
 std::unique_ptr<WorkloadSource> MakeWorkloadSource(const WorkloadSourceSpec& spec,
                                                    std::string* error) {
-  if (spec.backend == "trace") {
+  if (!spec.trace_path.empty()) {
     return TraceSource::Load(spec.trace_path, error);
   }
-  if (spec.backend == "catalog") {
-    if (spec.vcpus < 1) {
-      if (error != nullptr) {
-        *error = "catalog source needs vcpus >= 1";
-      }
-      return nullptr;
+  if (spec.vcpus < 1) {
+    if (error != nullptr) {
+      *error = "catalog source needs vcpus >= 1";
     }
-    if (!HasApp(spec.app)) {
-      if (error != nullptr) {
-        *error = "unknown application: " + spec.app;
-      }
-      return nullptr;
+    return nullptr;
+  }
+  if (!HasApp(spec.app)) {
+    if (error != nullptr) {
+      *error = "unknown application: " + spec.app;
     }
-    return std::make_unique<CatalogSource>(spec);
+    return nullptr;
   }
-  if (error != nullptr) {
-    *error = "unknown workload backend \"" + spec.backend +
-             "\" (expected \"catalog\" or \"trace\")";
-  }
-  return nullptr;
+  return std::make_unique<CatalogSource>(spec);
 }
 
 }  // namespace aql

@@ -6,7 +6,7 @@
 // the interface:
 //
 //   catalog : the synthetic generator catalog (the 8 vTRS types, including
-//             the diurnal web generator). MakeModels delegates to the
+//             the diurnal web servers). MakeModels delegates to the
 //             catalog factories, so catalog-backed scenarios behave exactly
 //             as before the source layer existed (the committed goldens pin
 //             this at the byte level).
@@ -31,10 +31,9 @@
 
 namespace aql {
 
-// Backend-dispatching source description.
+// Backend-dispatching source description: a trace when `trace_path` is set,
+// else a catalog application.
 struct WorkloadSourceSpec {
-  // "catalog" or "trace".
-  std::string backend = "catalog";
   // catalog backend: application name + instantiation knobs.
   std::string app;
   int vcpus = 1;
@@ -59,9 +58,9 @@ class WorkloadSource {
   virtual bool StreamHasIo(int stream) const = 0;
 };
 
-// Builds the backend `spec` names. Returns nullptr and sets `error` on an
-// unknown backend, unknown application, or an invalid trace file (the
-// validation errors of docs/TRACE_FORMAT.md, prefixed with the path).
+// Builds the backend `spec` selects. Returns nullptr and sets `error` on an
+// unknown application or an invalid trace file (the validation errors of
+// docs/TRACE_FORMAT.md, prefixed with the path).
 std::unique_ptr<WorkloadSource> MakeWorkloadSource(const WorkloadSourceSpec& spec,
                                                    std::string* error);
 

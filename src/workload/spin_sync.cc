@@ -6,6 +6,29 @@
 #include "src/sim/check.h"
 
 namespace aql {
+namespace {
+// Step granularity for the non-critical phase.
+constexpr TimeNs kPhase = Us(200);
+// Short in-guest kernel spin-lock activity per cycle, surfaced as PLE traps
+// (the steady detection signal; its CPU cost is negligible and is folded
+// into `compute`).
+constexpr uint64_t kKernelSpinExitsPerCycle = 1;
+// Periodic short blocking I/O (page cache writeback, logging): every
+// kIoBlockEvery cycles the thread sleeps kIoBlockNs. Besides being realistic
+// for kernbench/PARSEC, this continuously perturbs the vCPUs' run-queue
+// phases; without it barrier stragglers self-synchronize into a gang and the
+// quantum sensitivity disappears.
+constexpr int kIoBlockEvery = 50;
+constexpr TimeNs kIoBlockNs = Us(500);
+
+// Memory behaviour inside the critical section: light.
+const MemProfile kCriticalMem = [] {
+  MemProfile m;
+  m.wss_bytes = 64 * 1024;
+  m.llc_refs_per_ns = 0.0002;
+  return m;
+}();
+}  // namespace
 
 SpinSyncModel::SpinSyncModel(const SpinSyncConfig& config, std::shared_ptr<SpinLock> lock,
                              std::shared_ptr<SpinBarrier> barrier)
@@ -13,7 +36,6 @@ SpinSyncModel::SpinSyncModel(const SpinSyncConfig& config, std::shared_ptr<SpinL
   AQL_CHECK(lock_ != nullptr);
   AQL_CHECK(config_.compute > 0);
   AQL_CHECK(config_.critical > 0);
-  AQL_CHECK(config_.phase > 0);
   if (config_.barrier_every > 0) {
     AQL_CHECK_MSG(barrier_ != nullptr, "barrier_every set but no barrier provided");
   }
@@ -34,7 +56,7 @@ TimeNs SpinSyncModel::SampleComputeLength() {
 Step SpinSyncModel::NextStep(TimeNs now) {
   if (pending_block_) {
     pending_block_ = false;
-    return Step::Block(now + config_.io_block_ns);
+    return Step::Block(now + kIoBlockNs);
   }
   if (phase_ == Phase::kBarrier) {
     if (barrier_->generation() == barrier_wait_gen_) {
@@ -54,10 +76,10 @@ Step SpinSyncModel::NextStep(TimeNs now) {
     }
   }
   if (phase_ == Phase::kCritical) {
-    return Step::Compute(std::min(remaining_, config_.phase), config_.cs_mem);
+    return Step::Compute(std::min(remaining_, kPhase), kCriticalMem);
   }
   AQL_CHECK(phase_ == Phase::kComputing);
-  return Step::Compute(std::min(remaining_, config_.phase), config_.mem);
+  return Step::Compute(std::min(remaining_, kPhase), config_.mem);
 }
 
 void SpinSyncModel::OnStepEnd(TimeNs now, const Step& step, TimeNs work_done, bool completed) {
@@ -79,10 +101,8 @@ void SpinSyncModel::OnStepEnd(TimeNs now, const Step& step, TimeNs work_done, bo
   lock_->Release(vcpu_, now, host_);
   ++cycles_window_;
   ++cycles_since_barrier_;
-  if (config_.kernel_spin_exits_per_cycle > 0) {
-    host_->CountPauseExits(vcpu_, config_.kernel_spin_exits_per_cycle);
-  }
-  if (config_.io_block_every > 0 && ++cycles_since_block_ >= config_.io_block_every) {
+  host_->CountPauseExits(vcpu_, kKernelSpinExitsPerCycle);
+  if (++cycles_since_block_ >= kIoBlockEvery) {
     cycles_since_block_ = 0;
     pending_block_ = true;
   }

@@ -31,25 +31,10 @@ struct SpinSyncConfig {
   TimeNs critical = Us(50);
   // Memory behaviour of the non-critical phase.
   MemProfile mem;
-  // Memory behaviour inside the critical section (typically light).
-  MemProfile cs_mem;
-  // Step granularity for the non-critical phase.
-  TimeNs phase = Us(200);
   // Barrier synchronization: all threads of the VM rendezvous every this
   // many cycles (0 disables). A descheduled straggler stalls the whole VM
   // for O(quantum) — the dominant quantum sensitivity of ConSpin workloads.
   int barrier_every = 120;
-  // Short in-guest kernel spin-lock activity per cycle, surfaced as PLE
-  // traps (the steady detection signal; its CPU cost is negligible and is
-  // folded into `compute`).
-  uint64_t kernel_spin_exits_per_cycle = 1;
-  // Periodic short blocking I/O (page cache writeback, logging): every this
-  // many cycles the thread sleeps `io_block_ns`. Besides being realistic for
-  // kernbench/PARSEC, this continuously perturbs the vCPUs' run-queue
-  // phases; without it barrier stragglers self-synchronize into a gang and
-  // the quantum sensitivity disappears.
-  int io_block_every = 50;
-  TimeNs io_block_ns = Us(500);
 };
 
 class SpinSyncModel : public WorkloadModel {

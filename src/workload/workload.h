@@ -47,7 +47,7 @@ struct Step {
     kCompute,   // run `work` ns of computation with `mem` behaviour
     kSpin,      // busy-wait (spin-lock); open-ended until kicked or preempted
     kBlock,     // no runnable work; sleep until event/wake_at
-    kFinished,  // workload completed its fixed amount of work
+    kFinished,  // workload completed (a trace's `end` op)
   };
 
   Kind kind = Kind::kBlock;
@@ -87,9 +87,10 @@ class WorkloadHost {
 
   virtual TimeNs Now() const = 0;
 
-  // Deterministic random stream for the model attached to `vcpu`. The
-  // stream's scope is at most one VM's vCPUs (a multi-socket Machine keeps
-  // one stream per VM): that is what a guest OS's entropy looks like.
+  // Deterministic random stream for the model attached to `vcpu`. A
+  // single-socket Machine hands every model one machine-wide stream, drawn
+  // in event order; a multi-socket Machine keeps one stream per VM. Both
+  // derive from the machine seed, so the draws are a function of the run.
   virtual Rng& WorkloadRng(int vcpu) = 0;
 
   // Schedules `OnTimer(tag)` on the model attached to `vcpu` at time `when`.

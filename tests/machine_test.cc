@@ -36,6 +36,25 @@ CpuBurnConfig Burner(const std::string& name) {
   return c;
 }
 
+// Computes `work` ns of register-only work in one step (resumed if the step
+// is truncated), then finishes.
+class OneStepModel : public WorkloadModel {
+ public:
+  explicit OneStepModel(TimeNs work) : remaining_(work) {}
+  Step NextStep(TimeNs) override {
+    return remaining_ > 0 ? Step::Compute(remaining_, MemProfile{}) : Step::Finished();
+  }
+  void OnStepEnd(TimeNs, const Step&, TimeNs work_done, bool) override {
+    remaining_ -= work_done;
+  }
+  std::string Name() const override { return "one_step"; }
+  PerfReport Report(TimeNs) const override { return PerfReport{}; }
+  void ResetMetrics(TimeNs) override {}
+
+ private:
+  TimeNs remaining_;
+};
+
 TEST(MachineTest, SingleVcpuRunsContinuously) {
   Simulation sim;
   Machine m(sim, SmallConfig());
@@ -88,9 +107,7 @@ TEST(MachineTest, FinishedWorkloadLeavesCpu) {
   Simulation sim;
   Machine m(sim, SmallConfig());
   Vm* vm = m.AddVm("vm");
-  CpuBurnConfig cfg = Burner("finite");
-  cfg.total_work = Ms(5);
-  Vcpu* v = m.AddVcpu(vm, std::make_unique<CpuBurnModel>(cfg));
+  Vcpu* v = m.AddVcpu(vm, std::make_unique<OneStepModel>(Ms(5)));
   Vcpu* other = m.AddVcpu(vm, std::make_unique<CpuBurnModel>(Burner("bg")));
   m.Start();
   sim.RunUntil(Sec(1));
@@ -340,7 +357,7 @@ uint64_t Periods(TimeNs period) { return static_cast<uint64_t>(kOracleRun / peri
 // the end, one dispatch per quantum plus the first, one callback per
 // monitor period. A second burner only changes who runs each quantum.
 TEST(WorkCounterTest, RegisterOnlyBurnersHaveClosedForms) {
-  const TimeNs phase = CpuBurnConfig().phase;
+  const TimeNs phase = CpuBurnModel(Burner("probe")).NextStep(0).work;
   const TimeNs quantum = CreditParams().default_quantum;
   for (const int burners : {1, 2}) {
     const WorkCounters c = BurnerCounters(burners, MemProfile{});

@@ -1,47 +1,30 @@
-// Focused unit tests for the spin-sync workload model through a fake host:
-// the compute -> acquire -> critical -> release cycle, spinning under
-// contention, barrier phases and the periodic perturbation I/O.
+// Tests for the spin-sync model (lock cycles, barriers, periodic I/O
+// blocks), driven through the shared fake WorkloadHost.
 
 #include <memory>
-#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/workload/spin_lock.h"
 #include "src/workload/spin_sync.h"
+#include "tests/fake_host.h"
 
 namespace aql {
 namespace {
 
-class FakeHost : public WorkloadHost {
- public:
-  TimeNs Now() const override { return now; }
-  Rng& WorkloadRng(int) override { return rng; }
-  void ScheduleTimer(TimeNs, int, int) override {}
-  void NotifyIoEvent(int) override {}
-  void KickVcpu(int vcpu) override { kicks.push_back(vcpu); }
-  void CountPauseExits(int, uint64_t n) override { pause_exits += n; }
-
-  TimeNs now = 0;
-  Rng rng{1};
-  std::vector<int> kicks;
-  uint64_t pause_exits = 0;
-};
-
-SpinSyncConfig Config(int barrier_every = 0) {
+SpinSyncConfig SpinConfig(int barrier_every = 0) {
   SpinSyncConfig c;
   c.name = "spin";
   c.compute = Us(100);
   c.critical = Us(10);
-  c.phase = Us(100);
   c.barrier_every = barrier_every;
-  c.io_block_every = 0;  // disabled unless a test enables it
   return c;
 }
 
 TEST(SpinSyncTest, FullCycleUncontended) {
   FakeHost host;
   auto lock = std::make_shared<SpinLock>();
-  SpinSyncModel m(Config(), lock);
+  SpinSyncModel m(SpinConfig(), lock);
   m.OnAttach(&host, 0);
 
   // compute phase, then CS, then release.
@@ -60,7 +43,7 @@ TEST(SpinSyncTest, FullCycleUncontended) {
 TEST(SpinSyncTest, SpinsWhileLockHeldElsewhere) {
   FakeHost host;
   auto lock = std::make_shared<SpinLock>();
-  SpinSyncModel m(Config(), lock);
+  SpinSyncModel m(SpinConfig(), lock);
   m.OnAttach(&host, 0);
   lock->TryAcquire(/*vcpu=*/99, 0);  // someone else holds it
 
@@ -90,7 +73,7 @@ TEST(SpinSyncTest, BarrierLastArrivalReleasesSpinners) {
   FakeHost host;
   auto lock = std::make_shared<SpinLock>();
   auto barrier = std::make_shared<SpinBarrier>(2);
-  SpinSyncConfig cfg = Config(/*barrier_every=*/1);
+  SpinSyncConfig cfg = SpinConfig(/*barrier_every=*/1);
   SpinSyncModel a(cfg, lock, barrier);
   SpinSyncModel b(cfg, lock, barrier);
   a.OnAttach(&host, 0);
@@ -129,14 +112,12 @@ TEST(SpinSyncTest, BarrierLastArrivalReleasesSpinners) {
 TEST(SpinSyncTest, PeriodicIoBlockPerturbsSchedule) {
   FakeHost host;
   auto lock = std::make_shared<SpinLock>();
-  SpinSyncConfig cfg = Config();
-  cfg.io_block_every = 2;
-  cfg.io_block_ns = Us(500);
-  SpinSyncModel m(cfg, lock);
+  SpinSyncModel m(SpinConfig(), lock);
   m.OnAttach(&host, 0);
 
+  // Every 50 cycles the thread sleeps 500 us.
   int blocks = 0;
-  for (int guard = 0; guard < 500 && m.cycles() < 6; ++guard) {
+  for (int guard = 0; guard < 1000 && m.cycles() < 100; ++guard) {
     const Step s = m.NextStep(host.now);
     if (s.kind == Step::Kind::kBlock) {
       ++blocks;
@@ -148,17 +129,17 @@ TEST(SpinSyncTest, PeriodicIoBlockPerturbsSchedule) {
     host.now += s.work;
     m.OnStepEnd(host.now, s, s.work, true);
   }
-  EXPECT_EQ(m.cycles(), 6u);
-  // One block every 2 cycles; the one pending after cycle 6 has not been
+  EXPECT_EQ(m.cycles(), 100u);
+  // One block after cycle 50; the one pending after cycle 100 has not been
   // consumed yet when the loop exits.
-  EXPECT_EQ(blocks, 2);
+  EXPECT_EQ(blocks, 1);
   EXPECT_EQ(m.NextStep(host.now).kind, Step::Kind::kBlock);
 }
 
 TEST(SpinSyncTest, CycleTimeMetric) {
   FakeHost host;
   auto lock = std::make_shared<SpinLock>();
-  SpinSyncModel m(Config(), lock);
+  SpinSyncModel m(SpinConfig(), lock);
   m.OnAttach(&host, 0);
   m.ResetMetrics(host.now);
   while (m.cycles() < 4) {

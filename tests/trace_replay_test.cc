@@ -236,16 +236,11 @@ TEST(WorkloadSourceTest, DispatchErrorsAreDescriptive) {
   WorkloadSourceSpec spec;
   std::string error;
 
-  spec.backend = "mystery";
-  EXPECT_EQ(MakeWorkloadSource(spec, &error), nullptr);
-  EXPECT_NE(error.find("unknown workload backend"), std::string::npos) << error;
-
-  spec.backend = "catalog";
   spec.app = "no_such_app";
   EXPECT_EQ(MakeWorkloadSource(spec, &error), nullptr);
   EXPECT_NE(error.find("unknown application"), std::string::npos) << error;
 
-  spec.backend = "trace";
+  // A trace path selects the trace backend.
   spec.trace_path = "nonexistent_trace.jsonl";
   EXPECT_EQ(MakeWorkloadSource(spec, &error), nullptr);
   EXPECT_NE(error.find("nonexistent_trace.jsonl"), std::string::npos) << error;
@@ -253,7 +248,6 @@ TEST(WorkloadSourceTest, DispatchErrorsAreDescriptive) {
 
 TEST(WorkloadSourceTest, CatalogBackendReportsStreamsIoAndModels) {
   WorkloadSourceSpec spec;
-  spec.backend = "catalog";
   spec.app = "pure_io";
   spec.vcpus = 2;
   std::string error;
@@ -265,7 +259,6 @@ TEST(WorkloadSourceTest, CatalogBackendReportsStreamsIoAndModels) {
   EXPECT_EQ(source->MakeModels().size(), 2u);
 
   WorkloadSourceSpec burn;
-  burn.backend = "catalog";
   burn.app = "llco_list";
   std::string burn_error;
   auto burn_source = MakeWorkloadSource(burn, &burn_error);

@@ -1,5 +1,6 @@
-// Tests for the workload models: CPU burn, I/O server, memory streaming,
-// bursty I/O, spin lock/barrier, spin-sync, and the application catalog.
+// Tests for the CPU burner (cache-bound and streaming), the spin lock and
+// barrier, and the application catalog. The I/O server and spin-sync models
+// have their own files around the shared fake host (tests/fake_host.h).
 
 #include <memory>
 #include <vector>
@@ -7,87 +8,19 @@
 #include <gtest/gtest.h>
 
 #include "src/core/calibration.h"
-#include "src/workload/bursty_io.h"
 #include "src/workload/catalog.h"
 #include "src/workload/cpu_burn.h"
-#include "src/workload/io_server.h"
-#include "src/workload/mem_stream.h"
 #include "src/workload/spin_lock.h"
 #include "src/workload/spin_sync.h"
 
 namespace aql {
 namespace {
 
-// Minimal host for models that schedule timers (bursty I/O).
-class FakeHost : public WorkloadHost {
- public:
-  TimeNs Now() const override { return now; }
-  Rng& WorkloadRng(int) override { return rng; }
-  void ScheduleTimer(TimeNs when, int vcpu, int tag) override {
-    timers.push_back({when, vcpu, tag});
-  }
-  void NotifyIoEvent(int vcpu) override { io_events.push_back(vcpu); }
-  void KickVcpu(int) override {}
-  void CountPauseExits(int, uint64_t) override {}
-
-  struct Timer {
-    TimeNs when;
-    int vcpu;
-    int tag;
-  };
-  // Fires the earliest pending timer into `model`.
-  void FireNextTimer(WorkloadModel& model) {
-    ASSERT_FALSE(timers.empty());
-    size_t best = 0;
-    for (size_t i = 1; i < timers.size(); ++i) {
-      if (timers[i].when < timers[best].when) {
-        best = i;
-      }
-    }
-    const Timer t = timers[best];
-    timers.erase(timers.begin() + static_cast<std::ptrdiff_t>(best));
-    now = t.when;
-    model.OnTimer(now, t.tag);
-  }
-
-  TimeNs now = 0;
-  Rng rng{1};
-  std::vector<Timer> timers;
-  std::vector<int> io_events;
-};
-
 TEST(CpuBurnTest, InfiniteWorkloadAlwaysComputes) {
   CpuBurnModel m{CpuBurnConfig{}};
   const Step s = m.NextStep(0);
   EXPECT_EQ(s.kind, Step::Kind::kCompute);
   EXPECT_GT(s.work, 0);
-}
-
-TEST(CpuBurnTest, FiniteWorkloadFinishes) {
-  CpuBurnConfig cfg;
-  cfg.phase = Us(100);
-  cfg.total_work = Us(250);
-  CpuBurnModel m(cfg);
-  TimeNs now = 0;
-  for (int i = 0; i < 3; ++i) {
-    const Step s = m.NextStep(now);
-    ASSERT_EQ(s.kind, Step::Kind::kCompute);
-    m.OnStepEnd(now += s.work, s, s.work, true);
-  }
-  EXPECT_TRUE(m.finished());
-  EXPECT_EQ(m.NextStep(now).kind, Step::Kind::kFinished);
-  EXPECT_EQ(m.work_done_total(), Us(250));
-}
-
-TEST(CpuBurnTest, LastStepClampedToRemaining) {
-  CpuBurnConfig cfg;
-  cfg.phase = Us(100);
-  cfg.total_work = Us(150);
-  CpuBurnModel m(cfg);
-  const Step s1 = m.NextStep(0);
-  m.OnStepEnd(0, s1, s1.work, true);
-  const Step s2 = m.NextStep(0);
-  EXPECT_EQ(s2.work, Us(50));
 }
 
 TEST(CpuBurnTest, SlowdownMetric) {
@@ -98,20 +31,21 @@ TEST(CpuBurnTest, SlowdownMetric) {
   m.OnStepEnd(Ms(4), s, Ms(1), false);
   const PerfReport r = m.Report(Ms(4));
   EXPECT_DOUBLE_EQ(r.primary(), 4.0);
+  // Only streaming kernels report a bandwidth.
+  EXPECT_EQ(r.metrics.count("demand_gb_per_s"), 0u);
 }
 
-MemStreamConfig StreamConfig() {
-  MemStreamConfig c;
+CpuBurnConfig StreamConfig() {
+  CpuBurnConfig c;
   c.name = "stream";
   c.mem.wss_bytes = 64ull * 1024 * 1024;
   c.mem.llc_refs_per_ns = 0.05;
-  c.burst = Us(180);
-  c.gap = Us(20);
+  c.stream = true;
   return c;
 }
 
-TEST(MemStreamTest, AlternatesBurstAndLoopGap) {
-  MemStreamModel m(StreamConfig());
+TEST(CpuBurnTest, StreamAlternatesBurstAndLoopGap) {
+  CpuBurnModel m(StreamConfig());
   const Step burst = m.NextStep(0);
   ASSERT_EQ(burst.kind, Step::Kind::kCompute);
   EXPECT_EQ(burst.work, Us(180));
@@ -127,123 +61,31 @@ TEST(MemStreamTest, AlternatesBurstAndLoopGap) {
   EXPECT_GT(m.NextStep(burst.work + gap.work).mem.wss_bytes, 0u);
 }
 
-TEST(MemStreamTest, TruncatedBurstResumesStreaming) {
-  MemStreamModel m(StreamConfig());
+TEST(CpuBurnTest, StreamTruncatedBurstResumesStreaming) {
+  CpuBurnModel m(StreamConfig());
   const Step burst = m.NextStep(0);
   m.OnStepEnd(Us(50), burst, Us(50), /*completed=*/false);
   // No gap after a preempted burst: streaming continues at next dispatch.
   EXPECT_GT(m.NextStep(Us(50)).mem.wss_bytes, 0u);
 }
 
-TEST(MemStreamTest, FiniteWorkloadFinishes) {
-  MemStreamConfig cfg = StreamConfig();
-  cfg.total_work = Us(300);
-  MemStreamModel m(cfg);
-  TimeNs now = 0;
-  while (!m.finished()) {
-    const Step s = m.NextStep(now);
-    ASSERT_EQ(s.kind, Step::Kind::kCompute);
-    now += s.work;
-    m.OnStepEnd(now, s, s.work, true);
-  }
-  EXPECT_GE(m.work_done_total(), Us(300));
-  EXPECT_EQ(m.NextStep(now).kind, Step::Kind::kFinished);
-}
-
-TEST(MemStreamTest, RemoteFractionReachesTheStepProfile) {
-  MemStreamConfig cfg = StreamConfig();
+TEST(CpuBurnTest, StreamRemoteFractionReachesTheStepProfile) {
+  CpuBurnConfig cfg = StreamConfig();
   cfg.mem.remote_fraction = 0.9;
-  MemStreamModel m(cfg);
+  CpuBurnModel m(cfg);
   EXPECT_DOUBLE_EQ(m.NextStep(0).mem.remote_fraction, 0.9);
 }
 
-TEST(MemStreamTest, SlowdownAndBandwidthMetrics) {
-  MemStreamModel m(StreamConfig());
+TEST(CpuBurnTest, StreamSlowdownAndBandwidthMetrics) {
+  CpuBurnModel m(StreamConfig());
   m.ResetMetrics(0);
   const Step s = m.NextStep(0);
   // 180us of work took 720us of wall time -> slowdown 4.
   m.OnStepEnd(Us(720), s, s.work, true);
   const PerfReport r = m.Report(Us(720));
   EXPECT_DOUBLE_EQ(r.primary(), 4.0);
-  EXPECT_GT(r.metrics.at("demand_gb_per_s"), 0.0);
-}
-
-BurstyIoConfig BurstyConfig() {
-  BurstyIoConfig c;
-  c.name = "bursty";
-  c.on_arrival_rate_hz = 400;
-  c.on_duration = Ms(75);
-  c.off_duration = Ms(75);
-  c.service_work = Us(150);
-  c.phase = Us(100);
-  return c;
-}
-
-TEST(BurstyIoTest, StartsOnWithArrivalAndFlipScheduled) {
-  FakeHost host;
-  BurstyIoModel m(BurstyConfig());
-  m.OnAttach(&host, 0);
-  EXPECT_TRUE(m.in_on_phase());
-  ASSERT_EQ(host.timers.size(), 2u);  // first arrival + phase flip
-}
-
-TEST(BurstyIoTest, OnPhaseArrivalRaisesIoEvent) {
-  FakeHost host;
-  BurstyIoModel m(BurstyConfig());
-  m.OnAttach(&host, 7);
-  // The first arrival (mean 2.5 ms) fires before the 75 ms flip.
-  host.FireNextTimer(m);
-  ASSERT_EQ(host.io_events.size(), 1u);
-  EXPECT_EQ(host.io_events[0], 7);
-  const Step s = m.NextStep(host.now);
-  ASSERT_EQ(s.kind, Step::Kind::kCompute);
-  // Serve the whole request: 150us in 100us phases.
-  TimeNs now = host.now;
-  m.OnStepEnd(now += s.work, s, s.work, true);
-  const Step s2 = m.NextStep(now);
-  m.OnStepEnd(now += s2.work, s2, s2.work, true);
-  EXPECT_EQ(m.completed_requests(), 1u);
-  EXPECT_GT(m.latency_us().mean(), 0.0);
-}
-
-TEST(BurstyIoTest, OffPhaseSilencesArrivalsButKeepsComputing) {
-  FakeHost host;
-  BurstyIoModel m(BurstyConfig());
-  m.OnAttach(&host, 0);
-  // Fast-forward to the phase flip: drop pending arrival timers by firing
-  // everything up to and including the flip at 75 ms.
-  while (m.in_on_phase()) {
-    host.FireNextTimer(m);
-  }
-  EXPECT_EQ(host.now, Ms(75));
-  const size_t events_at_flip = host.io_events.size();
-  // Stale arrivals scheduled in the ON phase are discarded.
-  while (!host.timers.empty() && host.timers.size() > 1) {
-    host.FireNextTimer(m);
-    if (host.now >= Ms(150)) {
-      break;
-    }
-  }
-  EXPECT_EQ(host.io_events.size(), events_at_flip);
-  // The vCPU never blocks: background computation keeps it observable.
-  EXPECT_EQ(m.NextStep(host.now).kind, Step::Kind::kCompute);
-}
-
-TEST(BurstyIoTest, PhaseCycleReturnsToOn) {
-  FakeHost host;
-  BurstyIoModel m(BurstyConfig());
-  m.OnAttach(&host, 0);
-  while (m.in_on_phase()) {
-    host.FireNextTimer(m);  // consume ON arrivals until the 75 ms flip
-  }
-  // Only the next flip timer remains scheduled during OFF (plus stale
-  // arrivals); fire until the phase turns on again.
-  while (!m.in_on_phase()) {
-    host.FireNextTimer(m);
-  }
-  EXPECT_EQ(host.now, Ms(150));
-  // A fresh arrival chain is scheduled for the new ON phase.
-  EXPECT_FALSE(host.timers.empty());
+  // 180/200 of the work streams 0.05 lines/ns of 64 B over 720 us.
+  EXPECT_NEAR(r.metrics.at("demand_gb_per_s"), 180e3 * 0.9 * 0.05 * 64 / 720e3, 1e-12);
 }
 
 TEST(SpinLockTest, UncontendedAcquireRelease) {
