@@ -155,8 +155,8 @@ void Render(SweepContext& ctx) {
               mean_primary("pure_io", 4, Ms(1)) / mean_primary("pure_io", 4, Ms(30)));
   ctx.Summary("kernbench_x4_norm_at_1ms",
               mean_primary("kernbench", 4, Ms(1)) / mean_primary("kernbench", 4, Ms(30)));
-  ctx.Summary("llcf_list_x4_norm_at_90ms",
-              mean_primary("llcf_list", 4, Ms(90)) / mean_primary("llcf_list", 4, Ms(30)));
+  ctx.Summary("llcf_list_x4_norm_at_90ms", mean_primary("llcf_list", 4, Ms(90)) /
+                                               mean_primary("llcf_list", 4, Ms(30)));
 }
 
 SweepSpec Spec() {

@@ -36,7 +36,7 @@ std::vector<SweepCell> Build(const SweepOptions& opts) {
   for (const std::string& app : AppsOfType(VcpuType::kNumaRemote)) {
     add(app, "xen", PolicySpec::Xen());
     PolicySpec no_placement = PolicySpec::Aql();
-    no_placement.aql.numa.enabled = false;
+    no_placement.aql.numa_placement = false;
     add(app, "aql_nopl", no_placement);
     add(app, "aql", PolicySpec::Aql());
   }

@@ -29,7 +29,8 @@ int main() {
   std::printf("Running '%s' under AQL_Sched...\n\n", spec.name.c_str());
   ScenarioResult aql = RunScenario(spec, PolicySpec::Aql());
 
-  TextTable table({"application", "metric", "Xen", "AQL_Sched", "normalized (<1 better)"});
+  TextTable table(
+      {"application", "metric", "Xen", "AQL_Sched", "normalized (<1 better)"});
   for (const GroupPerf& g : xen.groups) {
     const GroupPerf& a = FindGroup(aql.groups, g.name);
     const bool is_latency = g.metrics.count("latency_mean_us") != 0;

@@ -5,16 +5,23 @@
 #include "src/sim/check.h"
 
 namespace aql {
+namespace {
+
+// Dedicated turbo pCPUs, counted from pCPU 0.
+constexpr int kTurboPcpus = 1;
+
+}  // namespace
 
 void VTurboController::OnAttach(Machine& machine) {
   const int total = machine.topology().TotalPcpus();
-  AQL_CHECK(turbo_pcpus_ >= 1 && turbo_pcpus_ < total);
+  static_assert(kTurboPcpus >= 1);
+  AQL_CHECK(kTurboPcpus < total);
 
   PoolPlan plan;
   PoolSpec turbo;
   turbo.label = "turbo";
   turbo.quantum = turbo_quantum_;
-  for (int p = 0; p < turbo_pcpus_; ++p) {
+  for (int p = 0; p < kTurboPcpus; ++p) {
     turbo.pcpus.push_back(p);
   }
   turbo.vcpus = io_vcpus_;
@@ -22,7 +29,7 @@ void VTurboController::OnAttach(Machine& machine) {
   PoolSpec rest;
   rest.label = "regular";
   rest.quantum = machine.scheduler().params().default_quantum;
-  for (int p = turbo_pcpus_; p < total; ++p) {
+  for (int p = kTurboPcpus; p < total; ++p) {
     rest.pcpus.push_back(p);
   }
   for (const Vcpu* v : machine.vcpus()) {

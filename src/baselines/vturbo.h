@@ -15,11 +15,8 @@ namespace aql {
 
 class VTurboController : public SchedController {
  public:
-  VTurboController(std::vector<int> io_vcpus, int turbo_pcpus = 1,
-                   TimeNs turbo_quantum = Ms(1))
-      : io_vcpus_(std::move(io_vcpus)),
-        turbo_pcpus_(turbo_pcpus),
-        turbo_quantum_(turbo_quantum) {}
+  explicit VTurboController(std::vector<int> io_vcpus, TimeNs turbo_quantum = Ms(1))
+      : io_vcpus_(std::move(io_vcpus)), turbo_quantum_(turbo_quantum) {}
 
   std::string Name() const override { return "vTurbo"; }
 
@@ -27,7 +24,6 @@ class VTurboController : public SchedController {
 
  private:
   std::vector<int> io_vcpus_;
-  int turbo_pcpus_;
   TimeNs turbo_quantum_;
 };
 

@@ -5,9 +5,21 @@
 #include "src/sim/check.h"
 
 namespace aql {
+namespace {
 
-AqlController::AqlController(const AqlConfig& config)
-    : config_(config), vtrs_(config.vtrs) {}
+// NUMA page migration (AqlConfig::numa_placement): each decision multiplies
+// a migrating vCPU's remote-access scale by kPageMigrationDecay, down to
+// kPageMigrationResidual (the hot pages the migrator never catches), which
+// ends the migration.
+constexpr double kPageMigrationDecay = 0.5;
+constexpr double kPageMigrationResidual = 0.05;
+// Controller cost of one migration step (page scanning + copies), charged
+// per migrating vCPU per decision as *executed* overhead on pCPU 0.
+constexpr TimeNs kPageMigrationStepCost = 100 * kNsPerUs;
+
+}  // namespace
+
+AqlController::AqlController(const AqlConfig& config) : config_(config) {}
 
 void AqlController::OnAttach(Machine& machine) {
   for (const Vcpu* v : machine.vcpus()) {
@@ -38,7 +50,7 @@ void AqlController::OnMonitorPeriod(Machine& machine, TimeNs now) {
   }
 
   ++periods_;
-  if (periods_ % config_.vtrs.window != 0) {
+  if (periods_ % kVtrsWindow != 0) {
     return;
   }
 
@@ -55,15 +67,15 @@ void AqlController::OnMonitorPeriod(Machine& machine, TimeNs now) {
     classes.push_back(c);
   }
   const std::vector<PlacementHint> hints = NumaResponse(machine, classes);
-  PoolPlan plan = BuildTwoLevelPlan(classes, machine.topology(), config_.calibration,
-                                    hints, machine.hw_params());
+  PoolPlan plan =
+      BuildTwoLevelPlan(classes, machine.topology(), config_.calibration, hints);
 
-  const uint64_t elements = std::max<uint64_t>(machine.vcpus().size(),
-                                               static_cast<uint64_t>(machine.topology().TotalPcpus()));
+  const uint64_t elements = std::max<uint64_t>(
+      machine.vcpus().size(), static_cast<uint64_t>(machine.topology().TotalPcpus()));
   machine.ChargeControllerOverhead(static_cast<TimeNs>(elements) *
                                    config_.per_element_overhead);
 
-  if (config_.skip_unchanged_plans && has_plan_ && PlansEquivalent(plan, current_plan_)) {
+  if (has_plan_ && PlansEquivalent(plan, current_plan_)) {
     return;
   }
   machine.ApplyPoolPlan(plan);
@@ -75,7 +87,7 @@ void AqlController::OnMonitorPeriod(Machine& machine, TimeNs now) {
 std::vector<PlacementHint> AqlController::NumaResponse(
     Machine& machine, const std::vector<VcpuClass>& classes) {
   std::vector<PlacementHint> hints;
-  if (!config_.numa.enabled || machine.topology().sockets <= 1) {
+  if (!config_.numa_placement || machine.topology().sockets <= 1) {
     return hints;
   }
   // `classes` is in vCPU id order, which keeps the hint list (and therefore
@@ -99,13 +111,12 @@ std::vector<PlacementHint> AqlController::NumaResponse(
       ms.socket = v->footprint_socket;
     }
     if (ms.active) {
-      ms.scale = std::max(config_.numa.residual_scale,
-                          ms.scale * config_.numa.decay_per_decision);
+      ms.scale = std::max(kPageMigrationResidual, ms.scale * kPageMigrationDecay);
       machine.SetRemoteAccessScale(c.vcpu, ms.scale);
       // Page scanning/copying is controller work: executed, not just
       // accounted (it occupies pCPU 0 like the bookkeeping charge).
-      machine.ChargeControllerOverhead(config_.numa.migration_step_cost);
-      if (ms.scale <= config_.numa.residual_scale) {
+      machine.ChargeControllerOverhead(kPageMigrationStepCost);
+      if (ms.scale <= kPageMigrationResidual) {
         ms.active = false;  // migration complete; the pin remains
       }
     }

@@ -1,11 +1,12 @@
 // AQL_Sched — the paper's Adaptable Quantum Length scheduler controller.
 //
-// Every monitoring period (30 ms) it reads each vCPU's PMU delta, feeds vTRS
-// and, every n periods (n = 4), classifies all vCPUs and rebuilds the CPU
-// pools with the two-level clustering; each pool gets the calibrated quantum
-// of its vCPU type. Reconfiguration is skipped when the plan is structurally
-// unchanged, and its simulated bookkeeping cost — O(max(#pCPUs, #vCPUs)),
-// cf. §4.3 — is charged as controller overhead.
+// Every monitoring period (kMonitorPeriod, 30 ms) it reads each vCPU's PMU
+// delta, feeds vTRS and, every kVtrsWindow periods (n = 4), classifies all
+// vCPUs and rebuilds the CPU pools with the two-level clustering; each pool
+// gets the calibrated quantum of its vCPU type. Reconfiguration is skipped
+// when the plan is structurally unchanged, and its simulated bookkeeping
+// cost — O(max(#pCPUs, #vCPUs)), cf. §4.3 — is charged as controller
+// overhead.
 
 #ifndef AQLSCHED_SRC_CORE_AQL_CONTROLLER_H_
 #define AQLSCHED_SRC_CORE_AQL_CONTROLLER_H_
@@ -22,32 +23,17 @@
 
 namespace aql {
 
-// NUMA placement response: when vTRS recognizes a vCPU as NumaRemote, the
-// controller migrates the guest's pages toward the vCPU's node — modelled
-// as the vCPU's remote-access scale decaying per decision — and pins the
-// vCPU to that node through the placement layer's stickiness pass
-// (src/hv/placement.h) so the migrated pages stay local.
-struct NumaPlacementConfig {
-  bool enabled = true;
-  // Remote-access scale multiplier applied each decision while migrating.
-  double decay_per_decision = 0.5;
-  // Residual scale once migration completes (hot pages the migrator never
-  // catches). Reaching it ends the migration.
-  double residual_scale = 0.05;
-  // Controller cost of one migration step (page scanning + copies), charged
-  // per migrating vCPU per decision as *executed* overhead on pCPU 0.
-  TimeNs migration_step_cost = 100 * kNsPerUs;
-};
-
 struct AqlConfig {
-  VtrsConfig vtrs;
   CalibrationTable calibration = PaperCalibration();
   // Simulated bookkeeping cost per element of the recognition + clustering
   // pass (charged as max(#pCPUs, #vCPUs) * this).
   TimeNs per_element_overhead = 50;
-  // If false, the plan is re-applied every decision even when unchanged.
-  bool skip_unchanged_plans = true;
-  NumaPlacementConfig numa;
+  // NUMA placement response: when vTRS recognizes a vCPU as NumaRemote, the
+  // controller migrates the guest's pages toward the vCPU's node — modelled
+  // as the vCPU's remote-access scale decaying per decision — and pins the
+  // vCPU to that node through the placement layer's stickiness pass
+  // (src/hv/placement.h) so the migrated pages stay local.
+  bool numa_placement = true;
 };
 
 class AqlController : public SchedController {

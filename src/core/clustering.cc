@@ -222,7 +222,8 @@ std::vector<PoolSpec> SecondLevelClustering(const std::vector<VcpuClass>& socket
   int idx = 1;
   for (PoolBuild& pb : built) {
     PoolSpec spec;
-    spec.label = label_prefix + "C" + std::to_string(idx++) + "^" + QuantumLabel(pb.quantum);
+    spec.label =
+        label_prefix + "C" + std::to_string(idx++) + "^" + QuantumLabel(pb.quantum);
     spec.quantum = pb.quantum;
     spec.pcpus = std::move(pb.pcpus);
     spec.vcpus = std::move(pb.vcpus);
@@ -232,19 +233,14 @@ std::vector<PoolSpec> SecondLevelClustering(const std::vector<VcpuClass>& socket
 }
 
 PoolPlan BuildTwoLevelPlan(const std::vector<VcpuClass>& vcpus, const Topology& topology,
-                           const CalibrationTable& calibration) {
-  return BuildTwoLevelPlan(vcpus, topology, calibration, {}, HwParams{});
-}
-
-PoolPlan BuildTwoLevelPlan(const std::vector<VcpuClass>& vcpus, const Topology& topology,
                            const CalibrationTable& calibration,
-                           const std::vector<PlacementHint>& hints, const HwParams& hw) {
+                           const std::vector<PlacementHint>& hints) {
   std::unordered_map<int, VcpuClass> by_id;
   for (const VcpuClass& v : vcpus) {
     by_id[v.vcpu] = v;
   }
   SocketAssignment assignment = FirstLevelClustering(vcpus, topology.sockets);
-  ApplyNumaStickiness(assignment.per_socket, hints, topology, hw);
+  ApplyNumaStickiness(assignment.per_socket, hints, topology);
 
   PoolPlan plan;
   for (int s = 0; s < topology.sockets; ++s) {

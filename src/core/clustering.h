@@ -51,18 +51,14 @@ std::vector<PoolSpec> SecondLevelClustering(const std::vector<VcpuClass>& socket
                                             const CalibrationTable& calibration,
                                             const std::string& label_prefix);
 
-// Full pipeline: Algorithm 1 then Algorithm 2 per socket.
-PoolPlan BuildTwoLevelPlan(const std::vector<VcpuClass>& vcpus, const Topology& topology,
-                           const CalibrationTable& calibration);
-
-// Placement-aware pipeline: Algorithm 1, then the placement layer's NUMA
-// stickiness pass (vCPUs with migrated pages stay on their memory node,
-// swapping with the cheapest partner — src/hv/placement.h), then
-// Algorithm 2 per socket. With no pinned hints (all single-socket plans
-// trivially) the result is identical to the plain pipeline.
+// Full pipeline: Algorithm 1, then the placement layer's NUMA stickiness
+// pass (vCPUs with migrated pages stay on their memory node, swapping with
+// the cheapest partner — src/hv/placement.h), then Algorithm 2 per socket.
+// Without pinned hints (all single-socket plans trivially) the stickiness
+// pass changes nothing.
 PoolPlan BuildTwoLevelPlan(const std::vector<VcpuClass>& vcpus, const Topology& topology,
                            const CalibrationTable& calibration,
-                           const std::vector<PlacementHint>& hints, const HwParams& hw);
+                           const std::vector<PlacementHint>& hints = {});
 
 }  // namespace aql
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/sim/check.h"
-
 namespace aql {
 
 double CursorSet::Of(VcpuType t) const {
@@ -51,32 +49,26 @@ Levels LevelsFromPmuDelta(const PmuCounters& delta) {
   return l;
 }
 
-CursorSet ComputeCursors(const Levels& levels, const VtrsConfig& config) {
-  AQL_CHECK(config.io_limit > 0);
-  AQL_CHECK(config.conspin_limit > 0);
-  AQL_CHECK(config.llc_rr_limit > 0);
-  AQL_CHECK(config.llc_mr_limit > 0);
-  AQL_CHECK(config.membw_mpki_limit > 0);
-  AQL_CHECK(config.remote_ratio_limit > 0);
+CursorSet ComputeCursors(const Levels& levels) {
+  static_assert(kIoLimit > 0 && kConSpinLimit > 0 && kLlcRrLimit > 0 && kLlcMrLimit > 0 &&
+                kMemBwMpkiLimit > 0 && kRemoteRatioLimit > 0);
   CursorSet c;
 
   // Equation (1) for IOInt and ConSpin.
-  c.io = levels.io_events < config.io_limit
-             ? levels.io_events * 100.0 / config.io_limit
-             : 100.0;
-  c.conspin = levels.pause_exits < config.conspin_limit
-                  ? levels.pause_exits * 100.0 / config.conspin_limit
+  c.io = levels.io_events < kIoLimit ? levels.io_events * 100.0 / kIoLimit : 100.0;
+  c.conspin = levels.pause_exits < kConSpinLimit
+                  ? levels.pause_exits * 100.0 / kConSpinLimit
                   : 100.0;
 
   // Equation (3): LoLCF — few-to-no LLC references.
-  c.lolcf = levels.llc_rr < config.llc_rr_limit
-                ? (config.llc_rr_limit - levels.llc_rr) * 100.0 / config.llc_rr_limit
+  c.lolcf = levels.llc_rr < kLlcRrLimit
+                ? (kLlcRrLimit - levels.llc_rr) * 100.0 / kLlcRrLimit
                 : 0.0;
 
   // Equation (4): LLCF — references but few misses.
-  c.llcf = levels.llc_mr_pct < config.llc_mr_limit
-               ? std::min(100.0 - c.lolcf, (config.llc_mr_limit - levels.llc_mr_pct) *
-                                               100.0 / config.llc_mr_limit)
+  c.llcf = levels.llc_mr_pct < kLlcMrLimit
+               ? std::min(100.0 - c.lolcf,
+                          (kLlcMrLimit - levels.llc_mr_pct) * 100.0 / kLlcMrLimit)
                : 0.0;
 
   // Equation (5): the CPU-burn cursors sum to 100 (equation 2). The extended
@@ -85,16 +77,14 @@ CursorSet ComputeCursors(const Levels& levels, const VtrsConfig& config) {
   // so the burn family {lolcf, llcf, llco, membw, remote} still sums to 100.
   // Below its limit a carve scale stays under 50, so a pure trasher
   // (overflow 100) flips from LLCO to the carved type exactly when the
-  // driving level crosses the configured limit — "above the limit" is the
+  // driving level crosses its limit — "above the limit" is the
   // classification semantics, not just the saturation point.
   auto carve_scale = [](double level, double limit) {
     return level < limit ? level / limit * 50.0 : 100.0;
   };
   const double overflow = 100.0 - c.lolcf - c.llcf;
-  c.remote = std::min(overflow,
-                      carve_scale(levels.remote_ratio, config.remote_ratio_limit));
-  c.membw = std::min(overflow - c.remote,
-                     carve_scale(levels.mpki, config.membw_mpki_limit));
+  c.remote = std::min(overflow, carve_scale(levels.remote_ratio, kRemoteRatioLimit));
+  c.membw = std::min(overflow - c.remote, carve_scale(levels.mpki, kMemBwMpkiLimit));
   c.llco = overflow - c.remote - c.membw;
 
   // The bursty-I/O cursor is a window-level dispersion measure; a single

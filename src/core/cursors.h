@@ -27,37 +27,36 @@
 
 namespace aql {
 
-// Normalization thresholds (the *_LIMIT constants of §3.3.1). Values are
-// platform-dependent; defaults are calibrated for this simulator's hardware
-// model.
-struct VtrsConfig {
-  // I/O events per monitoring period above which a vCPU is 100% IOInt.
-  double io_limit = 2.0;
-  // PLE traps per monitoring period above which a vCPU is 100% ConSpin.
-  double conspin_limit = 5.0;
-  // LLC reference ratio limit, in references per kilo-instruction (RPKI):
-  // below it the vCPU leans LoLCF.
-  double llc_rr_limit = 1.0;
-  // LLC miss ratio limit in percent: above it the vCPU is trashing (LLCO).
-  // Calibrated so that a refill-bound miss ratio (an LLCF working set
-  // re-fetched after descheduling, ~30-40%) still reads LLCF while a
-  // capacity-bound one (WSS > LLC, ~70%+) reads LLCO.
-  double llc_mr_limit = 80.0;
-  // LLC misses per kilo-instruction (MPKI) above which a memory-bound vCPU
-  // is bandwidth-saturating (MemBw) rather than merely trashing (LLCO).
-  // Calibrated so the catalog's LLCO applications (MPKI ~2-5) stay LLCO
-  // while streaming kernels (MPKI ~15-30) read MemBw.
-  double membw_mpki_limit = 12.0;
-  // Remote-DRAM access ratio (remote_accesses / llc_misses) above which a
-  // memory-bound vCPU reads NumaRemote.
-  double remote_ratio_limit = 0.5;
-  // Minimum max-minus-min dispersion of the per-period I/O cursor across the
-  // sliding window before a vCPU reads BurstyIo (suppresses ramp-up noise of
-  // steady I/O servers).
-  double bursty_spread_limit = 60.0;
-  // Sliding-window length n (monitoring periods) before deciding a type.
-  int window = 4;
-};
+// Normalization thresholds (the *_LIMIT constants of §3.3.1). The paper
+// sets them once per platform; these are calibrated for this simulator's
+// hardware model.
+//
+// I/O events per monitoring period above which a vCPU is 100% IOInt.
+inline constexpr double kIoLimit = 2.0;
+// PLE traps per monitoring period above which a vCPU is 100% ConSpin.
+inline constexpr double kConSpinLimit = 5.0;
+// LLC reference ratio limit, in references per kilo-instruction (RPKI):
+// below it the vCPU leans LoLCF.
+inline constexpr double kLlcRrLimit = 1.0;
+// LLC miss ratio limit in percent: above it the vCPU is trashing (LLCO).
+// Calibrated so that a refill-bound miss ratio (an LLCF working set
+// re-fetched after descheduling, ~30-40%) still reads LLCF while a
+// capacity-bound one (WSS > LLC, ~70%+) reads LLCO.
+inline constexpr double kLlcMrLimit = 80.0;
+// LLC misses per kilo-instruction (MPKI) above which a memory-bound vCPU
+// is bandwidth-saturating (MemBw) rather than merely trashing (LLCO).
+// Calibrated so the catalog's LLCO applications (MPKI ~2-5) stay LLCO
+// while streaming kernels (MPKI ~15-30) read MemBw.
+inline constexpr double kMemBwMpkiLimit = 12.0;
+// Remote-DRAM access ratio (remote_accesses / llc_misses) above which a
+// memory-bound vCPU reads NumaRemote.
+inline constexpr double kRemoteRatioLimit = 0.5;
+// Minimum max-minus-min dispersion of the per-period I/O cursor across the
+// sliding window before a vCPU reads BurstyIo (suppresses ramp-up noise of
+// steady I/O servers).
+inline constexpr double kBurstySpreadLimit = 60.0;
+// Sliding-window length n (monitoring periods) before deciding a type.
+inline constexpr int kVtrsWindow = 4;
 
 // Raw per-period measurements derived from PMU deltas.
 struct Levels {
@@ -88,7 +87,7 @@ struct CursorSet {
 Levels LevelsFromPmuDelta(const PmuCounters& delta);
 
 // Equations (1)–(5) plus the MemBw/NumaRemote carve-out.
-CursorSet ComputeCursors(const Levels& levels, const VtrsConfig& config);
+CursorSet ComputeCursors(const Levels& levels);
 
 // argmax over cursors, with ties resolved in declaration order
 // (IOInt > ConSpin > LoLCF > LLCF > LLCO > MemBw > NumaRemote > BurstyIo)

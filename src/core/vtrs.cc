@@ -1,18 +1,13 @@
 #include "src/core/vtrs.h"
 
-#include "src/sim/check.h"
-
 namespace aql {
 
-Vtrs::Vtrs(const VtrsConfig& config) : config_(config) {
-  AQL_CHECK(config_.window >= 1);
-}
-
 void Vtrs::Observe(int vcpu, const Levels& levels) {
+  static_assert(kVtrsWindow >= 1);
   WindowState& ws = state_[vcpu];
-  ws.latest = ComputeCursors(levels, config_);
+  ws.latest = ComputeCursors(levels);
   ws.window.push_back(ws.latest);
-  while (static_cast<int>(ws.window.size()) > config_.window) {
+  while (static_cast<int>(ws.window.size()) > kVtrsWindow) {
     ws.window.pop_front();
   }
 }
@@ -55,7 +50,7 @@ CursorSet Vtrs::Average(int vcpu) const {
   // slow period) the cursor stays 0.
   if (ws->window.size() >= 2) {
     const double spread = io_max - io_min;
-    avg.bursty = spread >= config_.bursty_spread_limit ? spread : 0.0;
+    avg.bursty = spread >= kBurstySpreadLimit ? spread : 0.0;
   }
   return avg;
 }

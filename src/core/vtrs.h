@@ -1,10 +1,10 @@
 // vTRS — the online vCPU Type Recognition System (§3.3).
 //
 // One Levels sample per monitoring period is pushed per vCPU; cursors are
-// kept in a sliding window of n periods (paper: n = 4) and the vCPU's type
-// is the cursor with the highest window average. The class is independent of
-// the Machine so it can be unit-tested against synthetic counter streams;
-// AqlController feeds it PMU deltas.
+// kept in a sliding window of kVtrsWindow periods (paper: n = 4) and the
+// vCPU's type is the cursor with the highest window average. The class is
+// independent of the Machine so it can be unit-tested against synthetic
+// counter streams; AqlController feeds it PMU deltas.
 
 #ifndef AQLSCHED_SRC_CORE_VTRS_H_
 #define AQLSCHED_SRC_CORE_VTRS_H_
@@ -19,8 +19,6 @@ namespace aql {
 
 class Vtrs {
  public:
-  explicit Vtrs(const VtrsConfig& config);
-
   // Records one monitoring-period sample for `vcpu`.
   void Observe(int vcpu, const Levels& levels);
 
@@ -44,7 +42,6 @@ class Vtrs {
 
   const WindowState* Find(int vcpu) const;
 
-  VtrsConfig config_;
   std::unordered_map<int, WindowState> state_;
 };
 

@@ -365,10 +365,10 @@ class JsonParser {
 
   bool ParseNumber(JsonValue* out) {
     const size_t start = pos_;
-    while (pos_ < text_.size() && (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                                   text_[pos_] == '-' || text_[pos_] == '+' ||
-                                   text_[pos_] == '.' || text_[pos_] == 'e' ||
-                                   text_[pos_] == 'E')) {
+    while (pos_ < text_.size() &&
+           (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '-' ||
+            text_[pos_] == '+' || text_[pos_] == '.' || text_[pos_] == 'e' ||
+            text_[pos_] == 'E')) {
       ++pos_;
     }
     if (pos_ == start) {

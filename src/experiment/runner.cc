@@ -53,8 +53,7 @@ std::unique_ptr<SchedController> MakeController(const PolicySpec& policy,
     case PolicySpec::Kind::kVSlicer:
       return std::make_unique<VSlicerController>(io_vcpus, policy.small_quantum);
     case PolicySpec::Kind::kVTurbo:
-      return std::make_unique<VTurboController>(io_vcpus, policy.turbo_pcpus,
-                                                policy.small_quantum);
+      return std::make_unique<VTurboController>(io_vcpus, policy.small_quantum);
   }
   return nullptr;
 }

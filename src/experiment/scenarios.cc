@@ -50,10 +50,9 @@ PolicySpec PolicySpec::VSlicer(TimeNs quantum) {
   return p;
 }
 
-PolicySpec PolicySpec::VTurbo(int turbo_pcpus, TimeNs quantum) {
+PolicySpec PolicySpec::VTurbo(TimeNs quantum) {
   PolicySpec p;
   p.kind = Kind::kVTurbo;
-  p.turbo_pcpus = turbo_pcpus;
   p.small_quantum = quantum;
   return p;
 }

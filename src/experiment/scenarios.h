@@ -45,8 +45,6 @@ struct PolicySpec {
   TimeNs xen_quantum = Ms(30);
   // kMicrosliced / kVSlicer / kVTurbo: the short quantum.
   TimeNs small_quantum = Ms(1);
-  // kVTurbo: number of dedicated turbo pCPUs.
-  int turbo_pcpus = 1;
   // kAql configuration.
   AqlConfig aql;
 
@@ -56,7 +54,7 @@ struct PolicySpec {
   static PolicySpec Aql();
   static PolicySpec Microsliced(TimeNs quantum = Ms(1));
   static PolicySpec VSlicer(TimeNs quantum = Ms(1));
-  static PolicySpec VTurbo(int turbo_pcpus = 1, TimeNs quantum = Ms(1));
+  static PolicySpec VTurbo(TimeNs quantum = Ms(1));
 };
 
 // Default single-socket experimental machine (Table 2, 4 of the i7-3770's
@@ -80,7 +78,8 @@ const char* DisturberApp(int i);
 // §3.4.1 calibration rig: a baseline VM running `app` colocated with
 // disturber VMs so that every pCPU runs `vcpus_per_pcpu` vCPUs. ConSpin
 // applications get 4 baseline vCPUs (kernbench -j4), others one.
-ScenarioSpec CalibrationRig(const std::string& app, int vcpus_per_pcpu, uint64_t seed = 42);
+ScenarioSpec CalibrationRig(const std::string& app, int vcpus_per_pcpu,
+                            uint64_t seed = 42);
 
 // Fig. 5 / Table 3 validation rig: `app` colocated at 4 vCPUs per pCPU.
 ScenarioSpec ValidationRig(const std::string& app, uint64_t seed = 42);

@@ -13,8 +13,8 @@ namespace aql {
 uint64_t FleetHostSeed(uint64_t base_seed, int host, uint64_t rebuild) {
   // Two derivation stages: host index first, then the rebuild generation, so
   // a rebuilt machine never replays the stream its predecessor consumed.
-  return Rng::DeriveSeed(Rng::DeriveSeed(base_seed, 0xf1ee70000ULL + static_cast<uint64_t>(host)),
-                         rebuild);
+  return Rng::DeriveSeed(
+      Rng::DeriveSeed(base_seed, 0xf1ee70000ULL + static_cast<uint64_t>(host)), rebuild);
 }
 
 namespace {

@@ -13,7 +13,7 @@ CreditScheduler::CreditScheduler(int num_pcpus, const CreditParams& params)
       queues_(static_cast<size_t>(num_pcpus)),
       pcpu_pool_(static_cast<size_t>(num_pcpus), 0) {
   AQL_CHECK(num_pcpus >= 1);
-  AQL_CHECK(params_.accounting_period > 0);
+  static_assert(kAccountingPeriod > 0);
   AQL_CHECK(params_.default_quantum > 0);
   PoolState all;
   all.quantum = params_.default_quantum;
@@ -203,7 +203,7 @@ void CreditScheduler::AccountPeriod(const std::vector<Vcpu*>& vcpus) {
       continue;
     }
     const double capacity =
-        static_cast<double>(params_.accounting_period) *
+        static_cast<double>(kAccountingPeriod) *
         static_cast<double>(pools_[static_cast<size_t>(pool)].pcpus.size());
 
     // Per-VM cap: pre-compute each VM's maximum entitlement this period.
@@ -212,7 +212,7 @@ void CreditScheduler::AccountPeriod(const std::vector<Vcpu*>& vcpus) {
       const Vm* vm = v->vm();
       if (vm->cap_percent() > 0 && vm_budget.count(vm) == 0) {
         vm_budget[vm] = static_cast<double>(vm->cap_percent()) / 100.0 *
-                        static_cast<double>(params_.accounting_period);
+                        static_cast<double>(kAccountingPeriod);
       }
     }
 
@@ -229,8 +229,7 @@ void CreditScheduler::AccountPeriod(const std::vector<Vcpu*>& vcpus) {
         share = std::min(share, it->second / static_cast<double>(n));
       }
       v->credits += share - static_cast<double>(v->period_runtime);
-      const double upper = params_.credit_cap_factor * share;
-      v->credits = std::clamp(v->credits, -capacity, upper);
+      v->credits = std::clamp(v->credits, -capacity, share);
       v->period_runtime = 0;
     }
   }

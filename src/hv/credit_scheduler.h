@@ -26,16 +26,14 @@
 
 namespace aql {
 
+// Credit accounting period (Xen: 30 ms).
+inline constexpr TimeNs kAccountingPeriod = Ms(30);
+
 struct CreditParams {
-  // Credit accounting period (Xen: 30 ms).
-  TimeNs accounting_period = Ms(30);
   // Quantum used by pools that do not override it (Xen: 30 ms).
   TimeNs default_quantum = Ms(30);
   // Enables the BOOST wake-up priority.
   bool boost_enabled = true;
-  // Upper clamp on accumulated credits, in multiples of one period's fair
-  // share (prevents long-blocked vCPUs from hoarding entitlement).
-  double credit_cap_factor = 1.0;
 };
 
 class CreditScheduler {
@@ -92,9 +90,10 @@ class CreditScheduler {
   // --- credit accounting ---
 
   // Runs one accounting period over all vCPUs: distributes credits per VM
-  // weight (and cap) within each pool, charges consumed runtime, clamps,
-  // resets period runtimes and re-buckets the queues. `pool_of_vcpu` is
-  // taken from Vcpu::pool.
+  // weight (and cap) within each pool (Vcpu::pool), charges consumed
+  // runtime, clamps credits to at most one period's fair share (so
+  // long-blocked vCPUs cannot hoard entitlement), resets period runtimes and
+  // re-buckets the queues.
   void AccountPeriod(const std::vector<Vcpu*>& vcpus);
 
  private:

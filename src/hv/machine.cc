@@ -8,15 +8,20 @@
 #include "src/sim/check.h"
 
 namespace aql {
+namespace {
+
+// Direct cost of a context switch (register state, L1/TLB disturbance).
+constexpr TimeNs kContextSwitchCost = 3 * kNsPerUs;
+// One Pause-Loop-Exiting trap is recorded per this much busy-spin time.
+constexpr TimeNs kPauseExitInterval = 10 * kNsPerUs;
+
+}  // namespace
 
 Machine::Machine(Simulation& sim, const MachineConfig& config)
     : sim_(sim),
       config_(config),
       llc_(config.topology.sockets, config.topology.llc_bytes, config.hw),
       mem_bus_(config.topology.sockets, config.topology.mem_bw_bytes_per_ns),
-      remote_miss_extra_(config.topology.sockets > 1
-                             ? config.topology.RemoteMissExtra(config.hw.llc_miss_penalty)
-                             : 0),
       sched_(config.topology.TotalPcpus(), config.credit),
       workload_rng_(config.seed ^ 0x5bd1e995u),
       pcpus_(static_cast<size_t>(config.topology.TotalPcpus())),
@@ -56,7 +61,8 @@ Machine::~Machine() = default;
 
 Vm* Machine::AddVm(const std::string& name, int weight, int cap_percent) {
   AQL_CHECK(!started_);
-  vms_.push_back(std::make_unique<Vm>(static_cast<int>(vms_.size()), name, weight, cap_percent));
+  vms_.push_back(
+      std::make_unique<Vm>(static_cast<int>(vms_.size()), name, weight, cap_percent));
   return vms_.back().get();
 }
 
@@ -144,7 +150,8 @@ void Machine::Start() {
   Rng placement_rng(config_.seed ^ 0x9d2c5680u);
   for (auto& queue_vcpus : per_pcpu) {
     for (size_t i = queue_vcpus.size(); i > 1; --i) {
-      const size_t j = static_cast<size_t>(placement_rng.UniformInt(0, static_cast<int64_t>(i) - 1));
+      const size_t j =
+          static_cast<size_t>(placement_rng.UniformInt(0, static_cast<int64_t>(i) - 1));
       std::swap(queue_vcpus[i - 1], queue_vcpus[j]);
     }
     for (Vcpu* v : queue_vcpus) {
@@ -159,10 +166,10 @@ void Machine::Start() {
   // fire at the same timestamp the credit state the controller sees is
   // already up to date (the event queue is FIFO within a lane). Both run in
   // the machine lane, after every socket's events at the same timestamp.
-  const TimeNs period = config_.credit.accounting_period;
-  sim_.After(period, [this](TimeNs now) { OnAccounting(now); }, machine_lane_);
-  sim_.After(config_.monitor_period, [this](TimeNs now) { OnMonitor(now); },
-             machine_lane_);
+  sim_.After(
+      kAccountingPeriod, [this](TimeNs now) { OnAccounting(now); }, machine_lane_);
+  sim_.After(
+      kMonitorPeriod, [this](TimeNs now) { OnMonitor(now); }, machine_lane_);
 
   processing_ = false;
   Drain();
@@ -250,7 +257,7 @@ void Machine::Dispatch(int pcpu, Vcpu* v, bool switched) {
   s.current = v;
   ++counters_.dispatches;
   s.quantum_end = now + sched_.QuantumFor(pcpu, *v);
-  s.pending_overhead = switched ? config_.hw.context_switch_cost : 0;
+  s.pending_overhead = switched ? kContextSwitchCost : 0;
 
   // Dispatch stays on the home socket (wakes and steals are socket-
   // filtered) and ApplyPoolPlan flushes the footprint of a vCPU re-homed
@@ -309,16 +316,15 @@ void Machine::BeginStep(int pcpu) {
                                       std::clamp(mem.remote_fraction, 0.0, 1.0) *
                                       v->remote_access_scale)
               : 0;
-      TimeNs stall = static_cast<TimeNs>(misses) * config_.hw.llc_miss_penalty +
-                     static_cast<TimeNs>(remote) * remote_miss_extra_;
+      TimeNs stall = static_cast<TimeNs>(misses) * kLlcMissPenalty +
+                     static_cast<TimeNs>(remote) * kRemoteMissExtra;
       // Memory-bus contention: when the socket's co-running fetch demand
       // exceeds the controller bandwidth, memory stalls stretch. The factor
       // is sampled once at step start (steps are at most one quantum long).
-      const double demand =
-          stall > 0 ? static_cast<double>(misses) *
-                          static_cast<double>(config_.hw.cache_line_bytes) /
-                          static_cast<double>(work + stall)
-                    : 0.0;
+      const double demand = stall > 0 ? static_cast<double>(misses) *
+                                            static_cast<double>(kCacheLineBytes) /
+                                            static_cast<double>(work + stall)
+                                      : 0.0;
       const double factor = mem_bus_.StallFactor(socket, demand);
       stall = static_cast<TimeNs>(static_cast<double>(stall) * factor);
       mem_bus_.SetDemand(socket, pcpu, demand);
@@ -429,8 +435,8 @@ void Machine::EndStep(int pcpu, bool completed) {
     case Step::Kind::kSpin: {
       const TimeNs spin_time = elapsed;
       if (spin_time > 0) {
-        const uint64_t exits = std::max<uint64_t>(
-            1, static_cast<uint64_t>(spin_time / config_.hw.pause_exit_interval));
+        const uint64_t exits =
+            std::max<uint64_t>(1, static_cast<uint64_t>(spin_time / kPauseExitInterval));
         v->pmu.pause_exits += exits;
       }
       v->workload()->OnStepEnd(now, s.step, spin_time, /*completed=*/false);
@@ -544,7 +550,8 @@ void Machine::WakeImpl(Vcpu* v) {
   }
   // BOOST: only wake-ups of vCPUs that did not consume their whole previous
   // quantum and are in UNDER are boosted (paper §3.4 / Xen semantics).
-  v->boosted = config_.credit.boost_enabled && !v->consumed_full_quantum && v->credits >= 0;
+  v->boosted =
+      config_.credit.boost_enabled && !v->consumed_full_quantum && v->credits >= 0;
   v->state = RunState::kRunnable;
   const int target = sched_.ChooseWakePcpu(*v, IdleFlags());
   sched_.Enqueue(v, target);
@@ -600,8 +607,8 @@ void Machine::OnAccounting(TimeNs now) {
   // authoritative (otherwise every accounting period would act as a hidden
   // 30 ms slice). Priority takes effect at the next dispatch decision;
   // BOOST wake-ups still preempt immediately.
-  sim_.After(config_.credit.accounting_period, [this](TimeNs t) { OnAccounting(t); },
-             machine_lane_);
+  sim_.After(
+      kAccountingPeriod, [this](TimeNs t) { OnAccounting(t); }, machine_lane_);
   processing_ = false;
   Drain();
 }
@@ -611,7 +618,8 @@ void Machine::OnMonitor(TimeNs now) {
   if (controller_ != nullptr) {
     controller_->OnMonitorPeriod(*this, now);
   }
-  sim_.After(config_.monitor_period, [this](TimeNs t) { OnMonitor(t); }, machine_lane_);
+  sim_.After(
+      kMonitorPeriod, [this](TimeNs t) { OnMonitor(t); }, machine_lane_);
 }
 
 // ---------------------------------------------------------------------------

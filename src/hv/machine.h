@@ -45,6 +45,9 @@ namespace aql {
 
 class Machine;
 
+// vTRS monitoring period (paper: 30 ms): the controller's callback cadence.
+inline constexpr TimeNs kMonitorPeriod = Ms(30);
+
 // Scheduling policy hook. Implementations: core::AqlController and the
 // baselines (vTurbo, vSlicer, Microsliced); the native Xen configuration is
 // simply "no controller".
@@ -54,7 +57,7 @@ class SchedController {
   virtual std::string Name() const = 0;
   // Called once after Machine::Start().
   virtual void OnAttach(Machine& machine) { (void)machine; }
-  // Called every monitoring period (paper: 30 ms).
+  // Called every monitoring period (kMonitorPeriod).
   virtual void OnMonitorPeriod(Machine& machine, TimeNs now) {
     (void)machine;
     (void)now;
@@ -65,8 +68,6 @@ struct MachineConfig {
   Topology topology;
   HwParams hw;
   CreditParams credit;
-  // vTRS monitoring period (paper: 30 ms).
-  TimeNs monitor_period = Ms(30);
   uint64_t seed = 42;
 };
 
@@ -138,7 +139,6 @@ class Machine : public WorkloadHost {
 
   // --- observability ---
   const Topology& topology() const { return config_.topology; }
-  const HwParams& hw_params() const { return config_.hw; }
   CreditScheduler& scheduler() { return sched_; }
   const CreditScheduler& scheduler() const { return sched_; }
   LlcModel& llc() { return llc_; }
@@ -230,7 +230,6 @@ class Machine : public WorkloadHost {
   MachineConfig config_;
   LlcModel llc_;
   MemBus mem_bus_;
-  TimeNs remote_miss_extra_;  // per-remote-access stall from the NUMA model
   CreditScheduler sched_;
   Rng workload_rng_;
 

@@ -25,21 +25,18 @@ std::vector<HomeAssignment> AssignHomes(const PoolPlan& plan) {
   return out;
 }
 
-TimeNs CrossSocketMigrationCost(const Topology& topology, const HwParams& hw,
-                                uint64_t footprint_bytes) {
+TimeNs CrossSocketMigrationCost(const Topology& topology, uint64_t footprint_bytes) {
   if (topology.sockets <= 1 || footprint_bytes == 0) {
     return 0;
   }
-  AQL_CHECK(hw.cache_line_bytes > 0);
-  const uint64_t lines =
-      (footprint_bytes + hw.cache_line_bytes - 1) / hw.cache_line_bytes;
-  return static_cast<TimeNs>(lines) *
-         (hw.llc_miss_penalty + topology.RemoteMissExtra(hw.llc_miss_penalty));
+  static_assert(kCacheLineBytes > 0);
+  const uint64_t lines = (footprint_bytes + kCacheLineBytes - 1) / kCacheLineBytes;
+  return static_cast<TimeNs>(lines) * (kLlcMissPenalty + kRemoteMissExtra);
 }
 
 void ApplyNumaStickiness(std::vector<std::vector<int>>& per_socket,
                          const std::vector<PlacementHint>& hints,
-                         const Topology& topology, const HwParams& hw) {
+                         const Topology& topology) {
   const int sockets = static_cast<int>(per_socket.size());
   if (sockets <= 1 || hints.empty()) {
     return;
@@ -84,7 +81,7 @@ void ApplyNumaStickiness(std::vector<std::vector<int>>& per_socket,
         continue;
       }
       const TimeNs cost =
-          CrossSocketMigrationCost(topology, hw, wh == nullptr ? 0 : wh->footprint_bytes);
+          CrossSocketMigrationCost(topology, wh == nullptr ? 0 : wh->footprint_bytes);
       if (best < 0 || cost < best_cost) {
         best = static_cast<int>(i);
         best_cost = cost;

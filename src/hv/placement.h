@@ -57,8 +57,7 @@ std::vector<HomeAssignment> AssignHomes(const PoolPlan& plan);
 // re-fetched on the destination socket, paying the DRAM penalty plus the
 // SLIT surcharge while the line still lives on the old node. Zero on
 // single-socket topologies or for empty footprints.
-TimeNs CrossSocketMigrationCost(const Topology& topology, const HwParams& hw,
-                                uint64_t footprint_bytes);
+TimeNs CrossSocketMigrationCost(const Topology& topology, uint64_t footprint_bytes);
 
 // (2) Socket-stickiness pass over a first-level assignment (vCPU ids per
 // socket). For every pinned hint dealt to a socket other than its memory
@@ -67,7 +66,7 @@ TimeNs CrossSocketMigrationCost(const Topology& topology, const HwParams& hw,
 // never initiate moves and are treated as free (zero-footprint) partners.
 void ApplyNumaStickiness(std::vector<std::vector<int>>& per_socket,
                          const std::vector<PlacementHint>& hints,
-                         const Topology& topology, const HwParams& hw);
+                         const Topology& topology);
 
 }  // namespace aql
 

@@ -31,27 +31,16 @@ LlcModel::LlcModel(int sockets, uint64_t capacity_bytes, const HwParams& params)
 double LlcModel::MissRatio(int socket, int vcpu, uint64_t wss_bytes) const {
   AQL_CHECK(socket >= 0 && socket < static_cast<int>(sockets_.size()));
   if (wss_bytes == 0) {
-    return params_.min_miss_ratio;
+    return kMinMissRatio;
   }
-  const SocketState& s = sockets_[static_cast<size_t>(socket)];
   AQL_CHECK(vcpu >= 0);
-  const size_t v = static_cast<size_t>(vcpu);
-  if (v >= s.memo.size()) {
-    s.memo.resize(v + 1);
-  }
-  MissMemo& memo = s.memo[v];
-  if (memo.epoch == s.epoch && memo.wss == wss_bytes) {
-    return memo.ratio;
-  }
-  const uint64_t occ = BytesOf(s, v);
+  const uint64_t occ =
+      BytesOf(sockets_[static_cast<size_t>(socket)], static_cast<size_t>(vcpu));
   // References are spread uniformly over the working set; the resident part
   // hits. Residency can never exceed the WSS, so the ratio is within [0, 1].
   const double hit = static_cast<double>(std::min(occ, wss_bytes)) /
                      static_cast<double>(wss_bytes);
-  memo.epoch = s.epoch;
-  memo.wss = wss_bytes;
-  memo.ratio = std::max(params_.min_miss_ratio, 1.0 - hit);
-  return memo.ratio;
+  return std::max(kMinMissRatio, 1.0 - hit);
 }
 
 uint64_t LlcModel::BytesOf(const SocketState& s, size_t vcpu) {
@@ -130,7 +119,7 @@ void LlcModel::CommitAccesses(int socket, int vcpu, uint64_t wss_bytes, uint64_t
   s.wss[v] = wss_bytes;
 
   const uint64_t limit = std::min(wss_bytes, capacity_);
-  uint64_t fetched = misses * params_.cache_line_bytes;
+  uint64_t fetched = misses * kCacheLineBytes;
   if (wss_bytes > capacity_) {
     // Streaming fetches carry no reuse; adaptive insertion (DIP/RRIP) admits
     // only a fraction of them at eviction-relevant priority.
@@ -152,13 +141,6 @@ void LlcModel::CommitAccesses(int socket, int vcpu, uint64_t wss_bytes, uint64_t
   const size_t self = static_cast<size_t>(at);
   s.bytes[self] += grow;
   s.total += grow;
-  // Occupancy only changes when something grew (the socket total never
-  // exceeds capacity on entry, so eviction below implies grow > 0); advance
-  // the epoch exactly then, which is what lets warm steady-state steps keep
-  // hitting the MissRatio memo.
-  if (grow > 0) {
-    ++s.epoch;
-  }
 
   if (s.total <= capacity_) {
     return;
@@ -248,7 +230,6 @@ void LlcModel::Remove(int socket, int vcpu) {
   s.total -= s.bytes[i];
   s.bytes[i] = 0;
   DropEmpty(s, i);
-  ++s.epoch;
 }
 
 uint64_t LlcModel::Occupancy(int socket, int vcpu) const {
@@ -265,9 +246,7 @@ uint64_t LlcModel::TotalOccupancy(int socket) const {
 MemBus::MemBus(int sockets, double bw_bytes_per_ns)
     : bw_(bw_bytes_per_ns),
       demand_(static_cast<size_t>(sockets)),
-      total_(static_cast<size_t>(sockets), 0.0),
-      epoch_(static_cast<size_t>(sockets), 1),
-      memo_(static_cast<size_t>(sockets)) {
+      total_(static_cast<size_t>(sockets), 0.0) {
   AQL_CHECK(sockets >= 1);
   AQL_CHECK(bw_bytes_per_ns >= 0.0);
 }
@@ -283,13 +262,12 @@ void MemBus::SetDemand(int socket, int pcpu, double bytes_per_ns) {
   double& slot = per_pcpu[static_cast<size_t>(pcpu)];
   if (bytes_per_ns == slot) {
     // No change: skipping the `total += new - old` of an exact zero delta is
-    // bit-safe (totals are never -0.0, so x + 0.0 == x), and it keeps the
-    // epoch stable for the StallFactor memo.
+    // bit-safe (totals are never -0.0, so x + 0.0 == x), and it keeps
+    // updates() a count of calls that changed a demand.
     return;
   }
   total_[static_cast<size_t>(socket)] += bytes_per_ns - slot;
   slot = bytes_per_ns;
-  ++epoch_[static_cast<size_t>(socket)];
   ++updates_;
 }
 
@@ -303,15 +281,8 @@ double MemBus::StallFactor(int socket, double extra_demand) const {
     return 1.0;
   }
   AQL_CHECK(socket >= 0 && socket < static_cast<int>(total_.size()));
-  StallMemo& memo = memo_[static_cast<size_t>(socket)];
-  if (memo.epoch == epoch_[static_cast<size_t>(socket)] && memo.extra == extra_demand) {
-    return memo.factor;
-  }
   const double demand = total_[static_cast<size_t>(socket)] + extra_demand;
-  memo.epoch = epoch_[static_cast<size_t>(socket)];
-  memo.extra = extra_demand;
-  memo.factor = demand > bw_ ? demand / bw_ : 1.0;
-  return memo.factor;
+  return demand > bw_ ? demand / bw_ : 1.0;
 }
 
 }  // namespace aql

@@ -29,6 +29,9 @@
 
 namespace aql {
 
+// Residual miss ratio even with a fully warm cache (TLB, cold lines).
+inline constexpr double kMinMissRatio = 0.005;
+
 class LlcModel {
  public:
   // `capacity_bytes` must be below 2^53, so every byte count converts to a
@@ -37,14 +40,6 @@ class LlcModel {
 
   // Expected miss ratio if `vcpu` issues LLC references over a working set of
   // `wss_bytes` on `socket`, given its current resident occupancy.
-  //
-  // Memoized per (socket, vcpu, occupancy epoch, wss): the socket's epoch
-  // advances only when some occupancy on it actually changes (a growing
-  // commit, an eviction, a removal), so the steady warm state — where
-  // CommitAccesses finds nothing to grow — answers repeated queries from the
-  // cache without recomputing. The memo is invisible to results by
-  // construction: a hit returns the exact value the miss path computed for
-  // the same inputs.
   double MissRatio(int socket, int vcpu, uint64_t wss_bytes) const;
 
   // Commits the outcome of a compute step: `misses` lines were fetched by
@@ -76,11 +71,6 @@ class LlcModel {
   uint64_t evictions() const { return evictions_; }
 
  private:
-  struct MissMemo {
-    uint64_t epoch = 0;  // 0 never matches a socket epoch (those start at 1)
-    uint64_t wss = 0;
-    double ratio = 0.0;
-  };
   struct SocketState {
     // Per-vCPU state, indexed by vcpu id (grown on demand; ids are small and
     // dense).
@@ -97,11 +87,6 @@ class LlcModel {
     std::vector<uint64_t> bytes;
     std::vector<double> scale;
     uint64_t total = 0;
-    // Bumped whenever any occupancy on the socket changes; validates memo.
-    uint64_t epoch = 1;
-    // MissRatio memo, indexed by vcpu id (grown on demand). Mutable: a
-    // logically-const cache of a pure function of (occupancy, wss).
-    mutable std::vector<MissMemo> memo;
   };
 
   // `vcpu`'s occupancy on `s`: its resident bytes, or 0.
@@ -134,11 +119,8 @@ class LlcModel {
 // factor is always 1.
 //
 // Demand lives in flat per-socket vectors indexed by pcpu id (no hash
-// traffic on the step hot path), and the running totals are maintained with
-// the exact same incremental `total += new - old` arithmetic as before, so
-// the accumulated floating-point values are bit-identical. StallFactor is
-// memoized per (socket, demand epoch, extra demand); the epoch advances only
-// when a SetDemand actually changes a slot.
+// traffic on the step hot path), and each socket's running total is kept
+// incrementally as `total += new - old`.
 class MemBus {
  public:
   MemBus(int sockets, double bw_bytes_per_ns);
@@ -159,18 +141,10 @@ class MemBus {
   uint64_t updates() const { return updates_; }
 
  private:
-  struct StallMemo {
-    uint64_t epoch = 0;  // 0 never matches (socket epochs start at 1)
-    double extra = 0.0;
-    double factor = 1.0;
-  };
-
   double bw_;
   // socket -> demand by pcpu id (grown on demand; ids are small and dense).
   std::vector<std::vector<double>> demand_;
   std::vector<double> total_;
-  std::vector<uint64_t> epoch_;
-  mutable std::vector<StallMemo> memo_;  // logically-const cache
   uint64_t updates_ = 0;
 };
 

@@ -9,14 +9,6 @@ int Topology::SocketOf(int pcpu) const {
   return pcpu / cores_per_socket;
 }
 
-TimeNs Topology::RemoteMissExtra(TimeNs llc_miss_penalty) const {
-  AQL_CHECK(numa_local_distance > 0);
-  AQL_CHECK(numa_remote_distance >= numa_local_distance);
-  const double ratio = static_cast<double>(numa_remote_distance) /
-                       static_cast<double>(numa_local_distance);
-  return static_cast<TimeNs>(static_cast<double>(llc_miss_penalty) * (ratio - 1.0));
-}
-
 std::vector<int> Topology::PcpusOfSocket(int socket) const {
   AQL_CHECK(socket >= 0 && socket < sockets);
   std::vector<int> out;

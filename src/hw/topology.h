@@ -14,18 +14,22 @@
 
 namespace aql {
 
-// Timing/behaviour knobs of the simulated hardware.
+// Platform constants shared by the machine, the LLC model and the placement
+// cost model.
+//
+// Extra stall charged per LLC miss (DRAM access), on top of nominal work.
+inline constexpr TimeNs kLlcMissPenalty = 80;
+// Cache line size in bytes.
+inline constexpr uint64_t kCacheLineBytes = 64;
+// Extra stall per LLC miss served by a remote NUMA node: the E5-4603's SLIT
+// distances are 10 local and 21 remote (all remote nodes are equidistant on
+// its ring), so a remote access costs 21/10 times the local DRAM penalty,
+// 88 ns on top of it.
+inline constexpr TimeNs kRemoteMissExtra =
+    static_cast<TimeNs>(static_cast<double>(kLlcMissPenalty) * (21.0 / 10.0 - 1.0));
+
+// The LLC model's knobs that the ablation sweep varies.
 struct HwParams {
-  // Extra stall charged per LLC miss (DRAM access), on top of nominal work.
-  TimeNs llc_miss_penalty = 80;
-  // Direct cost of a context switch (register state, L1/TLB disturbance).
-  TimeNs context_switch_cost = 3 * kNsPerUs;
-  // One Pause-Loop-Exiting trap is recorded per this much busy-spin time.
-  TimeNs pause_exit_interval = 10 * kNsPerUs;
-  // Residual miss ratio even with a fully warm cache (TLB, cold lines).
-  double min_miss_ratio = 0.005;
-  // Cache line size in bytes.
-  uint64_t cache_line_bytes = 64;
   // Recency protection: eviction weight applied to the occupancy of vCPUs
   // currently running on the socket (their lines are hot under LRU, so
   // trashers evict them far more slowly than descheduled footprints).
@@ -42,10 +46,6 @@ struct Topology {
   int sockets = 1;
   int cores_per_socket = 4;
   uint64_t llc_bytes = 8ull * 1024 * 1024;
-  // SLIT-style NUMA distances: local is the diagonal, remote everything
-  // else (all remote nodes are equidistant, as on the E5-4603's ring).
-  int numa_local_distance = 10;
-  int numa_remote_distance = 21;
   // Per-socket DRAM bandwidth the memory controller sustains, in bytes per
   // nanosecond. This is a property of the machine, not of a scenario: the
   // Machine always instantiates the MemBus contention term from it, and the
@@ -58,11 +58,6 @@ struct Topology {
   int SocketOf(int pcpu) const;
   // pCPU ids belonging to `socket`.
   std::vector<int> PcpusOfSocket(int socket) const;
-
-  // Extra stall per LLC miss served by a remote node, derived from the SLIT
-  // ratio: a remote access costs distance_remote/distance_local times the
-  // local DRAM penalty.
-  TimeNs RemoteMissExtra(TimeNs llc_miss_penalty) const;
 };
 
 // Table 2 machine: Intel i7-3770, one socket, 8 MB LLC. The paper's

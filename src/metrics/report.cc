@@ -39,7 +39,8 @@ std::vector<GroupPerf> GroupReports(const std::vector<PerfReport>& reports) {
   return groups;
 }
 
-const GroupPerf& FindGroup(const std::vector<GroupPerf>& groups, const std::string& name) {
+const GroupPerf& FindGroup(const std::vector<GroupPerf>& groups,
+                           const std::string& name) {
   for (const GroupPerf& g : groups) {
     if (g.name == name) {
       return g;

@@ -64,8 +64,8 @@ IoServerConfig Bursty(const std::string& name, double rate_hz, TimeNs service,
   return c;
 }
 
-SpinSyncConfig Spin(const std::string& name, TimeNs compute, TimeNs critical, uint64_t wss,
-                    double refs_per_ns, int barrier_every) {
+SpinSyncConfig Spin(const std::string& name, TimeNs compute, TimeNs critical,
+                    uint64_t wss, double refs_per_ns, int barrier_every) {
   SpinSyncConfig c;
   c.name = name;
   c.compute = compute;
@@ -213,7 +213,7 @@ const std::vector<Entry>& Entries() {
 
     // MemBw: STREAM-style kernels — reference rates an order of magnitude
     // above the LLCO burners, no reuse; MPKI lands well above the
-    // membw_mpki_limit while LLCO applications stay below it.
+    // MemBw threshold (kMemBwMpkiLimit) while LLCO applications stay below it.
     add_burn(VcpuType::kMemBw, "STREAM", Stream("stream_triad", 64 * kMiB, 0.050, 0.0));
     add_burn(VcpuType::kMemBw, "micro", Stream("membw_scan", 32 * kMiB, 0.040, 0.0));
 

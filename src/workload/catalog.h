@@ -63,7 +63,8 @@ const NominalOp& NominalOpFor(const std::string& name);
 // Instantiates `count` vCPU workload models for `name`. For ConSpin
 // applications the models share one spin lock (threads of one VM); for all
 // other types the models are independent replicas.
-std::vector<std::unique_ptr<WorkloadModel>> MakeApp(const std::string& name, int count = 1,
+std::vector<std::unique_ptr<WorkloadModel>> MakeApp(const std::string& name,
+                                                    int count = 1,
                                                     const AppOptions& options = {});
 
 // Names of all applications of a given expected type, searching the

@@ -50,7 +50,8 @@ void SpinSyncModel::OnAttach(WorkloadHost* host, int vcpu) {
 
 TimeNs SpinSyncModel::SampleComputeLength() {
   const double jitter = host_->WorkloadRng(vcpu_).Uniform(0.8, 1.2);
-  return std::max<TimeNs>(1, static_cast<TimeNs>(static_cast<double>(config_.compute) * jitter));
+  return std::max<TimeNs>(
+      1, static_cast<TimeNs>(static_cast<double>(config_.compute) * jitter));
 }
 
 Step SpinSyncModel::NextStep(TimeNs now) {
@@ -82,7 +83,8 @@ Step SpinSyncModel::NextStep(TimeNs now) {
   return Step::Compute(std::min(remaining_, kPhase), config_.mem);
 }
 
-void SpinSyncModel::OnStepEnd(TimeNs now, const Step& step, TimeNs work_done, bool completed) {
+void SpinSyncModel::OnStepEnd(TimeNs now, const Step& step, TimeNs work_done,
+                              bool completed) {
   (void)completed;
   if (step.kind == Step::Kind::kSpin) {
     spin_time_window_ += work_done;

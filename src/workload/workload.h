@@ -147,7 +147,8 @@ class WorkloadModel {
   // is pure work time executed (excluding cache stalls); `completed` tells
   // whether the step ran to its planned end or was truncated (preemption,
   // kick). For spin steps, `work_done` is the spin time.
-  virtual void OnStepEnd(TimeNs now, const Step& step, TimeNs work_done, bool completed) = 0;
+  virtual void OnStepEnd(TimeNs now, const Step& step, TimeNs work_done,
+                         bool completed) = 0;
 
   // Timer callback (see WorkloadHost::ScheduleTimer).
   virtual void OnTimer(TimeNs now, int tag) { (void)now; (void)tag; }

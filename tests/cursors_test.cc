@@ -8,37 +8,28 @@
 namespace aql {
 namespace {
 
-VtrsConfig Config() {
-  VtrsConfig c;
-  c.io_limit = 2.0;
-  c.conspin_limit = 5.0;
-  c.llc_rr_limit = 1.0;
-  c.llc_mr_limit = 80.0;
-  return c;
-}
-
 TEST(CursorsTest, IoCursorSaturatesAtLimit) {
   Levels l;
   l.io_events = 1.0;
-  EXPECT_DOUBLE_EQ(ComputeCursors(l, Config()).io, 50.0);
+  EXPECT_DOUBLE_EQ(ComputeCursors(l).io, 50.0);
   l.io_events = 2.0;
-  EXPECT_DOUBLE_EQ(ComputeCursors(l, Config()).io, 100.0);
+  EXPECT_DOUBLE_EQ(ComputeCursors(l).io, 100.0);
   l.io_events = 50.0;
-  EXPECT_DOUBLE_EQ(ComputeCursors(l, Config()).io, 100.0);
+  EXPECT_DOUBLE_EQ(ComputeCursors(l).io, 100.0);
 }
 
 TEST(CursorsTest, ConSpinCursorSaturatesAtLimit) {
   Levels l;
   l.pause_exits = 2.5;
-  EXPECT_DOUBLE_EQ(ComputeCursors(l, Config()).conspin, 50.0);
+  EXPECT_DOUBLE_EQ(ComputeCursors(l).conspin, 50.0);
   l.pause_exits = 500;
-  EXPECT_DOUBLE_EQ(ComputeCursors(l, Config()).conspin, 100.0);
+  EXPECT_DOUBLE_EQ(ComputeCursors(l).conspin, 100.0);
 }
 
 TEST(CursorsTest, PureLoLcfProfile) {
   Levels l;
   l.llc_rr = 0.02;  // almost no LLC references
-  const CursorSet c = ComputeCursors(l, Config());
+  const CursorSet c = ComputeCursors(l);
   EXPECT_NEAR(c.lolcf, 98.0, 0.1);
   EXPECT_NEAR(c.lolcf + c.llcf + c.llco, 100.0, 1e-9);
 }
@@ -47,7 +38,7 @@ TEST(CursorsTest, PureLlcfProfile) {
   Levels l;
   l.llc_rr = 3.0;      // many references
   l.llc_mr_pct = 4.0;  // nearly all hit
-  const CursorSet c = ComputeCursors(l, Config());
+  const CursorSet c = ComputeCursors(l);
   EXPECT_DOUBLE_EQ(c.lolcf, 0.0);
   EXPECT_NEAR(c.llcf, 95.0, 0.1);
   EXPECT_NEAR(c.llco, 5.0, 0.1);
@@ -57,7 +48,7 @@ TEST(CursorsTest, PureLlcoProfile) {
   Levels l;
   l.llc_rr = 5.0;
   l.llc_mr_pct = 92.0;  // above the limit
-  const CursorSet c = ComputeCursors(l, Config());
+  const CursorSet c = ComputeCursors(l);
   EXPECT_DOUBLE_EQ(c.llcf, 0.0);
   EXPECT_DOUBLE_EQ(c.llco, 100.0);
 }
@@ -67,7 +58,7 @@ TEST(CursorsTest, LlcfCappedByComplementOfLoLcf) {
   Levels l;
   l.llc_rr = 0.5;  // LoLCF cursor = 50
   l.llc_mr_pct = 0.0;
-  const CursorSet c = ComputeCursors(l, Config());
+  const CursorSet c = ComputeCursors(l);
   EXPECT_DOUBLE_EQ(c.lolcf, 50.0);
   EXPECT_DOUBLE_EQ(c.llcf, 50.0);
   EXPECT_DOUBLE_EQ(c.llco, 0.0);
@@ -78,7 +69,7 @@ TEST(CursorsTest, MemBwCarvedFromOverflowMass) {
   l.llc_rr = 5.0;
   l.llc_mr_pct = 92.0;  // trashing profile
   l.mpki = 24.0;        // twice the MemBw limit: fully bandwidth-saturating
-  const CursorSet c = ComputeCursors(l, Config());
+  const CursorSet c = ComputeCursors(l);
   EXPECT_DOUBLE_EQ(c.membw, 100.0);
   EXPECT_DOUBLE_EQ(c.llco, 0.0);
   EXPECT_EQ(Classify(c), VcpuType::kMemBw);
@@ -89,7 +80,7 @@ TEST(CursorsTest, ModerateMpkiSplitsLlcoAndMemBw) {
   l.llc_rr = 5.0;
   l.llc_mr_pct = 92.0;
   l.mpki = 3.0;  // a quarter of the limit: ordinary LLCO trasher
-  const CursorSet c = ComputeCursors(l, Config());
+  const CursorSet c = ComputeCursors(l);
   EXPECT_DOUBLE_EQ(c.membw, 12.5);  // sub-limit carve: 3/12 of the 0..50 ramp
   EXPECT_DOUBLE_EQ(c.llco, 87.5);
   EXPECT_EQ(Classify(c), VcpuType::kLlco);
@@ -101,10 +92,10 @@ TEST(CursorsTest, ClassificationFlipsAtTheConfiguredMpkiLimit) {
   Levels l;
   l.llc_rr = 5.0;
   l.llc_mr_pct = 92.0;
-  l.mpki = 11.9;  // just under membw_mpki_limit = 12
-  EXPECT_EQ(Classify(ComputeCursors(l, Config())), VcpuType::kLlco);
+  l.mpki = 11.9;  // just under kMemBwMpkiLimit = 12
+  EXPECT_EQ(Classify(ComputeCursors(l)), VcpuType::kLlco);
   l.mpki = 12.0;
-  EXPECT_EQ(Classify(ComputeCursors(l, Config())), VcpuType::kMemBw);
+  EXPECT_EQ(Classify(ComputeCursors(l)), VcpuType::kMemBw);
 }
 
 TEST(CursorsTest, RemoteCarvedBeforeMemBw) {
@@ -113,7 +104,7 @@ TEST(CursorsTest, RemoteCarvedBeforeMemBw) {
   l.llc_mr_pct = 92.0;
   l.mpki = 24.0;
   l.remote_ratio = 0.8;  // above the 0.5 limit: remote dominates
-  const CursorSet c = ComputeCursors(l, Config());
+  const CursorSet c = ComputeCursors(l);
   EXPECT_DOUBLE_EQ(c.remote, 100.0);
   EXPECT_DOUBLE_EQ(c.membw, 0.0);
   EXPECT_DOUBLE_EQ(c.llco, 0.0);
@@ -127,7 +118,7 @@ TEST(CursorsTest, RemoteBoundedByOverflowMass) {
   l.llc_rr = 0.5;  // LoLCF cursor 50
   l.llc_mr_pct = 0.0;
   l.remote_ratio = 1.0;
-  const CursorSet c = ComputeCursors(l, Config());
+  const CursorSet c = ComputeCursors(l);
   EXPECT_DOUBLE_EQ(c.remote, 0.0);
   EXPECT_DOUBLE_EQ(c.lolcf + c.llcf, 100.0);
 }
@@ -135,7 +126,7 @@ TEST(CursorsTest, RemoteBoundedByOverflowMass) {
 TEST(CursorsTest, SinglePeriodHasNoBurstyCursor) {
   Levels l;
   l.io_events = 50;
-  const CursorSet c = ComputeCursors(l, Config());
+  const CursorSet c = ComputeCursors(l);
   EXPECT_DOUBLE_EQ(c.bursty, 0.0);
 }
 
@@ -225,7 +216,7 @@ TEST_P(CursorPropertyTest, InvariantsHold) {
   l.llc_mr_pct = p.mr;
   l.mpki = p.mpki;
   l.remote_ratio = p.remote;
-  const CursorSet c = ComputeCursors(l, Config());
+  const CursorSet c = ComputeCursors(l);
 
   for (double v : {c.io, c.conspin, c.lolcf, c.llcf, c.llco, c.membw, c.remote}) {
     EXPECT_GE(v, 0.0);
@@ -245,16 +236,16 @@ TEST_P(CursorPropertyTest, InvariantsHold) {
   // MemBw cursor; a higher remote ratio never lowers the remote cursor.
   Levels more_io = l;
   more_io.io_events += 1.0;
-  EXPECT_GE(ComputeCursors(more_io, Config()).io, c.io);
+  EXPECT_GE(ComputeCursors(more_io).io, c.io);
   Levels more_misses = l;
   more_misses.llc_mr_pct = std::min(100.0, l.llc_mr_pct + 10.0);
-  EXPECT_LE(ComputeCursors(more_misses, Config()).llcf, c.llcf + 1e-9);
+  EXPECT_LE(ComputeCursors(more_misses).llcf, c.llcf + 1e-9);
   Levels more_mpki = l;
   more_mpki.mpki += 2.0;
-  EXPECT_GE(ComputeCursors(more_mpki, Config()).membw, c.membw - 1e-9);
+  EXPECT_GE(ComputeCursors(more_mpki).membw, c.membw - 1e-9);
   Levels more_remote = l;
   more_remote.remote_ratio = std::min(1.0, l.remote_ratio + 0.1);
-  EXPECT_GE(ComputeCursors(more_remote, Config()).remote, c.remote - 1e-9);
+  EXPECT_GE(ComputeCursors(more_remote).remote, c.remote - 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -42,13 +42,9 @@ TEST(TopologyTest, I73770Preset) {
 }
 
 TEST(TopologyTest, RemoteMissExtraFromDistanceRatio) {
-  Topology t = MakeE54603Topology();
   // 21/10 distance ratio: a remote access costs 2.1x the local penalty,
   // i.e. 1.1x extra on top of an 80 ns miss.
-  EXPECT_EQ(t.RemoteMissExtra(80), 88);
-  // Equal distances mean no extra cost.
-  t.numa_remote_distance = t.numa_local_distance;
-  EXPECT_EQ(t.RemoteMissExtra(80), 0);
+  EXPECT_EQ(kRemoteMissExtra, 88);
 }
 
 TEST(MemBusTest, UnmodeledBusNeverStalls) {
@@ -99,7 +95,7 @@ TEST_F(LlcModelTest, WarmupReducesMissRatio) {
 TEST_F(LlcModelTest, FullyWarmHitsResidualFloor) {
   llc_.CommitAccesses(0, 1, 4 * kMiB, 70000);
   EXPECT_EQ(llc_.Occupancy(0, 1), 4 * kMiB);  // bounded by WSS
-  EXPECT_DOUBLE_EQ(llc_.MissRatio(0, 1, 4 * kMiB), params_.min_miss_ratio);
+  EXPECT_DOUBLE_EQ(llc_.MissRatio(0, 1, 4 * kMiB), kMinMissRatio);
 }
 
 TEST_F(LlcModelTest, OccupancyBoundedByCapacity) {
@@ -135,8 +131,8 @@ TEST_F(LlcModelTest, StreamingInsertionIsDamped) {
   llc_.CommitAccesses(0, 1, 16 * kMiB, 65536);  // 4 MiB fetched
   const uint64_t inserted = llc_.Occupancy(0, 1);
   EXPECT_LT(inserted, 4 * kMiB);
-  EXPECT_NEAR(static_cast<double>(inserted), 4.0 * kMiB * params_.stream_insertion_fraction,
-              64.0 * 1024);
+  EXPECT_NEAR(static_cast<double>(inserted),
+              4.0 * kMiB * params_.stream_insertion_fraction, 64.0 * 1024);
 }
 
 TEST_F(LlcModelTest, RemoveDropsFootprint) {
@@ -155,7 +151,7 @@ TEST_F(LlcModelTest, SocketsAreIndependent) {
 }
 
 TEST_F(LlcModelTest, ZeroWssNeverMissesBelowFloor) {
-  EXPECT_DOUBLE_EQ(llc_.MissRatio(0, 9, 0), params_.min_miss_ratio);
+  EXPECT_DOUBLE_EQ(llc_.MissRatio(0, 9, 0), kMinMissRatio);
   llc_.CommitAccesses(0, 9, 0, 1000);  // no-op
   EXPECT_EQ(llc_.Occupancy(0, 9), 0u);
 }
@@ -224,7 +220,7 @@ TEST(LlcEvictionTest, IndependentOfInsertionHistory) {
 
 // Naive reference for the eviction rule documented on
 // LlcModel::CommitAccesses: ordered maps, totals recomputed from the
-// occupancies, no memo and no resident list.
+// occupancies, and no resident list.
 class ReferenceLlc {
  public:
   ReferenceLlc(size_t sockets, uint64_t cap) : capacity_(cap), sockets_(sockets) {}
@@ -235,7 +231,7 @@ class ReferenceLlc {
     }
     Socket& s = sockets_[static_cast<size_t>(socket)];
     s.wss[vcpu] = wss;
-    uint64_t fetched = misses * params_.cache_line_bytes;
+    uint64_t fetched = misses * kCacheLineBytes;
     if (wss > capacity_) {
       const double fraction = params_.stream_insertion_fraction;
       fetched = static_cast<uint64_t>(static_cast<double>(fetched) * fraction);
@@ -308,11 +304,11 @@ class ReferenceLlc {
 
   double MissRatio(int socket, int vcpu, uint64_t wss) const {
     if (wss == 0) {
-      return params_.min_miss_ratio;
+      return kMinMissRatio;
     }
     const uint64_t resident = std::min(Occupancy(socket, vcpu), wss);
     const double hit = static_cast<double>(resident) / static_cast<double>(wss);
-    return std::max(params_.min_miss_ratio, 1.0 - hit);
+    return std::max(kMinMissRatio, 1.0 - hit);
   }
 
   int overflows = 0;

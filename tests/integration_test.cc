@@ -17,8 +17,10 @@ TEST(IntegrationTest, HeteroIoPrefersSmallQuantum) {
   ScenarioSpec spec = CalibrationRig("wordpress", 4);
   spec.measure = Sec(6);
   const double at1 = RunScenario(spec, PolicySpec::Xen(Ms(1))).GroupPrimary("wordpress");
-  const double at30 = RunScenario(spec, PolicySpec::Xen(Ms(30))).GroupPrimary("wordpress");
-  const double at90 = RunScenario(spec, PolicySpec::Xen(Ms(90))).GroupPrimary("wordpress");
+  const double at30 =
+      RunScenario(spec, PolicySpec::Xen(Ms(30))).GroupPrimary("wordpress");
+  const double at90 =
+      RunScenario(spec, PolicySpec::Xen(Ms(90))).GroupPrimary("wordpress");
   EXPECT_LT(at1, at30 * 0.8);
   EXPECT_GT(at90, at30 * 1.3);
 }
@@ -35,7 +37,8 @@ TEST(IntegrationTest, LlcfPrefersLargeQuantum) {
   ScenarioSpec spec = CalibrationRig("llcf_list", 4);
   spec.measure = Sec(8);
   const double at1 = RunScenario(spec, PolicySpec::Xen(Ms(1))).GroupPrimary("llcf_list");
-  const double at90 = RunScenario(spec, PolicySpec::Xen(Ms(90))).GroupPrimary("llcf_list");
+  const double at90 =
+      RunScenario(spec, PolicySpec::Xen(Ms(90))).GroupPrimary("llcf_list");
   EXPECT_GT(at1, at90 * 1.1);
 }
 

@@ -55,6 +55,16 @@ class OneStepModel : public WorkloadModel {
   TimeNs remaining_;
 };
 
+// Spins on every step, so each step lasts until its quantum expires.
+class AlwaysSpinModel : public WorkloadModel {
+ public:
+  Step NextStep(TimeNs) override { return Step::Spin(); }
+  void OnStepEnd(TimeNs, const Step&, TimeNs, bool) override {}
+  std::string Name() const override { return "always_spin"; }
+  PerfReport Report(TimeNs) const override { return PerfReport{}; }
+  void ResetMetrics(TimeNs) override {}
+};
+
 TEST(MachineTest, SingleVcpuRunsContinuously) {
   Simulation sim;
   Machine m(sim, SmallConfig());
@@ -100,6 +110,19 @@ TEST(MachineTest, QuantumControlsDispatchCount) {
     // Each vCPU gets ~500ms => ~500ms/q dispatches.
     const double expected = 0.5e9 / static_cast<double>(q);
     EXPECT_NEAR(static_cast<double>(a->dispatches), expected, expected * 0.2);
+  }
+}
+
+// A lone spinner holds its pCPU for whole 30 ms quanta, and each spin step
+// records one PLE exit per 10 us spun: 3,000 per quantum.
+TEST(MachineTest, SpinStepsCountPauseExitsInClosedForm) {
+  for (const int quanta : {1, 3, 10}) {
+    Simulation sim;
+    Machine m(sim, SingleSocketMachine(1));
+    Vcpu* v = m.AddVcpu(m.AddVm("vm"), std::make_unique<AlwaysSpinModel>());
+    m.Start();
+    sim.RunUntil(quanta * Ms(30));
+    EXPECT_EQ(v->pmu.pause_exits, 3000u * static_cast<uint64_t>(quanta)) << quanta;
   }
 }
 
@@ -363,7 +386,7 @@ TEST(WorkCounterTest, RegisterOnlyBurnersHaveClosedForms) {
     const WorkCounters c = BurnerCounters(burners, MemProfile{});
     EXPECT_EQ(c.compute_steps, Periods(phase) + 1) << burners;
     EXPECT_EQ(c.dispatches, Periods(quantum) + 1) << burners;
-    EXPECT_EQ(c.monitor_periods, Periods(MachineConfig().monitor_period)) << burners;
+    EXPECT_EQ(c.monitor_periods, Periods(kMonitorPeriod)) << burners;
     EXPECT_EQ(c.llc_commits, 0u) << burners;
     EXPECT_EQ(c.llc_evictions, 0u) << burners;
     EXPECT_EQ(c.membus_updates, 0u) << burners;

@@ -32,16 +32,15 @@ TEST(PlacementTest, AssignHomesDealsRoundRobinPerPool) {
 TEST(PlacementTest, MigrationCostScalesWithFootprint) {
   Topology dual = MakeE54603Topology();
   dual.sockets = 2;
-  const HwParams hw;
-  EXPECT_EQ(CrossSocketMigrationCost(dual, hw, 0), 0);
-  EXPECT_EQ(CrossSocketMigrationCost(MakeI73770Topology(4), hw, 1 << 20), 0);
-  const TimeNs one_mib = CrossSocketMigrationCost(dual, hw, 1 << 20);
+  EXPECT_EQ(CrossSocketMigrationCost(dual, 0), 0);
+  EXPECT_EQ(CrossSocketMigrationCost(MakeI73770Topology(4), 1 << 20), 0);
+  const TimeNs one_mib = CrossSocketMigrationCost(dual, 1 << 20);
   EXPECT_GT(one_mib, 0);
   // Twice the footprint, twice the refill cost.
-  EXPECT_EQ(CrossSocketMigrationCost(dual, hw, 2 << 20), 2 * one_mib);
+  EXPECT_EQ(CrossSocketMigrationCost(dual, 2 << 20), 2 * one_mib);
   // Every line pays DRAM plus the SLIT surcharge.
-  const TimeNs per_line = hw.llc_miss_penalty + dual.RemoteMissExtra(hw.llc_miss_penalty);
-  EXPECT_EQ(one_mib, static_cast<TimeNs>((1 << 20) / hw.cache_line_bytes) * per_line);
+  const TimeNs per_line = kLlcMissPenalty + kRemoteMissExtra;
+  EXPECT_EQ(one_mib, static_cast<TimeNs>((1 << 20) / kCacheLineBytes) * per_line);
 }
 
 PlacementHint Hint(int vcpu, int socket, uint64_t footprint, bool pinned) {
@@ -56,7 +55,6 @@ PlacementHint Hint(int vcpu, int socket, uint64_t footprint, bool pinned) {
 TEST(PlacementTest, StickinessSwapsPinnedVcpuBackToItsNode) {
   Topology dual = MakeE54603Topology();
   dual.sockets = 2;
-  const HwParams hw;
   // vCPU 3 is pinned to socket 0 but was dealt to socket 1.
   std::vector<std::vector<int>> per_socket = {{1, 2}, {3, 4}};
   const std::vector<PlacementHint> hints = {
@@ -65,7 +63,7 @@ TEST(PlacementTest, StickinessSwapsPinnedVcpuBackToItsNode) {
       Hint(3, 0, 1 << 20, true),
       Hint(4, 1, 0, false),
   };
-  ApplyNumaStickiness(per_socket, hints, dual, hw);
+  ApplyNumaStickiness(per_socket, hints, dual);
   // 3 lands on its node, swapping with the cheapest partner (2).
   EXPECT_EQ(per_socket[0], (std::vector<int>{1, 3}));
   EXPECT_EQ(per_socket[1], (std::vector<int>{2, 4}));
@@ -74,30 +72,28 @@ TEST(PlacementTest, StickinessSwapsPinnedVcpuBackToItsNode) {
 TEST(PlacementTest, StickinessIsNoOpWhenAlreadyPlacedOrUnpinned) {
   Topology dual = MakeE54603Topology();
   dual.sockets = 2;
-  const HwParams hw;
   std::vector<std::vector<int>> per_socket = {{1, 2}, {3, 4}};
   const std::vector<std::vector<int>> original = per_socket;
   // Pinned to the socket it is already on + an unpinned hint.
   const std::vector<PlacementHint> hints = {Hint(1, 0, 1 << 20, true),
                                             Hint(3, 0, 1 << 20, false)};
-  ApplyNumaStickiness(per_socket, hints, dual, hw);
+  ApplyNumaStickiness(per_socket, hints, dual);
   EXPECT_EQ(per_socket, original);
   // Single-socket assignments are untouched by construction.
   std::vector<std::vector<int>> single = {{1, 2, 3, 4}};
-  ApplyNumaStickiness(single, {Hint(1, 0, 1 << 20, true)}, MakeI73770Topology(4), hw);
+  ApplyNumaStickiness(single, {Hint(1, 0, 1 << 20, true)}, MakeI73770Topology(4));
   EXPECT_EQ(single, (std::vector<std::vector<int>>{{1, 2, 3, 4}}));
 }
 
 TEST(PlacementTest, StickinessNeverDisplacesAnotherPinnedVcpu) {
   Topology dual = MakeE54603Topology();
   dual.sockets = 2;
-  const HwParams hw;
   std::vector<std::vector<int>> per_socket = {{1}, {2}};
   // Both pinned to socket 0; only one slot there. 1 holds the node, so 2
   // must stay put rather than evict it.
   const std::vector<PlacementHint> hints = {Hint(1, 0, 1 << 20, true),
                                             Hint(2, 0, 1 << 20, true)};
-  ApplyNumaStickiness(per_socket, hints, dual, hw);
+  ApplyNumaStickiness(per_socket, hints, dual);
   EXPECT_EQ(per_socket[0], (std::vector<int>{1}));
   EXPECT_EQ(per_socket[1], (std::vector<int>{2}));
 }

@@ -200,7 +200,8 @@ TEST(SweepEngineTest, SeedSaltChangesStreams) {
   b.seed_salt = a.seed_salt + 1;
   const SweepResult ra = RunSweep(TinySpec(), a);
   const SweepResult rb = RunSweep(TinySpec(), b);
-  EXPECT_TRUE(ra.cells[0].result.events_processed != rb.cells[0].result.events_processed ||
+  EXPECT_TRUE(ra.cells[0].result.events_processed !=
+                  rb.cells[0].result.events_processed ||
               ra.cells[0].result.cpu_utilization != rb.cells[0].result.cpu_utilization);
 }
 

@@ -194,7 +194,8 @@ TEST(TimerCoreTest, StaleCancelIsACheckedNoOp) {
 TEST(TimerCoreTest, SlotRearmOverwritesDeadline) {
   EventQueue q;
   std::vector<TimeNs> fired;
-  const EventQueue::SlotId slot = q.RegisterSlot([&](TimeNs now) { fired.push_back(now); });
+  const EventQueue::SlotId slot =
+      q.RegisterSlot([&](TimeNs now) { fired.push_back(now); });
   EXPECT_FALSE(q.SlotArmed(slot));
 
   q.ArmSlot(slot, 10);

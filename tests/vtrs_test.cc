@@ -56,28 +56,24 @@ Levels QuietComputeLevels() {
 }
 
 TEST(VtrsTest, UnobservedVcpuHasZeroCursors) {
-  Vtrs vtrs{VtrsConfig{}};
+  Vtrs vtrs;
   const CursorSet avg = vtrs.Average(42);
   EXPECT_DOUBLE_EQ(avg.io, 0.0);
   EXPECT_EQ(vtrs.SampleCount(42), 0);
 }
 
 TEST(VtrsTest, WindowFillsToConfiguredLength) {
-  VtrsConfig cfg;
-  cfg.window = 4;
-  Vtrs vtrs(cfg);
-  for (int i = 0; i < 3; ++i) {
+  Vtrs vtrs;
+  for (int i = 1; i <= kVtrsWindow; ++i) {
     vtrs.Observe(0, LlcfLevels());
+    EXPECT_EQ(vtrs.SampleCount(0), i);
   }
-  EXPECT_EQ(vtrs.SampleCount(0), 3);
   vtrs.Observe(0, LlcfLevels());
-  EXPECT_EQ(vtrs.SampleCount(0), 4);
-  vtrs.Observe(0, LlcfLevels());
-  EXPECT_EQ(vtrs.SampleCount(0), 4);  // slides, does not grow
+  EXPECT_EQ(vtrs.SampleCount(0), kVtrsWindow);  // slides, does not grow
 }
 
 TEST(VtrsTest, SteadySignalClassifies) {
-  Vtrs vtrs{VtrsConfig{}};
+  Vtrs vtrs;
   for (int i = 0; i < 4; ++i) {
     vtrs.Observe(0, IoLevels(10));
     vtrs.Observe(1, LlcfLevels());
@@ -91,7 +87,7 @@ TEST(VtrsTest, SteadySignalClassifies) {
 }
 
 TEST(VtrsTest, WindowSmoothsTransients) {
-  Vtrs vtrs{VtrsConfig{}};
+  Vtrs vtrs;
   for (int i = 0; i < 4; ++i) {
     vtrs.Observe(0, LlcfLevels());
   }
@@ -106,9 +102,7 @@ TEST(VtrsTest, WindowSmoothsTransients) {
 }
 
 TEST(VtrsTest, TypeTransitionLatencyIsWindowBound) {
-  VtrsConfig cfg;
-  cfg.window = 4;
-  Vtrs vtrs(cfg);
+  Vtrs vtrs;
   for (int i = 0; i < 8; ++i) {
     vtrs.Observe(0, IoLevels(10));
   }
@@ -117,11 +111,11 @@ TEST(VtrsTest, TypeTransitionLatencyIsWindowBound) {
     vtrs.Observe(0, LlcfLevels());
     ++periods;
   }
-  EXPECT_LE(periods, cfg.window);
+  EXPECT_LE(periods, kVtrsWindow);
 }
 
 TEST(VtrsTest, ExtendedMemoryTypesClassify) {
-  Vtrs vtrs{VtrsConfig{}};
+  Vtrs vtrs;
   for (int i = 0; i < 4; ++i) {
     vtrs.Observe(0, MemBwLevels());
     vtrs.Observe(1, RemoteLevels());
@@ -133,7 +127,7 @@ TEST(VtrsTest, ExtendedMemoryTypesClassify) {
 }
 
 TEST(VtrsTest, DiurnalIoReadsBursty) {
-  Vtrs vtrs{VtrsConfig{}};
+  Vtrs vtrs;
   // On/off I/O phases: the window mixes saturated and silent I/O periods.
   for (int i = 0; i < 8; ++i) {
     vtrs.Observe(0, i % 4 < 2 ? IoLevels(10) : QuietComputeLevels());
@@ -144,7 +138,7 @@ TEST(VtrsTest, DiurnalIoReadsBursty) {
 }
 
 TEST(VtrsTest, SteadyIoIsNotBursty) {
-  Vtrs vtrs{VtrsConfig{}};
+  Vtrs vtrs;
   for (int i = 0; i < 8; ++i) {
     vtrs.Observe(0, IoLevels(10));
   }
@@ -153,11 +147,9 @@ TEST(VtrsTest, SteadyIoIsNotBursty) {
 }
 
 TEST(VtrsTest, BurstyGateSuppressesRampNoise) {
-  VtrsConfig cfg;
-  cfg.bursty_spread_limit = 60.0;
-  Vtrs vtrs(cfg);
+  Vtrs vtrs;
   // A ramping steady server: one slow period then saturation. Spread 50 is
-  // below the gate, so the vCPU stays IOInt.
+  // below the gate (kBurstySpreadLimit, 60), so the vCPU stays IOInt.
   auto ramp = [](double events) {
     Levels l = QuietComputeLevels();
     l.io_events = events;
@@ -172,17 +164,19 @@ TEST(VtrsTest, BurstyGateSuppressesRampNoise) {
 }
 
 TEST(VtrsTest, SingleSampleWindowHasNoBurstyCursor) {
-  Vtrs vtrs{VtrsConfig{}};
+  Vtrs vtrs;
   vtrs.Observe(0, IoLevels(10));
   EXPECT_DOUBLE_EQ(vtrs.Average(0).bursty, 0.0);
 }
 
 TEST(VtrsTest, AverageIsMeanOfWindow) {
-  VtrsConfig cfg;
-  cfg.window = 2;
-  Vtrs vtrs(cfg);
-  vtrs.Observe(0, IoLevels(10));  // io cursor 100
-  vtrs.Observe(0, IoLevels(1));   // io cursor 50
+  ASSERT_EQ(kVtrsWindow, 4);
+  Vtrs vtrs;
+  vtrs.Observe(0, IoLevels(0));  // io cursor 0, slides out below
+  for (int i = 0; i < 2; ++i) {
+    vtrs.Observe(0, IoLevels(10));  // io cursor 100
+    vtrs.Observe(0, IoLevels(1));   // io cursor 50
+  }
   EXPECT_NEAR(vtrs.Average(0).io, 75.0, 1e-9);
   EXPECT_NEAR(vtrs.Latest(0).io, 50.0, 1e-9);
 }
