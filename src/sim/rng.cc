@@ -19,6 +19,32 @@ uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
+// u = f * 2^e with f in [sqrt(1/2), sqrt(2)); then ln f = 2 atanh(s) with
+// s = (f - 1) / (f + 1) and |s| < 0.172, summed as a 13-term odd series,
+// and ln 2 is split so that e * kLn2Hi is exact.
+double PortableLog(double u) {
+  AQL_CHECK(u > 0.0);
+  constexpr double kSqrtHalf = 0x1.6a09e667f3bcdp-1;
+  constexpr double kLn2Hi = 0x1.62e42feep-1;  // low 21 mantissa bits zero
+  constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
+  int e = 0;
+  double f = std::frexp(u, &e);  // exact: u = f * 2^e, f in [1/2, 1)
+  if (f < kSqrtHalf) {
+    f *= 2.0;
+    --e;
+  }
+  const double s = (f - 1.0) / (f + 1.0);
+  const double s2 = s * s;
+  // series = s2/3 + s2^2/5 + ... + s2^12/25, by Horner.
+  double series = 0.0;
+  for (int k = 25; k >= 3; k -= 2) {
+    series = s2 * (1.0 / k + series);
+  }
+  const double ln_f = 2.0 * s + 2.0 * s * series;
+  const double de = static_cast<double>(e);
+  return de * kLn2Hi + (de * kLn2Lo + ln_f);
+}
+
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : state_) {
@@ -65,7 +91,7 @@ double Rng::Exponential(double mean) {
   if (u <= 0.0) {
     u = 0x1.0p-53;
   }
-  return -mean * std::log(u);
+  return -mean * PortableLog(u);
 }
 
 TimeNs Rng::ExponentialNs(TimeNs mean) {

@@ -14,6 +14,11 @@
 
 namespace aql {
 
+// ln(u) for a finite u > 0, in plain double arithmetic: the model's draws
+// must not depend on the C library's log. Within 3 ulp of the correctly
+// rounded value (sim_test bounds it).
+double PortableLog(double u);
+
 class Rng {
  public:
   explicit Rng(uint64_t seed);
