@@ -74,6 +74,7 @@ ScenarioResult RunWithCustomPolicy(const ScenarioSpec& spec) {
   sim.RunUntil(spec.warmup);
   machine.ResetAllMetrics();
   sim.RunUntil(spec.warmup + spec.measure);
+  machine.SettleSteps();
 
   ScenarioResult result;
   result.scenario = spec.name;

@@ -244,6 +244,7 @@ ScenarioResult RunScenario(const ScenarioSpec& spec, const PolicySpec& policy,
   uint64_t events = sim.RunUntil(t_warm);
   machine.ResetAllMetrics();
   events += sim.RunUntil(t_end);
+  machine.SettleSteps();
   const auto sim_wall_end = std::chrono::steady_clock::now();
 
   ScenarioResult result;

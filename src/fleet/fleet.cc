@@ -278,6 +278,7 @@ void FleetRun::SnapshotHost(HostState& host, TimeNs seg_end) {
   if (weight <= 0) {
     return;
   }
+  host.machine->SettleSteps();
   std::vector<PerfReport> reports = host.machine->Reports();
   ForEachVcpu(host, [&](VmState& vm, int k, int id) {
     vm.accum[static_cast<size_t>(k)].segments.emplace_back(

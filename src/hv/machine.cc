@@ -15,6 +15,15 @@ constexpr TimeNs kContextSwitchCost = 3 * kNsPerUs;
 // One Pause-Loop-Exiting trap is recorded per this much busy-spin time.
 constexpr TimeNs kPauseExitInterval = 10 * kNsPerUs;
 
+// Adaptive step grain (BeginStep). A vCPU whose LLC miss ratio moved by at
+// most kGrainEpsilon (absolute) since its previous coalescable step start
+// doubles its grain, up to kMaxGrain base steps (12.8 ms of 200 us burner
+// steps); any larger move resets it to one.
+constexpr double kGrainEpsilon = 0.01;
+constexpr int kMaxGrain = 64;
+// The coarse-step cap reads one next time for both periodic chains.
+static_assert(kAccountingPeriod == kMonitorPeriod);
+
 }  // namespace
 
 Machine::Machine(Simulation& sim, const MachineConfig& config)
@@ -170,6 +179,7 @@ void Machine::Start() {
       kAccountingPeriod, [this](TimeNs now) { OnAccounting(now); }, machine_lane_);
   sim_.After(
       kMonitorPeriod, [this](TimeNs now) { OnMonitor(now); }, machine_lane_);
+  next_monitor_ = sim_.Now() + kMonitorPeriod;
 
   processing_ = false;
   Drain();
@@ -281,6 +291,7 @@ void Machine::BeginStep(int pcpu) {
   // 4- and 8-byte stores, and stalls on every step.
   const Step next = v->workload()->NextStep(now);
   s.step.kind = next.kind;
+  s.step.coalescable = next.coalescable;
   s.step.work = next.work;
   s.step.mem = next.mem;
   s.step.wake_at = next.wake_at;
@@ -289,6 +300,7 @@ void Machine::BeginStep(int pcpu) {
   s.step_misses = 0;
   s.step_remote = 0;
   s.step_work = 0;
+  s.step_grain = 1;
   // Invariant: this pCPU's bus demand is already 0 here. Demand is only set
   // by the kCompute branch below, and every executing step ends through
   // EndStep, which clears it — so the defensive re-clear this used to do was
@@ -299,44 +311,47 @@ void Machine::BeginStep(int pcpu) {
       ++counters_.compute_steps;
       const MemProfile& mem = s.step.mem;
       const TimeNs work = std::max<TimeNs>(s.step.work, 1);
-      const double refs_d = static_cast<double>(work) * mem.llc_refs_per_ns;
-      const int socket = s.socket;
-      const double miss_ratio = llc_.MissRatio(socket, v->id(), mem.wss_bytes);
-      const uint64_t refs = static_cast<uint64_t>(refs_d);
-      const uint64_t misses =
-          mem.wss_bytes == 0 ? 0 : static_cast<uint64_t>(refs_d * miss_ratio);
-      // NUMA: misses against remotely-pinned memory pay the distance penalty
-      // on top of the local DRAM access. The vCPU's remote-access scale
-      // models hypervisor page migration (1.0 until a controller migrates
-      // the guest's pages toward the vCPU's node; the multiply is exact at
-      // 1.0, so an inactive controller changes nothing).
-      const uint64_t remote =
-          config_.topology.sockets > 1
-              ? static_cast<uint64_t>(static_cast<double>(misses) *
-                                      std::clamp(mem.remote_fraction, 0.0, 1.0) *
-                                      v->remote_access_scale)
-              : 0;
-      TimeNs stall = static_cast<TimeNs>(misses) * kLlcMissPenalty +
-                     static_cast<TimeNs>(remote) * kRemoteMissExtra;
-      // Memory-bus contention: when the socket's co-running fetch demand
-      // exceeds the controller bandwidth, memory stalls stretch. The factor
-      // is sampled once at step start (steps are at most one quantum long).
-      const double demand = stall > 0 ? static_cast<double>(misses) *
-                                            static_cast<double>(kCacheLineBytes) /
-                                            static_cast<double>(work + stall)
-                                      : 0.0;
-      const double factor = mem_bus_.StallFactor(socket, demand);
-      stall = static_cast<TimeNs>(static_cast<double>(stall) * factor);
-      mem_bus_.SetDemand(socket, pcpu, demand);
-      s.step_work = work;
-      s.step_refs = refs;
-      s.step_misses = misses;
-      s.step_remote = remote;
-      // Outstanding controller debt is served at the head of the step: the
-      // controller borrows the pCPU before guest work resumes.
+      const double miss_ratio = llc_.MissRatio(s.socket, v->id(), mem.wss_bytes);
+      ComputePlan plan = PlanCompute(s, *v, mem, work, miss_ratio);
+      // Context-switch cost and outstanding controller debt are served at
+      // the head of the step: the controller borrows the pCPU before guest
+      // work resumes.
+      const TimeNs head = s.pending_overhead + s.controller_debt;
+      if (s.step.coalescable) {
+        // Adaptive grain: while the miss ratio holds still, run up to
+        // v->grain base steps as one, each planned exactly as the base step
+        // just planned. The coarse step must end strictly before the next
+        // monitor period, so each period's PMU counts land in that period;
+        // on a single socket the monitor runs before a segment end that ties
+        // with it. Quantum expiry, kicks and pool plans truncate and
+        // pro-rate it as they do a base step.
+        v->grain = std::abs(miss_ratio - v->grain_miss_ratio) <= kGrainEpsilon
+                       ? std::min(2 * v->grain, kMaxGrain)
+                       : 1;
+        v->grain_miss_ratio = miss_ratio;
+        const TimeNs room = next_monitor_ - 1 - now - head;
+        int k = room > 0 ? static_cast<int>(std::min<TimeNs>(
+                               v->grain, room / (plan.work + plan.stall)))
+                         : 1;
+        if (k >= 2) {
+          plan = PlanCompute(s, *v, mem, k * work, miss_ratio);
+          if (plan.work + plan.stall > room) {  // truncation made k overshoot
+            --k;
+            plan = PlanCompute(s, *v, mem, k * work, miss_ratio);
+          }
+          AQL_CHECK(plan.work + plan.stall <= room);
+          s.step.work = plan.work;
+          s.step_grain = k;
+        }
+      }
+      mem_bus_.SetDemand(s.socket, pcpu, plan.demand);
+      s.step_work = plan.work;
+      s.step_refs = plan.refs;
+      s.step_misses = plan.misses;
+      s.step_remote = plan.remote;
       s.step_debt = s.controller_debt;
       s.controller_debt = 0;
-      s.step_planned = work + stall + s.pending_overhead + s.step_debt;
+      s.step_planned = plan.work + plan.stall + head;
       s.pending_overhead = 0;
       const TimeNs end = std::min(now + s.step_planned, s.quantum_end);
       sim_.queue().ArmSlot(s.segment_slot, std::max(end, now + 1));
@@ -364,6 +379,38 @@ void Machine::BeginStep(int pcpu) {
       break;
     }
   }
+}
+
+Machine::ComputePlan Machine::PlanCompute(const PcpuState& s, const Vcpu& v,
+                                          const MemProfile& mem, TimeNs work,
+                                          double miss_ratio) const {
+  ComputePlan p;
+  p.work = work;
+  const double refs_d = static_cast<double>(work) * mem.llc_refs_per_ns;
+  p.refs = static_cast<uint64_t>(refs_d);
+  p.misses = mem.wss_bytes == 0 ? 0 : static_cast<uint64_t>(refs_d * miss_ratio);
+  // NUMA: misses against remotely-pinned memory pay the distance penalty on
+  // top of the local DRAM access. The vCPU's remote-access scale models
+  // hypervisor page migration (1.0 until a controller migrates the guest's
+  // pages toward the vCPU's node; the multiply is exact at 1.0, so an
+  // inactive controller changes nothing).
+  p.remote = multi_socket_
+                 ? static_cast<uint64_t>(static_cast<double>(p.misses) *
+                                         std::clamp(mem.remote_fraction, 0.0, 1.0) *
+                                         v.remote_access_scale)
+                 : 0;
+  const TimeNs stall = static_cast<TimeNs>(p.misses) * kLlcMissPenalty +
+                       static_cast<TimeNs>(p.remote) * kRemoteMissExtra;
+  // Memory-bus contention: when the socket's co-running fetch demand exceeds
+  // the controller bandwidth, memory stalls stretch. The factor is sampled
+  // once at step start (steps are at most one quantum long).
+  p.demand = stall > 0 ? static_cast<double>(p.misses) *
+                             static_cast<double>(kCacheLineBytes) /
+                             static_cast<double>(work + stall)
+                       : 0.0;
+  p.stall = static_cast<TimeNs>(static_cast<double>(stall) *
+                                mem_bus_.StallFactor(s.socket, p.demand));
+  return p;
 }
 
 void Machine::OnSegmentEnd(int pcpu) {
@@ -620,6 +667,7 @@ void Machine::OnMonitor(TimeNs now) {
   }
   sim_.After(
       kMonitorPeriod, [this](TimeNs t) { OnMonitor(t); }, machine_lane_);
+  next_monitor_ = now + kMonitorPeriod;
 }
 
 // ---------------------------------------------------------------------------
@@ -727,7 +775,24 @@ Vcpu* Machine::vcpu(int id) const {
   return vcpus_[static_cast<size_t>(id)];
 }
 
+void Machine::SettleSteps() {
+  AQL_CHECK(!processing_);
+  const TimeNs now = sim_.Now();
+  processing_ = true;
+  for (size_t p = 0; p < pcpus_.size(); ++p) {
+    // A coarse step that began at `now` has nothing to settle.
+    if (pcpus_[p].current != nullptr && pcpus_[p].step_grain > 1 &&
+        pcpus_[p].step_start < now) {
+      TruncateStep(static_cast<int>(p));
+      BeginStep(static_cast<int>(p));
+    }
+  }
+  processing_ = false;
+  Drain();
+}
+
 void Machine::ResetAllMetrics() {
+  SettleSteps();
   const TimeNs now = sim_.Now();
   // Flush partial runtimes so post-reset accounting starts clean.
   for (size_t p = 0; p < pcpus_.size(); ++p) {

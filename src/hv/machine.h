@@ -7,6 +7,12 @@
 // reconfiguration). It translates declarative memory behaviour of compute
 // steps through the LLC model into stall time and PMU counters.
 //
+// Adaptive step grain: a coalescable compute step (a plain CPU burner's) is
+// run as one coarse step of k base steps while the vCPU's LLC miss ratio
+// holds still, ending strictly before the next monitor period so that each
+// period's PMU counts stay in that period. BeginStep documents the rule;
+// SettleSteps ends coarse steps at a measurement edge.
+//
 // Scheduler policies (AQL_Sched and the baselines) attach as a
 // SchedController invoked every monitoring period; they observe PMU state
 // and reconfigure CPU pools through ApplyPoolPlan().
@@ -147,8 +153,17 @@ class Machine : public WorkloadHost {
   const std::vector<Vcpu*>& vcpus() const { return vcpus_; }
   Vcpu* vcpu(int id) const;
 
-  // Zeroes workload metrics and machine counters; marks the start of the
-  // measurement window (call after warm-up).
+  // Ends every coarse step in flight at Now(), pro-rated as a kick would,
+  // and continues its vCPU, so that the workloads' metrics count all work
+  // done up to Now(). Call it before reading Reports() at a measurement
+  // edge, with an event planted at the edge so that Now() is the edge (as
+  // RunScenario does). At a monitor-period boundary no coarse step is in
+  // flight and it changes nothing.
+  void SettleSteps();
+
+  // Settles in-flight steps, then zeroes workload metrics and machine
+  // counters; marks the start of the measurement window (call after
+  // warm-up).
   void ResetAllMetrics();
 
   std::vector<PerfReport> Reports() const;
@@ -170,6 +185,7 @@ class Machine : public WorkloadHost {
     uint64_t step_refs = 0;
     uint64_t step_misses = 0;
     uint64_t step_remote = 0;  // misses served by a remote NUMA node
+    int step_grain = 1;        // base steps the in-flight compute step spans
     TimeNs pending_overhead = 0;  // context-switch cost charged to next step
     // Controller time this pCPU still owes (ChargeControllerOverhead lands
     // it on pCPU 0): served at the head of the next compute step as extra
@@ -187,6 +203,19 @@ class Machine : public WorkloadHost {
     // Accounting.
     TimeNs busy = 0;
   };
+
+  // The plan of a compute step of `work` pure work on `s` by `v`, with the
+  // miss ratio sampled at its start.
+  struct ComputePlan {
+    TimeNs work = 0;
+    TimeNs stall = 0;  // memory stalls, stretched by the bus factor
+    uint64_t refs = 0;
+    uint64_t misses = 0;
+    uint64_t remote = 0;  // misses served by a remote NUMA node
+    double demand = 0.0;  // memory-bus demand, bytes per ns
+  };
+  ComputePlan PlanCompute(const PcpuState& s, const Vcpu& v, const MemProfile& mem,
+                          TimeNs work, double miss_ratio) const;
 
   // Dispatch path.
   void Resched(int pcpu);
@@ -256,6 +285,10 @@ class Machine : public WorkloadHost {
 
   // The machine's own counters; counters() adds the LLC's and the bus's.
   WorkCounters counters_;
+
+  // Time of the next monitor period, which is also the next accounting
+  // period: a coarse step ends strictly before it.
+  TimeNs next_monitor_ = 0;
 
   TimeNs measure_start_ = 0;
   TimeNs controller_overhead_ = 0;

@@ -87,6 +87,13 @@ class Vcpu {
   // Pending self-wake timer event (kBlock with finite wake_at).
   EventId wake_event = kInvalidEventId;
 
+  // --- adaptive step grain (owned by Machine::BeginStep) ---
+  // LLC miss ratio at this vCPU's previous coalescable step start (-1
+  // before the first), and how many base steps its next coarse step may
+  // span. Both survive deschedules.
+  double grain_miss_ratio = -1.0;
+  int grain = 1;
+
   // --- run-queue linkage (owned by RunQueue) ---
   // Intrusive list pointers: a runnable vCPU sits on exactly one queue, so
   // enqueue/dequeue/removal are O(1) pointer splices with no allocation.

@@ -5,7 +5,7 @@
 namespace aql {
 namespace {
 // Step granularity of a plain burner: one compute step of this pure-work
-// size at a time.
+// size at a time, which the machine may run several of as one coarse step.
 constexpr TimeNs kPhase = Us(200);
 // Streaming kernels: pure work of one streaming burst, and of the
 // register-only loop-overhead gap that follows each completed burst.
@@ -23,7 +23,9 @@ CpuBurnModel::CpuBurnModel(const CpuBurnConfig& config) : config_(config) {
 Step CpuBurnModel::NextStep(TimeNs now) {
   (void)now;
   if (!config_.stream) {
-    return Step::Compute(kPhase, config_.mem);
+    Step step = Step::Compute(kPhase, config_.mem);
+    step.coalescable = true;
+    return step;
   }
   if (in_gap_) {
     // Loop overhead between sweeps: register-only, no LLC references.

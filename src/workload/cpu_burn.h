@@ -10,9 +10,11 @@
 //   NumaRemote : the same streaming pattern against memory pinned to a
 //                remote NUMA node (remote_fraction > 0, moderate rate).
 //
-// A plain burner runs back-to-back 200 µs steps. A streaming kernel
-// alternates a 180 µs streaming burst with a 20 µs register-only
-// loop-overhead gap (index arithmetic between sweeps), so its LLC pressure
+// A plain burner runs back-to-back 200 µs steps, marked coalescable: while
+// its LLC miss ratio holds still the machine runs several as one coarse step
+// (Machine::BeginStep). A streaming kernel alternates a 180 µs streaming
+// burst with a 20 µs register-only loop-overhead gap (index arithmetic
+// between sweeps), which stay steps of their own, so its LLC pressure
 // has the on/off micro-structure of real streaming kernels while staying
 // memory-dominated; a truncated burst resumes streaming at the next dispatch.
 //

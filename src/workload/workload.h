@@ -51,6 +51,11 @@ struct Step {
   };
 
   Kind kind = Kind::kBlock;
+  // kCompute only: the machine may run this step and the identical ones
+  // after it as one coarse step while the vCPU's LLC miss ratio holds still
+  // (Machine::BeginStep). Set it only where a step boundary carries no
+  // behaviour: a plain CPU burner's back-to-back steps.
+  bool coalescable = false;
   TimeNs work = 0;             // kCompute only: pure work, pre-stall
   MemProfile mem;              // kCompute only
   TimeNs wake_at = kTimeInfinite;  // kBlock only: absolute self-wake time

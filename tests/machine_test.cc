@@ -2,6 +2,7 @@
 // blocking/wake, BOOST preemption, fairness, pools, migration, the work
 // counters' closed forms, and the multi-socket event order.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
@@ -375,16 +376,25 @@ WorkCounters BurnerCounters(int burners, const MemProfile& mem,
 
 uint64_t Periods(TimeNs period) { return static_cast<uint64_t>(kOracleRun / period); }
 
-// Register-only burners keep the pCPU busy in fixed CPU-burn phases, so the
-// counters have closed forms: one step per phase plus the one in flight at
-// the end, one dispatch per quantum plus the first, one callback per
-// monitor period. A second burner only changes who runs each quantum.
+// Register-only burners keep the pCPU busy and their miss ratio never
+// moves, so the counters have closed forms: one dispatch per quantum plus
+// the first, one callback per monitor period, and steps that follow the
+// adaptive grain. Each 30 ms quantum is one monitor period, 150 base steps
+// long, and no coarse step may end at its end. A burner's first quantum
+// ramps its grain 1, 2, 4, ..., 64 (127 base steps), runs 22 more as one
+// step and ends in a base step cut by the quantum: 9 steps. Every later
+// quantum runs 64 + 64 + 21 base steps as three steps and ends in one base
+// step: 4 steps. One more step is in flight at the end. A second burner
+// only changes who runs each quantum, and ramps in its own first quantum.
 TEST(WorkCounterTest, RegisterOnlyBurnersHaveClosedForms) {
   const TimeNs phase = CpuBurnModel(Burner("probe")).NextStep(0).work;
   const TimeNs quantum = CreditParams().default_quantum;
-  for (const int burners : {1, 2}) {
-    const WorkCounters c = BurnerCounters(burners, MemProfile{});
-    EXPECT_EQ(c.compute_steps, Periods(phase) + 1) << burners;
+  ASSERT_EQ(quantum, kMonitorPeriod);
+  ASSERT_EQ(kMonitorPeriod / phase, 150);
+  for (const uint64_t burners : {1u, 2u}) {
+    const WorkCounters c = BurnerCounters(static_cast<int>(burners), MemProfile{});
+    EXPECT_EQ(c.compute_steps, 9 * burners + 4 * (Periods(quantum) - burners) + 1)
+        << burners;
     EXPECT_EQ(c.dispatches, Periods(quantum) + 1) << burners;
     EXPECT_EQ(c.monitor_periods, Periods(kMonitorPeriod)) << burners;
     EXPECT_EQ(c.llc_commits, 0u) << burners;
@@ -418,6 +428,114 @@ TEST(WorkCounterTest, OverflowingWorkingSetsEvict) {
   const WorkCounters c = BurnerCounters(2, mem);
   EXPECT_GT(c.llc_evictions, 0u);
   EXPECT_LE(c.llc_evictions, c.llc_commits);
+}
+
+// --- Oracles: closed-form bounds that hold at any step grain ---
+
+// Runs `burners` plain hmmer burners (LoLCF) on one pCPU through RunScenario,
+// whose window is [warmup, warmup + measure].
+ScenarioResult RunBurners(int burners, TimeNs warmup, TimeNs measure) {
+  ScenarioSpec spec;
+  spec.name = "burners";
+  spec.machine = SingleSocketMachine(1, 7);
+  spec.vms = {VmSpec{"hmmer", burners}};
+  spec.warmup = warmup;
+  spec.measure = measure;
+  return RunScenario(spec, PolicySpec::Xen());
+}
+
+// Time conservation in a window whose edges are off the 30 ms monitor grid
+// (10 ms and 5 ms into a period), so coarse steps straddle both: the work
+// credited to one pCPU's vCPUs is at most the window, and a lone burner is
+// credited the whole window to within one base step. Both hold only because
+// each edge settles the steps in flight.
+TEST(OracleTest, WorkInAnOffGridWindowIsConserved) {
+  const TimeNs base = CpuBurnModel(Burner("probe")).NextStep(0).work;
+  const TimeNs window = Ms(2005);
+  for (const int burners : {1, 3}) {
+    const ScenarioResult r = RunBurners(burners, Ms(1000), window);
+    double work = 0.0;
+    for (const PerfReport& rep : r.reports) {
+      work += rep.metrics.at("work_done_s");
+    }
+    EXPECT_LE(work, ToSec(window)) << burners;
+    if (burners == 1) {
+      EXPECT_NEAR(work, ToSec(window), ToSec(base));
+      EXPECT_NEAR(r.reports[0].metrics.at("slowdown"), 1.0, ToSec(base) / ToSec(window));
+    }
+  }
+}
+
+// N equal burners on one pCPU share it evenly: each is credited 1/N of the
+// window to within one quantum, a slowdown of N.
+TEST(OracleTest, EqualBurnersShareOnePcpuEvenly) {
+  const TimeNs window = Ms(2005);
+  const TimeNs quantum = CreditParams().default_quantum;
+  for (const int burners : {2, 3}) {
+    const ScenarioResult r = RunBurners(burners, Ms(1000), window);
+    for (const PerfReport& rep : r.reports) {
+      EXPECT_NEAR(rep.metrics.at("work_done_s"), ToSec(window) / burners, ToSec(quantum))
+          << burners;
+    }
+  }
+}
+
+// A lone burner fills the LLC to min(WSS, capacity): a fitting working set
+// becomes fully resident and its miss ratio falls to the floor.
+TEST(OracleTest, LoneBurnerFillsTheLlc) {
+  const uint64_t capacity = SmallConfig().topology.llc_bytes;
+  for (const uint64_t wss : {capacity / 2, capacity * 4}) {
+    Simulation sim;
+    Machine m(sim, SmallConfig());
+    CpuBurnConfig cfg = Burner("fill");
+    cfg.mem.wss_bytes = wss;
+    cfg.mem.llc_refs_per_ns = 0.008;
+    Vcpu* v = m.AddVcpu(m.AddVm("vm"), std::make_unique<CpuBurnModel>(cfg));
+    m.Start();
+    sim.RunUntil(Sec(2));
+    EXPECT_EQ(m.llc().Occupancy(0, v->id()), std::min(wss, capacity)) << wss;
+    if (wss <= capacity) {
+      EXPECT_EQ(m.llc().MissRatio(0, v->id(), wss), kMinMissRatio);
+    }
+  }
+}
+
+// Records one vCPU's retired instructions at every monitor period.
+class InstructionRecorder : public SchedController {
+ public:
+  explicit InstructionRecorder(std::vector<uint64_t>* out) : out_(out) {}
+  std::string Name() const override { return "instruction_recorder"; }
+  void OnMonitorPeriod(Machine& machine, TimeNs) override {
+    out_->push_back(machine.vcpu(0)->pmu.instructions);
+  }
+
+ private:
+  std::vector<uint64_t>* out_;
+};
+
+// Each monitor period sees the instructions of the work done in it: a lone
+// register-only burner retires 30 ms x ipc per period to within one base
+// step, because no coarse step runs past a period's end. Its 90 ms quantum
+// ends only every third period, so only that rule ends steps at the others.
+TEST(OracleTest, EveryMonitorPeriodSeesItsOwnInstructions) {
+  const Step probe = CpuBurnModel(Burner("probe")).NextStep(0);
+  const double ipc = probe.mem.instructions_per_ns;
+  Simulation sim;
+  MachineConfig mc = SmallConfig();
+  mc.credit.default_quantum = Ms(90);
+  Machine m(sim, mc);
+  m.AddVcpu(m.AddVm("vm"), std::make_unique<CpuBurnModel>(Burner("solo")));
+  std::vector<uint64_t> seen;
+  m.SetController(std::make_unique<InstructionRecorder>(&seen));
+  m.Start();
+  sim.RunUntil(Sec(1));
+  ASSERT_EQ(seen.size(), 33u);
+  for (size_t i = 1; i < seen.size(); ++i) {
+    EXPECT_NEAR(static_cast<double>(seen[i] - seen[i - 1]),
+                static_cast<double>(kMonitorPeriod) * ipc,
+                static_cast<double>(probe.work) * ipc)
+        << "period " << i;
+  }
 }
 
 TEST(MachineTest, WeightedFairness) {
@@ -536,25 +654,26 @@ uint64_t ResultDigest(const ScenarioResult& r) {
 // Pins the multi-socket event order (per-socket lanes, machine lane last),
 // the per-VM RNG streams, least-loaded VM packing, socket-filtered wakes
 // and steals and the cross-socket footprint flush on generated machines.
-// The expected values come from the socket-island engine the single queue
-// replaced. These specs drive it through 13 island merges and 14
-// cross-socket re-homes of a vCPU with a pending timer or wake, the paths
-// where the two engines could have diverged.
+// The expected values first came from the socket-island engine the single
+// queue replaced; these specs drive 14 cross-socket re-homes of a vCPU with
+// a pending timer or wake. They were regenerated once when plain burners'
+// steps became coarse (adaptive step grain).
 TEST(MultiSocketStress, MatchesParentDigests) {
   struct Expected {
     uint64_t events;
     uint64_t digest;
   };
   const Expected expected[] = {
-      {6234u, 0x930e426e8d229fa4ULL},  {14063u, 0xb1a12da83f978e20ULL},
-      {17344u, 0x4d1ae062a545528fULL}, {11753u, 0xdc0cd1fb6334165cULL},
-      {15719u, 0x528ce86e589cc341ULL}, {7746u, 0xf3a4a44bde01959eULL},
-      {10929u, 0x2f8dcb4b29885f02ULL}, {22859u, 0x067a42f3195fae18ULL},
-      {14167u, 0x27ea029ad5d5535dULL}, {13458u, 0xf6b6fc766e2343c0ULL},
-      {3916u, 0x7d0c99edd3cb3c8aULL},  {16559u, 0x16ce725c353a2fb5ULL},
-      {15156u, 0xf27c1c3760981172ULL}, {13500u, 0x6ce1891b15a0e9b0ULL},
-      {9578u, 0x771d35e267b51c18ULL},  {15670u, 0x9d6f8f506e35c64dULL},
+      {2527u, 0xed546e1d4ed6151eULL},  {5671u, 0x06156cb73be5fc1eULL},
+      {14290u, 0x078f0dfa60f9df08ULL}, {8323u, 0xccd418f91c6b65cdULL},
+      {13117u, 0x84f4e1ae824ca68eULL}, {2100u, 0x7012bdc0cce85a1eULL},
+      {10397u, 0x5f319929b0d1c467ULL}, {13814u, 0x35fc73028175e97eULL},
+      {14167u, 0x27ea029ad5d5535dULL}, {10966u, 0x8addfdfa0b7797dcULL},
+      {2865u, 0x36d376c25ddb20b6ULL},  {9845u, 0x00cf35414e47ead7ULL},
+      {9783u, 0xde3ed6a02063b803ULL},  {8122u, 0xd6cad399fb7ad418ULL},
+      {8448u, 0xd270448267e118e1ULL},  {11756u, 0x47b804bb395147c5ULL},
   };
+
   const auto specs = MultiSocketStressSpecs(16);
   ASSERT_EQ(specs.size(), std::size(expected));
   for (size_t i = 0; i < specs.size(); ++i) {
