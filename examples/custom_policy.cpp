@@ -71,6 +71,10 @@ ScenarioResult RunWithCustomPolicy(const ScenarioSpec& spec) {
   }
   machine.SetController(std::make_unique<StaticSplitController>());
   machine.Start();
+  // Sentinel events put the clock on the window edges, where
+  // ResetAllMetrics and SettleSteps act.
+  sim.At(spec.warmup, [](TimeNs) {});
+  sim.At(spec.warmup + spec.measure, [](TimeNs) {});
   sim.RunUntil(spec.warmup);
   machine.ResetAllMetrics();
   sim.RunUntil(spec.warmup + spec.measure);

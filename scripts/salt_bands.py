@@ -4,10 +4,11 @@
     python3 scripts/salt_bands.py PARENT_BENCH CHANGE_BENCH --salts 1-5
     python3 scripts/salt_bands.py A B --salts default,1-15 --work DIR
 
-Runs `aql_bench --all --jobs J --stable-json --seed-salt S` with each
-binary for every salt, alternating the two sides, into WORK/<side>/<salt>
-(a salt whose 16 documents are already there is not run again). `default`
-runs without `--seed-salt`. Then it prints, as markdown:
+Runs `aql_bench --all --jobs J --stable-json --seed-salt S` with both
+binaries for every salt, into WORK/<side>/<salt>; a run that completed
+before is not repeated. `default` runs without `--seed-salt`. Results are
+a function of the binary and the salt, so the order of runs does not
+matter. Then it prints, as markdown:
 
   * the health numbers of every salt and side: Table 3, table3x, fig4,
     fig5, both fig6 means and fig7's ratio;
@@ -55,13 +56,15 @@ def parse_salts(text):
 
 
 def run(binary, salt, jobs, out):
-    if len(glob.glob(os.path.join(out, "BENCH_*.json"))) >= 16:
+    done = os.path.join(out, "complete")
+    if os.path.exists(done):
         return
     cmd = [binary, "--all", "--jobs", str(jobs), "--stable-json", "--out", out]
     if salt != "default":
         cmd += ["--seed-salt", salt]
     print(f"running {' '.join(cmd)}", file=sys.stderr, flush=True)
     subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
+    open(done, "w").close()
 
 
 def load(out):

@@ -404,10 +404,10 @@ Machine::ComputePlan Machine::PlanCompute(const PcpuState& s, const Vcpu& v,
   // Memory-bus contention: when the socket's co-running fetch demand exceeds
   // the controller bandwidth, memory stalls stretch. The factor is sampled
   // once at step start (steps are at most one quantum long).
-  p.demand = stall > 0 ? static_cast<double>(p.misses) *
-                             static_cast<double>(kCacheLineBytes) /
-                             static_cast<double>(work + stall)
-                       : 0.0;
+  p.demand = stall > 0
+                 ? static_cast<double>(p.misses) * static_cast<double>(kCacheLineBytes) /
+                       static_cast<double>(work + stall)
+                 : 0.0;
   p.stall = static_cast<TimeNs>(static_cast<double>(stall) *
                                 mem_bus_.StallFactor(s.socket, p.demand));
   return p;

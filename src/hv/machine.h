@@ -184,8 +184,8 @@ class Machine : public WorkloadHost {
     TimeNs step_work = 0;     // pure-work portion of the plan
     uint64_t step_refs = 0;
     uint64_t step_misses = 0;
-    uint64_t step_remote = 0;  // misses served by a remote NUMA node
-    int step_grain = 1;        // base steps the in-flight compute step spans
+    uint64_t step_remote = 0;     // misses served by a remote NUMA node
+    int step_grain = 1;           // base steps the in-flight compute step spans
     TimeNs pending_overhead = 0;  // context-switch cost charged to next step
     // Controller time this pCPU still owes (ChargeControllerOverhead lands
     // it on pCPU 0): served at the head of the next compute step as extra
